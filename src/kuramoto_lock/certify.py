@@ -87,6 +87,22 @@ def zeta(params: SystemParams, d_omega0: float, eta: float) -> float:
     )
 
 
+def _xi_from_diameters(
+    m: float, kappa: float, d_v: float, d_omega0: float, eta: Optional[float]
+) -> float:
+    """Drift budget from the diameters alone; ``eta=None`` gives the
+    large-eta limit, in which ``d_omega0`` drops out."""
+    if eta is None:
+        return m * d_v + 2.0 * m * kappa + d_v / (2.0 * kappa)
+    u = max(1.0, eta)
+    return (
+        (d_v + 2.0 * kappa) * m
+        + d_omega0 * m * u * math.exp(-u)
+        + d_v / (2.0 * kappa)
+        + (d_omega0 / (2.0 * kappa)) * math.exp(-eta) / (1.0 - math.exp(-eta))
+    )
+
+
 def xi(params: SystemParams, d_omega0: float, eta: float) -> float:
     """Anti-synchronization drift budget active after the initial layer.
 
@@ -96,21 +112,13 @@ def xi(params: SystemParams, d_omega0: float, eta: float) -> float:
     _require(eta > 0.0, "eta must be positive")
     _require(d_omega0 >= 0.0, "d_omega0 must be >= 0")
     _require(params.kappa > 0.0, "xi requires kappa > 0")
-    m, kappa, dv = params.m, params.kappa, params.nu_diameter
-    u = max(1.0, eta)
-    return (
-        (dv + 2.0 * kappa) * m
-        + d_omega0 * m * u * math.exp(-u)
-        + dv / (2.0 * kappa)
-        + (d_omega0 / (2.0 * kappa)) * math.exp(-eta) / (1.0 - math.exp(-eta))
-    )
+    return _xi_from_diameters(params.m, params.kappa, params.nu_diameter, d_omega0, eta)
 
 
 def xi_inf(params: SystemParams) -> float:
     """Large-eta limit of :func:`xi`: m*D(nu) + 2*m*kappa + D(nu)/(2*kappa)."""
     _require(params.kappa > 0.0, "xi_inf requires kappa > 0")
-    m, kappa, dv = params.m, params.kappa, params.nu_diameter
-    return m * dv + 2.0 * m * kappa + dv / (2.0 * kappa)
+    return _xi_from_diameters(params.m, params.kappa, params.nu_diameter, 0.0, None)
 
 
 # ---------------------------------------------------------------------------
@@ -579,20 +587,6 @@ def check_simple(
 # ---------------------------------------------------------------------------
 # Partial locking
 # ---------------------------------------------------------------------------
-
-def _xi_from_diameters(
-    m: float, kappa: float, d_v: float, d_omega0: float, eta: Optional[float]
-) -> float:
-    if eta is None:
-        return m * d_v + 2.0 * m * kappa + d_v / (2.0 * kappa)
-    u = max(1.0, eta)
-    return (
-        (d_v + 2.0 * kappa) * m
-        + d_omega0 * m * u * math.exp(-u)
-        + d_v / (2.0 * kappa)
-        + (d_omega0 / (2.0 * kappa)) * math.exp(-eta) / (1.0 - math.exp(-eta))
-    )
-
 
 def check_partial_locking(
     params: SystemParams,

@@ -40,6 +40,7 @@ from .diagnostics import (
     LockTolerances,
     arrangement_check,
     ClusterReport,
+    default_lock_tolerances,
     detect_locking,
     energy_value,
     find_majority_cluster,
@@ -190,7 +191,9 @@ class ScenarioConfig:
         return cls(**kwargs)
 
     def lock_tolerances(self) -> LockTolerances:
-        eps_w = self.eps_omega if self.eps_omega is not None else 1e-4 * max(1.0, self.kappa)
+        eps_w = self.eps_omega
+        if eps_w is None:
+            eps_w = default_lock_tolerances(self.kappa).eps_omega
         return LockTolerances(eps_w, self.eps_theta)
 
 
@@ -583,7 +586,9 @@ class CampaignConfig:
             raise ConfigError("n_instances and n must be >= 1")
 
     def lock_tolerances(self) -> LockTolerances:
-        eps_w = self.eps_omega if self.eps_omega is not None else 1e-4 * max(1.0, self.kappa)
+        eps_w = self.eps_omega
+        if eps_w is None:
+            eps_w = default_lock_tolerances(self.kappa).eps_omega
         return LockTolerances(eps_w, self.eps_theta)
 
 

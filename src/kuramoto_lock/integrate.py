@@ -82,6 +82,41 @@ def _check_finite(theta: np.ndarray, omega: Optional[np.ndarray], t: float) -> N
         raise IntegrationError(f"non-finite state at t={t:.6g}; check dt against 1/m")
 
 
+def _rk4_step(
+    params: SystemParams,
+    coup: Callable[[np.ndarray, float], np.ndarray],
+    theta: np.ndarray,
+    omega: np.ndarray,
+    h,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One classic RK4 step of the inertial system.
+
+    ``theta`` and ``omega`` hold one state ``(N,)`` or a batch ``(B, N)`` of
+    states sharing ``params``; ``h`` is a scalar or a ``(B, 1)`` column of
+    per-row step sizes.  Every row gets exactly the arithmetic of the
+    one-dimensional call.
+    """
+    nu, kappa, m = params.nu, params.kappa, params.m
+
+    def accel(th, om):
+        return (nu - om + coup(th, kappa)) / m
+
+    b1 = accel(theta, omega)
+    th2 = theta + (0.5 * h) * omega
+    om2 = omega + (0.5 * h) * b1
+    b2 = accel(th2, om2)
+    th3 = theta + (0.5 * h) * om2
+    om3 = omega + (0.5 * h) * b2
+    b3 = accel(th3, om3)
+    th4 = theta + h * om3
+    om4 = omega + h * b3
+    b4 = accel(th4, om4)
+    return (
+        theta + (h / 6.0) * (omega + 2.0 * om2 + 2.0 * om3 + om4),
+        omega + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
+    )
+
+
 def integrate(
     params: SystemParams,
     state0: PhaseState,
@@ -99,7 +134,6 @@ def integrate(
     if params.n != state0.n:
         raise ValueError("state/params size mismatch")
     coup = COUPLING_FORMS[config.coupling]
-    nu, kappa, m = params.nu, params.kappa, params.m
     dt = config.dt
     stride = config.observer_stride
     n_full, rem = _step_plan(dt, config.t_end)
@@ -107,24 +141,6 @@ def integrate(
     th = state0.theta.copy()
     om = state0.omega.copy()
     t0 = state0.t
-
-    def accel(theta, omega):
-        return (nu - omega + coup(theta, kappa)) / m
-
-    def rk4(theta, omega, h):
-        b1 = accel(theta, omega)
-        th2 = theta + (0.5 * h) * omega
-        om2 = omega + (0.5 * h) * b1
-        b2 = accel(th2, om2)
-        th3 = theta + (0.5 * h) * om2
-        om3 = omega + (0.5 * h) * b2
-        b3 = accel(th3, om3)
-        th4 = theta + h * om3
-        om4 = omega + h * b3
-        b4 = accel(th4, om4)
-        new_theta = theta + (h / 6.0) * (omega + 2.0 * om2 + 2.0 * om3 + om4)
-        new_omega = omega + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        return new_theta, new_omega
 
     last_observed = -1
     # Blow-up is detected by the explicit finiteness check; silence the
@@ -134,14 +150,14 @@ def integrate(
             if observer is not None and k % stride == 0:
                 observer(t0 + k * dt, PhaseState(t0 + k * dt, th, om))
                 last_observed = k
-            th, om = rk4(th, om, dt)
+            th, om = _rk4_step(params, coup, th, om, dt)
             _check_finite(th, om, t0 + (k + 1) * dt)
         t_last = t0 + n_full * dt
         if rem > 0.0:
             if observer is not None and n_full % stride == 0:
                 observer(t_last, PhaseState(t_last, th, om))
                 last_observed = n_full
-            th, om = rk4(th, om, rem)
+            th, om = _rk4_step(params, coup, th, om, rem)
             _check_finite(th, om, t0 + config.t_end)
             t_last = t0 + config.t_end
             final_step = n_full + 1
@@ -296,39 +312,79 @@ class CollisionEvent:
             raise ValueError("collision events are stored with i < j")
 
 
-def _indistinguishable(params: SystemParams, state0: PhaseState, i: int, j: int) -> bool:
-    if params.nu[i] != params.nu[j] or state0.omega[i] != state0.omega[j]:
-        return False
-    d = (state0.theta[i] - state0.theta[j]) % TWO_PI
-    return min(d, TWO_PI - d) <= 1e-12
+# Float64 elements in one block of the pair scan (snapshots x pairs) and in
+# one batch of bisection probes (rows x N).  Bounds the scratch memory of
+# :func:`collision_events_from_record` whatever N and the event count.
+_BLOCK_ELEMENTS = 1 << 15
 
 
-def _rk4_pair_probe(
-    params: SystemParams,
-    coup: Callable[[np.ndarray, float], np.ndarray],
-    theta: np.ndarray,
-    omega: np.ndarray,
-    h: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    nu, kappa, m = params.nu, params.kappa, params.m
-
-    def accel(th, om):
-        return (nu - om + coup(th, kappa)) / m
-
-    b1 = accel(theta, omega)
-    th2 = theta + (0.5 * h) * omega
-    om2 = omega + (0.5 * h) * b1
-    b2 = accel(th2, om2)
-    th3 = theta + (0.5 * h) * om2
-    om3 = omega + (0.5 * h) * b2
-    b3 = accel(th3, om3)
-    th4 = theta + h * om3
-    om4 = omega + h * b3
-    b4 = accel(th4, om4)
-    return (
-        theta + (h / 6.0) * (omega + 2.0 * om2 + 2.0 * om3 + om4),
-        omega + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
+def _distinguishable(params: SystemParams, theta0, omega0, i, j) -> np.ndarray:
+    """Mask over the pairs ``(i[k], j[k])``: False where both oscillators
+    share nu and the initial frequency and start at the same phase mod 2*pi,
+    so that they stay together for all time."""
+    d = (theta0[i] - theta0[j]) % TWO_PI
+    same = (
+        (params.nu[i] == params.nu[j])
+        & (omega0[i] == omega0[j])
+        & (np.minimum(d, TWO_PI - d) <= 1e-12)
     )
+    return ~same
+
+
+def _bisect(
+    params: SystemParams,
+    coup,
+    record: TrajectoryRecord,
+    k: np.ndarray,
+    i: np.ndarray,
+    j: np.ndarray,
+    refine_tol: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Refine the crossings of pairs ``(i, j)`` bracketed by ``[t[k], t[k+1]]``.
+
+    Rows are bisected together, in batches of at most ``_BLOCK_ELEMENTS // N``
+    rows; each round re-integrates the still-active rows from their bracket's
+    left snapshot with one batched RK4 step.  Per row the rule is the scalar
+    one: stop once ``hi - lo <= refine_tol``, an exact zero of the crossing
+    function ends the row at that midpoint, and the branch is read from the
+    gap at ``t_star``.  A row whose bracket is two adjacent doubles stops
+    there too, where the scalar rule would loop forever.  Returns
+    ``(t_star, branch)``.
+    """
+    t = record.t
+    t_star = np.empty(k.size)
+    branch = np.empty(k.size, dtype=np.int64)
+    rows = max(1, _BLOCK_ELEMENTS // record.n)
+    for start in range(0, k.size, rows):
+        batch = slice(start, start + rows)
+        kb, ib, jb = k[batch], i[batch], j[batch]
+        th0, om0, t_lo = record.theta[kb], record.omega[kb], t[kb]
+        # Sign of the crossing function at the bracket's left end.
+        pos = np.sin(0.5 * (record.theta[kb, ib] - record.theta[kb, jb])) > 0
+
+        def gap_at(act, tau):
+            th, _ = _rk4_step(params, coup, th0[act], om0[act], (tau - t_lo[act])[:, None])
+            r = np.arange(act.size)
+            return th[r, ib[act]] - th[r, jb[act]]
+
+        lo, hi = t_lo.copy(), t[kb + 1]
+        act = np.flatnonzero(hi - lo > refine_tol)
+        while act.size:
+            width = hi[act] - lo[act]
+            mid = 0.5 * (lo[act] + hi[act])
+            g_mid = np.sin(0.5 * gap_at(act, mid))
+            zero = g_mid == 0.0
+            same = (g_mid > 0) == pos[act]
+            lo[act] = np.where(zero | same, mid, lo[act])
+            hi[act] = np.where(zero | ~same, mid, hi[act])
+            # A row also stops when its bracket no longer shrinks: past
+            # t = 8192 adjacent doubles lie more than 1e-12 apart.
+            new_width = hi[act] - lo[act]
+            act = act[(new_width > refine_tol) & (new_width < width)]
+        ts = 0.5 * (lo + hi)
+        t_star[batch] = ts
+        branch[batch] = np.rint(gap_at(np.arange(kb.size), ts) / TWO_PI)
+    return t_star, branch
 
 
 def collision_events_from_record(
@@ -339,71 +395,54 @@ def collision_events_from_record(
     """Locate and refine collisions on a dense (stride-1) trajectory record.
 
     The crossing function sin((theta_i - theta_j)/2) vanishes exactly on the
-    collision set and is smooth, so plain sign-change bracketing applies; the
-    bracketing step is re-integrated during bisection, down to a time
-    uncertainty of ``config.refine_tol``.  Double roots inside one step are a
+    collision set and is smooth, so plain sign-change bracketing applies.
+    Pairs are scanned in blocks of at most ``_BLOCK_ELEMENTS`` gap values;
+    every bracketed crossing of the record is then bisected in one batched
+    sweep (batches of at most ``_BLOCK_ELEMENTS // N`` rows) that
+    re-integrates the bracketing step down to a time uncertainty of
+    ``config.refine_tol``.  A snapshot where the crossing function is exactly
+    zero is an event at that snapshot.  Double roots inside one step are a
     known blind spot of the bracketing; the reference (dt/20) mode shrinks it.
+    Events are sorted by ``(t_star, i, j)``.
     """
     coup = COUPLING_FORMS[config.coupling]
-    state0 = record.state(0)
-    n = record.n
-    events: list[CollisionEvent] = []
-    t = record.t
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _indistinguishable(params, state0, i, j):
-                continue
-            gap = record.theta[:, i] - record.theta[:, j]
-            g = np.sin(0.5 * gap)
-            crossings = np.nonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0)[0]
-            exact = np.nonzero(g == 0.0)[0]
-            refined: list[tuple[float, int]] = []
-            for k in crossings:
-                t_star, branch = _refine_crossing(
-                    params, coup, record, int(k), i, j, config.refine_tol
-                )
-                refined.append((t_star, branch))
-            for k in exact:
-                refined.append((float(t[k]), int(round(gap[k] / TWO_PI))))
-            for t_star, branch in refined:
-                events.append(CollisionEvent(i, j, t_star, branch))
+    t, theta = record.t, record.theta
+    iu, ju = np.triu_indices(record.n, 1)
+    keep = _distinguishable(params, theta[0], record.omega[0], iu, ju)
+    iu, ju = iu[keep], ju[keep]
+    if iu.size == 0:
+        return []
+    width = max(1, _BLOCK_ELEMENTS // record.n_snapshots)
+    cross_p, cross_k, zero_p, zero_k = [], [], [], []
+    for start in range(0, iu.size, width):
+        g = np.sin(0.5 * (theta[:, iu[start:start + width]] - theta[:, ju[start:start + width]]))
+        sg = np.sign(g)
+        k, p = np.nonzero(sg[:-1] * sg[1:] < 0)
+        cross_p.append(p + start)
+        cross_k.append(k)
+        k, p = np.nonzero(g == 0.0)
+        zero_p.append(p + start)
+        zero_k.append(k)
+    cp, ck = np.concatenate(cross_p), np.concatenate(cross_k)
+    zp, zk = np.concatenate(zero_p), np.concatenate(zero_k)
+    t_cross, b_cross = _bisect(params, coup, record, ck, iu[cp], ju[cp], config.refine_tol)
+    b_zero = np.rint((theta[zk, iu[zp]] - theta[zk, ju[zp]]) / TWO_PI).astype(np.int64)
+
+    # Within a pair, crossings come in time order and before exact zeros, as
+    # in a pair-by-pair scan, so the stable sort reproduces that scan's order
+    # even on tied keys.
+    p = np.concatenate([cp, zp])
+    events = [
+        CollisionEvent(i, j, t_star, branch)
+        for i, j, t_star, branch in zip(
+            iu[p].tolist(),
+            ju[p].tolist(),
+            np.concatenate([t_cross, t[zk]]).tolist(),
+            np.concatenate([b_cross, b_zero]).tolist(),
+        )
+    ]
     events.sort(key=lambda ev: (ev.t_star, ev.i, ev.j))
     return events
-
-
-def _refine_crossing(
-    params: SystemParams,
-    coup,
-    record: TrajectoryRecord,
-    k: int,
-    i: int,
-    j: int,
-    refine_tol: float,
-) -> tuple[float, int]:
-    t_lo = float(record.t[k])
-    t_hi = float(record.t[k + 1])
-    th0 = record.theta[k]
-    om0 = record.omega[k]
-    g_lo = math.sin(0.5 * (record.theta[k, i] - record.theta[k, j]))
-
-    def gap_at(tau: float) -> float:
-        th, _ = _rk4_pair_probe(params, coup, th0, om0, tau - t_lo)
-        return th[i] - th[j]
-
-    lo, hi = t_lo, t_hi
-    while hi - lo > refine_tol:
-        mid = 0.5 * (lo + hi)
-        g_mid = math.sin(0.5 * gap_at(mid))
-        if g_mid == 0.0:
-            lo = hi = mid
-            break
-        if (g_mid > 0) == (g_lo > 0):
-            lo = mid
-        else:
-            hi = mid
-    t_star = 0.5 * (lo + hi)
-    branch = int(round(gap_at(t_star) / TWO_PI))
-    return t_star, branch
 
 
 def detect_collisions(

@@ -163,17 +163,21 @@ class MeanTrajectory:
 
 def coupling_direct(theta: np.ndarray, kappa: float) -> np.ndarray:
     """Coupling (kappa/N) sum_j sin(theta_j - theta_i) via the full pairwise
-    sum.  O(N^2); this is the reference evaluation."""
+    sum.  O(N^2); this is the reference evaluation.
+
+    ``theta`` is one state ``(N,)`` or a batch ``(B, N)``; each row is
+    evaluated exactly as the one-dimensional call would evaluate it."""
     th = np.asarray(theta, dtype=float)
-    return (kappa / th.size) * np.sin(th[None, :] - th[:, None]).sum(axis=1)
+    return (kappa / th.shape[-1]) * np.sin(th[..., None, :] - th[..., :, None]).sum(axis=-1)
 
 
 def coupling_mean_field(theta: np.ndarray, kappa: float) -> np.ndarray:
     """Same coupling through the phase centroid.  O(N); agrees with
-    :func:`coupling_direct` up to rounding."""
+    :func:`coupling_direct` up to rounding.  Row-wise on ``(B, N)`` input,
+    like :func:`coupling_direct`."""
     th = np.asarray(theta, dtype=float)
     z = np.exp(1j * th)
-    return kappa * (z.mean() * np.conj(z)).imag
+    return kappa * (z.sum(axis=-1, keepdims=True) / th.shape[-1] * np.conj(z)).imag
 
 
 COUPLING_FORMS: dict[str, Callable[[np.ndarray, float], np.ndarray]] = {

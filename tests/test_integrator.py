@@ -1,6 +1,8 @@
 """Integrator: oracle comparisons, self-convergence order, propagation
 bounds, collision detection, and determinism."""
 
+import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -19,8 +21,18 @@ from kuramoto_lock import (
     record_trajectory,
     record_trajectory_first_order,
 )
-from kuramoto_lock.integrate import collision_events_from_record, _rk4_pair_probe
+from kuramoto_lock.experiments import (
+    CampaignConfig,
+    ScenarioConfig,
+    _campaign_instance,
+    _effective_dt,
+    sample_instance,
+)
+from kuramoto_lock.integrate import CollisionEvent, collision_events_from_record, _rk4_step
 from kuramoto_lock.model import COUPLING_FORMS
+
+# The package re-exports the ``integrate`` function under the module's name.
+integrate_module = importlib.import_module("kuramoto_lock.integrate")
 
 TWO_PI = 2.0 * np.pi
 
@@ -209,8 +221,6 @@ def test_collision_refinement_tolerance():
     params = SystemParams(0.05, 0.2, np.array([1.0, 1.0, 2.0, 2.0]))
     state0 = PhaseState(0.0, np.array([0.0, np.pi, 0.0, np.pi]), np.zeros(4))
     cfg = IntegratorConfig(dt=0.01, t_end=15.0)
-    import dataclasses
-
     dense = dataclasses.replace(cfg, observer_stride=1)
     rec = record_trajectory(params, state0, dense)
     events = collision_events_from_record(params, rec, cfg)
@@ -218,7 +228,7 @@ def test_collision_refinement_tolerance():
     coup = COUPLING_FORMS[cfg.coupling]
     for ev in events:
         k = int(np.searchsorted(rec.t, ev.t_star, side="right")) - 1
-        th, _ = _rk4_pair_probe(params, coup, rec.theta[k], rec.omega[k], ev.t_star - rec.t[k])
+        th, _ = _rk4_step(params, coup, rec.theta[k], rec.omega[k], ev.t_star - rec.t[k])
         gap = th[ev.i] - th[ev.j] - TWO_PI * ev.branch
         assert abs(gap) < 1e-9
 
@@ -228,6 +238,180 @@ def test_collisions_identical_pair_excluded():
     state0 = PhaseState(0.0, np.array([1.0, 1.0 + TWO_PI, 3.0]), np.array([0.2, 0.2, 0.0]))
     events = detect_collisions(params, state0, IntegratorConfig(dt=0.01, t_end=10.0))
     assert not any((ev.i, ev.j) == (0, 1) for ev in events)
+
+
+# ---------------------------------------------------------------------------
+# Collisions: batched bisection against the pair-by-pair reference scan
+# ---------------------------------------------------------------------------
+
+def _reference_indistinguishable(params, state0, i, j):
+    if params.nu[i] != params.nu[j] or state0.omega[i] != state0.omega[j]:
+        return False
+    d = (state0.theta[i] - state0.theta[j]) % TWO_PI
+    return min(d, TWO_PI - d) <= 1e-12
+
+
+def _reference_refine_crossing(params, coup, record, k, i, j, refine_tol):
+    t_lo = float(record.t[k])
+    t_hi = float(record.t[k + 1])
+    th0 = record.theta[k]
+    om0 = record.omega[k]
+    g_lo = math.sin(0.5 * (record.theta[k, i] - record.theta[k, j]))
+
+    def gap_at(tau):
+        th, _ = _rk4_step(params, coup, th0, om0, tau - t_lo)
+        return th[i] - th[j]
+
+    lo, hi = t_lo, t_hi
+    while hi - lo > refine_tol:
+        mid = 0.5 * (lo + hi)
+        g_mid = math.sin(0.5 * gap_at(mid))
+        if g_mid == 0.0:
+            lo = hi = mid
+            break
+        if (g_mid > 0) == (g_lo > 0):
+            lo = mid
+        else:
+            hi = mid
+    t_star = 0.5 * (lo + hi)
+    return t_star, int(round(gap_at(t_star) / TWO_PI))
+
+
+def reference_collision_events(params, record, config):
+    """The scalar scan: every pair in turn, every crossing bisected alone
+    with one-dimensional RK4 probes."""
+    coup = COUPLING_FORMS[config.coupling]
+    state0 = record.state(0)
+    t = record.t
+    events = []
+    for i in range(record.n):
+        for j in range(i + 1, record.n):
+            if _reference_indistinguishable(params, state0, i, j):
+                continue
+            gap = record.theta[:, i] - record.theta[:, j]
+            g = np.sin(0.5 * gap)
+            crossings = np.nonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0)[0]
+            exact = np.nonzero(g == 0.0)[0]
+            for k in crossings:
+                t_star, branch = _reference_refine_crossing(
+                    params, coup, record, int(k), i, j, config.refine_tol
+                )
+                events.append(CollisionEvent(i, j, t_star, branch))
+            for k in exact:
+                events.append(CollisionEvent(i, j, float(t[k]), int(round(gap[k] / TWO_PI))))
+    events.sort(key=lambda ev: (ev.t_star, ev.i, ev.j))
+    return events
+
+
+def _bits(events):
+    return [(ev.i, ev.j, float(ev.t_star).hex(), ev.branch) for ev in events]
+
+
+def _dense(params, state0, cfg):
+    cfg = dataclasses.replace(cfg, observer_stride=1)
+    return params, record_trajectory(params, state0, cfg), cfg
+
+
+def _census_case(seed):
+    config = ScenarioConfig(
+        n=40, m=1.0, kappa=1.0, d_v=2.0, d_omega0=1.0, t_end=2.5, window=2.0, seed=seed
+    )
+    params, state0 = sample_instance(config)
+    return _dense(params, state0, IntegratorConfig(dt=0.01, t_end=2.5, coupling="mean_field"))
+
+
+def _n3_case(attempt):
+    params, state0, _, _ = _campaign_instance(CampaignConfig(which="n3", seed=1111), attempt)
+    cfg = IntegratorConfig(dt=_effective_dt(0.01, params.m), t_end=20.0, coupling="mean_field")
+    return _dense(params, state0, cfg)
+
+
+def _drift_case():
+    params = SystemParams(0.05, 0.2, np.array([1.0, 1.0, 2.0, 2.0]))
+    state0 = PhaseState(0.0, np.array([0.0, np.pi, 0.0, np.pi]), np.zeros(4))
+    return _dense(params, state0, IntegratorConfig(dt=0.01, t_end=30.0))
+
+
+def _identical_pair_case():
+    params = SystemParams(0.1, 1.0, np.array([0.5, 0.5, -0.5]))
+    state0 = PhaseState(0.0, np.array([1.0, 1.0 + TWO_PI, 3.0]), np.array([0.2, 0.2, 0.0]))
+    return _dense(params, state0, IntegratorConfig(dt=0.01, t_end=10.0))
+
+
+def _single_oscillator_case():
+    params = SystemParams(1.0, 1.0, [0.3])
+    return _dense(params, PhaseState(0.0, [0.5], [0.1]), IntegratorConfig(dt=0.01, t_end=2.0))
+
+
+def _no_crossing_case():
+    params = SystemParams(1.0, 0.0, [0.2, 0.2])
+    state0 = PhaseState(0.0, [0.0, 1.0], [0.0, 0.0])
+    return _dense(params, state0, IntegratorConfig(dt=0.01, t_end=5.0))
+
+
+COLLISION_CASES = {
+    "census_101": lambda: _census_case(101),
+    "census_202": lambda: _census_case(202),
+    **{f"n3_{a}": (lambda a=a: _n3_case(a)) for a in range(4)},
+    "nonsync_drift": _drift_case,
+    "identical_pair": _identical_pair_case,
+    "single_oscillator": _single_oscillator_case,
+    "no_crossing": _no_crossing_case,
+}
+
+
+@pytest.mark.parametrize("case", sorted(COLLISION_CASES))
+def test_batched_collisions_match_reference_scan(case):
+    params, record, cfg = COLLISION_CASES[case]()
+    events = collision_events_from_record(params, record, cfg)
+    assert _bits(events) == _bits(reference_collision_events(params, record, cfg))
+    assert all(type(ev.t_star) is float and type(ev.branch) is int for ev in events)
+    if case == "nonsync_drift":
+        assert any(ev.t_star == 0.0 for ev in events)
+    if case in ("single_oscillator", "no_crossing"):
+        assert events == []
+    if case.startswith("census"):
+        assert len(events) > 100
+
+
+@pytest.mark.parametrize("t0", [0.0, 5000.0, 20000.0])
+def test_collision_refinement_stops_at_float_spacing(t0):
+    # Past t = 8192 adjacent doubles lie further apart than refine_tol = 1e-12;
+    # the bisection must still stop, at the closest representable time.
+    params = SystemParams(1.0, 0.0, [1.0, 0.0])
+    state0 = PhaseState(t0, [-0.0051, 0.0], [1.0, 0.0])
+    events = detect_collisions(params, state0, IntegratorConfig(dt=0.01, t_end=0.02))
+    assert [(ev.i, ev.j, ev.branch) for ev in events] == [(0, 1, 0)]
+    assert abs(events[0].t_star - (t0 + 0.0051)) <= 1e-12 + 4 * np.spacing(t0 + 0.0051)
+
+
+def test_small_blocks_match_reference_scan(monkeypatch):
+    # One pair per scan block and two rows per bisection batch: every block
+    # and batch boundary is crossed many times.
+    params, record, cfg = _census_case(303)
+    reference = _bits(reference_collision_events(params, record, cfg))
+    monkeypatch.setattr(integrate_module, "_BLOCK_ELEMENTS", 2 * record.n + 1)
+    assert _bits(collision_events_from_record(params, record, cfg)) == reference
+
+
+def test_refinement_coupling_calls_bounded_per_batch(monkeypatch):
+    params, record, cfg = _census_case(404)
+    calls = 0
+    coupling = COUPLING_FORMS[cfg.coupling]
+
+    def counting(theta, kappa):
+        nonlocal calls
+        calls += 1
+        return coupling(theta, kappa)
+
+    monkeypatch.setitem(COUPLING_FORMS, cfg.coupling, counting)
+    events = collision_events_from_record(params, record, cfg)
+    rows = max(1, integrate_module._BLOCK_ELEMENTS // record.n)
+    batches = -(-len(events) // rows)
+    rounds = math.ceil(math.log2(cfg.dt / cfg.refine_tol)) + 2
+    # A loop over events would make about 4 * rounds calls per event.
+    assert len(events) > 100
+    assert calls <= 4 * rounds * batches
 
 
 def test_first_order_observer_cadence():

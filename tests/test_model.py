@@ -21,7 +21,7 @@ from kuramoto_lock import (
     rhs_first_order,
     rhs_inertial,
 )
-from kuramoto_lock.model import coupling_direct, coupling_mean_field
+from kuramoto_lock.model import COUPLING_FORMS, coupling_direct, coupling_mean_field
 
 TWO_PI = 2.0 * np.pi
 
@@ -144,6 +144,23 @@ def test_coupling_forms_agree(rng):
         a = coupling_direct(theta, 1.9)
         b = coupling_mean_field(theta, 1.9)
         assert np.abs(a - b).max() < 1e-12
+
+
+@given(
+    st.sampled_from([1, 3, 20, 40, 200]),
+    st.integers(1, 6),
+    st.floats(0.0, 5.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_coupling_forms_row_wise_match_one_dimensional(n, b, kappa, seed):
+    # The batched RK4 probes rely on every row of a (B, N) call being the
+    # one-dimensional call, bit for bit.
+    theta = np.random.default_rng(seed).uniform(-50.0, 50.0, (b, n))
+    for form in COUPLING_FORMS.values():
+        batch = form(theta, kappa)
+        assert batch.shape == (b, n)
+        for row, out in zip(theta, batch):
+            assert out.tobytes() == form(row, kappa).tobytes()
 
 
 def test_coupling_antisymmetry_mean_acceleration(rng):
