@@ -42,6 +42,11 @@ __all__ = [
 # Below this amplitude the centroid phase is treated as undefined.
 R_PHASE_THRESHOLD = 1e-12
 _FALLBACK_GRID = 64
+# Float64 gap values in one block (snapshots x pairs) of the exact pair pass
+# of :func:`detect_locking`.  Bounds its scratch memory whatever N and S; at
+# N=200 blocks of 2**14 (128 kB) ran a fully locked record faster than larger
+# ones, which fall out of cache.
+_BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -79,28 +84,44 @@ def diameters(state: PhaseState, subset=None) -> tuple[float, float]:
     return diameter(state.theta, subset), diameter(state.omega, subset)
 
 
-def potential(params: SystemParams, theta) -> float:
+def potential(params: SystemParams, theta):
     """Interaction potential
-    ``-sum_k nu_k theta_k + (kappa/2) sum_kl (1 - cos(theta_k - theta_l))``,
-    evaluated by the full double sum."""
+    ``-sum_k nu_k theta_k + (kappa/2) sum_kl (1 - cos(theta_k - theta_l))``
+    of one configuration ``(N,)`` (a float) or of every row of ``(..., N)``.
+
+    The pair sum is N^2 - |sum_k exp(i theta_k)|^2, evaluated in O(N) without
+    cancellation: with d_k = theta_k - theta_0, C = sum_k cos d_k and
+    S = sum_k sin d_k it is (N - C)(N + C) - S^2, where N - C is summed as
+    sum_k 2 sin^2(d_k / 2) and N + C = 2N - (N - C).  Equal phases give
+    exactly 0.
+    """
     th = np.asarray(theta, dtype=float)
-    if th.size != params.n:
+    if th.shape[-1] != params.n:
         raise ValueError("theta/params size mismatch")
-    pair = 1.0 - np.cos(th[:, None] - th[None, :])
-    return float(-(params.nu * th).sum() + 0.5 * params.kappa * pair.sum())
+    n = th.shape[-1]
+    d = th - th[..., :1]
+    half = np.sin(0.5 * d)
+    n_minus_c = 2.0 * (half * half).sum(axis=-1)
+    s = np.sin(d).sum(axis=-1)
+    pair = n_minus_c * (2.0 * n - n_minus_c) - s * s
+    value = -(params.nu * th).sum(axis=-1) + 0.5 * params.kappa * pair
+    return float(value) if value.ndim == 0 else value
 
 
-def energy_value(params: SystemParams, theta, omega) -> float:
-    """Energy functional kappa*(1-R^2)/2 + (m/2)*Var(omega).
+def energy_value(params: SystemParams, theta, omega):
+    """Energy functional kappa*(1-R^2)/2 + (m/2)*Var(omega) of one state
+    ``(N,)`` (a float) or of every row of ``(..., N)``.
 
     Along solutions with identical natural frequencies its time derivative is
     exactly -Var(omega), so it is nonincreasing.
     """
     th = np.asarray(theta, dtype=float)
     om = np.asarray(omega, dtype=float)
-    r2 = abs(np.exp(1j * th).mean()) ** 2
-    var = float(np.mean((om - om.mean()) ** 2))
-    return float(0.5 * params.kappa * (1.0 - r2) + 0.5 * params.m * var)
+    z = np.exp(1j * th).mean(axis=-1)
+    r2 = z.real * z.real + z.imag * z.imag
+    var = np.mean((om - om.mean(axis=-1, keepdims=True)) ** 2, axis=-1)
+    value = 0.5 * params.kappa * (1.0 - r2) + 0.5 * params.m * var
+    return float(value) if value.ndim == 0 else value
 
 
 @dataclass(frozen=True)
@@ -134,9 +155,7 @@ def energy_dissipation_residual(
     if params.nu_diameter > 1e-12:
         raise ValueError("energy dissipation requires identical natural frequencies")
     h = _check_uniform_spacing(record.t)
-    energy = np.array(
-        [energy_value(params, record.theta[k], record.omega[k]) for k in range(record.n_snapshots)]
-    )
+    energy = energy_value(params, record.theta, record.omega)
     var = np.mean((record.omega - record.omega.mean(axis=1, keepdims=True)) ** 2, axis=1)
     dedt = (energy[2:] - energy[:-2]) / (2.0 * h)
     residual = dedt + var[1:-1]
@@ -183,37 +202,33 @@ def find_majority_cluster(theta, lam: float, ell: float) -> Optional[ClusterRepo
     r_sorted = res[order]
     r_ext = np.concatenate([r_sorted, r_sorted + TWO_PI])
 
-    best = None  # (count, arc, start_pos)
-    for s in range(n):
-        hi = np.searchsorted(r_ext, r_sorted[s] + ell, side="right")
-        count = hi - s
-        if count > n:
-            count = n
-            hi = s + n
-        arc = r_ext[hi - 1] - r_sorted[s]
-        if best is None or count > best[0] or (count == best[0] and arc < best[1]):
-            best = (count, arc, s)
-    count, arc, s = best
+    # Every window start at once: the window from sorted position s holds
+    # positions s .. hi-1, at most n of them.
+    starts = np.arange(n)
+    hi = np.minimum(np.searchsorted(r_ext, r_sorted + ell, side="right"), starts + n)
+    counts = hi - starts
+    arcs = r_ext[hi - 1] - r_sorted
+    best = counts == counts.max()
+    best &= arcs == arcs[best].min()
+    s = int(np.argmax(best))
+    count = int(counts[s])
     if count < math.ceil(lam * n):
         return None
     # Members past the 2*pi seam (sorted position wrapped around) translate up.
-    members = []
-    ks = []
-    for k in range(count):
-        pos = s + k
-        idx = int(order[pos % n])
-        bump = 1 if pos >= n else 0
-        members.append(idx)
-        ks.append(int(wraps[idx]) - bump)
+    pos = s + np.arange(count)
+    members = order[pos % n]
+    ks = wraps[members] - (pos >= n)
     # Translation vectors are unique up to a common shift; normalize so the
     # most common translation is zero (ties toward the smaller value).
     values, freqs = np.unique(ks, return_counts=True)
-    mode = int(values[np.argmax(freqs)])
-    ks = [k - mode for k in ks]
-    pairs = sorted(zip(members, ks))
-    indices = tuple(i for i, _ in pairs)
-    translations = tuple(k for _, k in pairs)
-    return ClusterReport(indices, translations, float(arc), float(count) / n)
+    ks = ks - values[np.argmax(freqs)]
+    by_index = np.argsort(members)
+    return ClusterReport(
+        tuple(members[by_index].tolist()),
+        tuple(ks[by_index].tolist()),
+        float(arcs[s]),
+        count / n,
+    )
 
 
 def cluster_from_condensation(
@@ -374,6 +389,47 @@ def _rolling_max(a: np.ndarray, length: int) -> np.ndarray:
     return np.maximum(suffix[: s - length + 1], prefix[length - 1 : s])
 
 
+def _window_max(a: np.ndarray, length: int, starts: np.ndarray) -> np.ndarray:
+    """``_rolling_max(a, length)[starts]``.  A few windows are reduced one by
+    one, which is cheaper than the prefix/suffix scan of the whole range."""
+    if starts.size * length > 4 * a.shape[0]:
+        return _rolling_max(a, length)[starts]
+    return np.stack([a[w : w + length].max(axis=0) for w in starts])
+
+
+def _pair_blocks(n: int, width: int):
+    """Yield ``(iu, jv)`` index arrays covering the pairs i < j < n in
+    ``np.triu_indices`` order, at most ``width`` pairs per block."""
+    iu, jv, size = [], [], 0
+    for i in range(n - 1):
+        j = i + 1
+        while j < n:
+            take = min(n - j, width - size)
+            iu.append(np.full(take, i))
+            jv.append(np.arange(j, j + take))
+            size += take
+            j += take
+            if size == width:
+                yield np.concatenate(iu), np.concatenate(jv)
+                iu, jv, size = [], [], 0
+    if size:
+        yield np.concatenate(iu), np.concatenate(jv)
+
+
+def _pair_oscillation(theta: np.ndarray, length: int, windows: np.ndarray) -> np.ndarray:
+    """Largest pairwise phase-gap oscillation over each window in ``windows``
+    (sorted starts), over blocks of at most ``_BLOCK_ELEMENTS`` gap values and
+    only the snapshots those windows cover."""
+    sub = theta[windows[0] : windows[-1] + length]
+    rows = windows - windows[0]
+    osc = np.full(windows.size, -np.inf)
+    for iu, jv in _pair_blocks(theta.shape[1], max(1, _BLOCK_ELEMENTS // sub.shape[0])):
+        gaps = sub[:, iu] - sub[:, jv]
+        block = _window_max(gaps, length, rows) + _window_max(-gaps, length, rows)
+        np.maximum(osc, block.max(axis=1), out=osc)
+    return osc
+
+
 def detect_locking(
     params: SystemParams,
     record: TrajectoryRecord,
@@ -383,6 +439,12 @@ def detect_locking(
     """Numeric surrogate for asymptotic phase-locking on a snapshot record.
 
     Snapshots must be equally spaced and span at least ``window``.
+
+    Memory stays O(S*N) for S snapshots.  The gaps theta_0 - theta_j are a
+    subset of all pair gaps, so their oscillation is an exact lower bound of a
+    window's pairwise oscillation and rejects most unlocked windows.  The
+    remaining windows, and always the last one, are evaluated exactly over
+    blocks of at most ``_BLOCK_ELEMENTS`` gap values.
     """
     tol = tolerances or default_lock_tolerances(params.kappa)
     h = _check_uniform_spacing(record.t)
@@ -392,13 +454,20 @@ def detect_locking(
         raise ValueError("snapshots must cover at least one lock window")
     freq_dev = np.abs(record.omega - params.nu_c).max(axis=1)
     roll_freq = _rolling_max(freq_dev[:, None], length)[:, 0]
-    iu, jv = np.triu_indices(record.n, 1)
-    if iu.size:
-        gaps = record.theta[:, iu] - record.theta[:, jv]
-        osc = (_rolling_max(gaps, length) + _rolling_max(-gaps, length)).max(axis=1)
+    ok = roll_freq < tol.eps_omega
+    if record.n > 1:
+        g0 = record.theta[:, :1] - record.theta[:, 1:]
+        bound = (_rolling_max(g0, length) + _rolling_max(-g0, length)).max(axis=1)
+        ok &= bound < tol.eps_theta
+        need = ok.copy()
+        need[-1] = True
+        windows = np.flatnonzero(need)
+        osc = _pair_oscillation(record.theta, length, windows)
+        ok[windows] &= osc < tol.eps_theta
+        drift_final = float(osc[-1])
     else:
-        osc = np.zeros(s - length + 1)
-    ok = (roll_freq < tol.eps_omega) & (osc < tol.eps_theta)
+        ok &= 0.0 < tol.eps_theta
+        drift_final = 0.0
     locked = bool(ok[-1])
     t_lock = None
     if locked:
@@ -409,7 +478,7 @@ def detect_locking(
         locked=locked,
         t_lock=t_lock,
         omega_spread_final=float(roll_freq[-1]),
-        relative_phase_drift_final=float(osc[-1]),
+        relative_phase_drift_final=drift_final,
         eps_omega=tol.eps_omega,
         eps_theta=tol.eps_theta,
         window=window,

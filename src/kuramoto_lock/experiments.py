@@ -291,8 +291,8 @@ def compute_series(
             delta[k] = order_state(record.theta[k]).delta
     d_theta = record.theta.max(axis=1) - record.theta.min(axis=1)
     d_omega = record.omega.max(axis=1) - record.omega.min(axis=1)
-    p = np.array([potential(params, record.theta[k]) for k in range(s)])
-    e = np.array([energy_value(params, record.theta[k], record.omega[k]) for k in range(s)])
+    p = potential(params, record.theta)
+    e = energy_value(params, record.theta, record.omega)
     frac = np.zeros(s)
     arc = np.full(s, np.nan)
     for k in range(s):

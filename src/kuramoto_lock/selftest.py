@@ -94,11 +94,14 @@ def run_selftest(perturb: bool = False) -> list[SelfTestRow]:
     sin_sum = abs(np.mean(np.sin(th - order.phi)))
     rows.append(_row("centroid phase balance", sin_sum < 1e-12, f"gap={sin_sum:.2e}"))
 
-    p_direct = potential(params, th)
-    n = params.n
-    p_via_r = -(params.nu * th).sum() + 0.5 * params.kappa * n * n * (1 - order.r**2)
+    # potential() uses the O(N) amplitude identity; check it against the
+    # pairwise double sum.
+    p_direct = -(params.nu * th).sum() + 0.5 * params.kappa * (
+        1.0 - np.cos(th[:, None] - th[None, :])
+    ).sum()
+    p_closed = potential(params, th)
     rows.append(
-        _row("potential identity", abs(p_direct - p_via_r) < 1e-9, f"gap={abs(p_direct - p_via_r):.2e}")
+        _row("potential identity", abs(p_direct - p_closed) < 1e-9, f"gap={abs(p_direct - p_closed):.2e}")
     )
 
     refl_params = SystemParams(params.m, params.kappa, -params.nu)

@@ -2,7 +2,11 @@
 cluster detection against a brute-force oracle, arrangement bounds, and the
 numeric locking criterion."""
 
+import dataclasses
+import functools
+import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,16 +27,32 @@ from kuramoto_lock import (
     order_state,
     potential,
     record_trajectory,
+    record_trajectory_first_order,
     rhs_first_order,
 )
 from kuramoto_lock.diagnostics import (
+    LockReport,
     LockTolerances,
+    _check_uniform_spacing,
+    _pair_blocks,
     _rolling_max,
+    _window_max,
     arrangement_check,
     arrangement_constant,
     ClusterReport,
+    default_lock_tolerances,
+)
+from kuramoto_lock.experiments import (
+    CampaignConfig,
+    ScenarioConfig,
+    _campaign_instance,
+    _effective_dt,
+    run_scenario,
+    sample_instance,
 )
 from kuramoto_lock.integrate import TrajectoryRecord
+
+diagnostics_module = importlib.import_module("kuramoto_lock.diagnostics")
 
 TWO_PI = 2.0 * np.pi
 
@@ -394,3 +414,343 @@ def test_energy_value_consistency(rng):
     r2 = abs(np.exp(1j * theta).mean()) ** 2
     expected = 0.5 * p.kappa * (1 - r2) + 0.5 * p.m * np.var(omega)
     assert abs(e - expected) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# Row-wise potential and energy
+# ---------------------------------------------------------------------------
+
+def test_potential_and_energy_rowwise_match_single_rows(rng):
+    for n in (1, 2, 5, 40, 200):
+        p = SystemParams(0.7, 1.3, rng.uniform(-1, 1, n))
+        theta = rng.uniform(-20, 20, (31, n))
+        omega = rng.uniform(-1, 1, (31, n))
+        pot = potential(p, theta)
+        energy = energy_value(p, theta, omega)
+        assert pot.shape == energy.shape == (31,)
+        for k in range(31):
+            assert pot[k] == potential(p, theta[k])
+            assert energy[k] == energy_value(p, theta[k], omega[k])
+
+
+def _potential_double_sum(p, theta):
+    pair = 1.0 - np.cos(theta[:, None] - theta[None, :])
+    return -(p.nu * theta).sum() + 0.5 * p.kappa * pair.sum()
+
+
+@pytest.mark.parametrize("spread", [1e-6, 1e-2, 1.0, 30.0])
+def test_potential_matches_double_sum(rng, spread):
+    for _ in range(20):
+        n = int(rng.integers(1, 120))
+        p = SystemParams(1.0, float(rng.uniform(0.1, 3)), rng.uniform(-1, 1, n))
+        theta = float(rng.uniform(-50, 50)) + rng.uniform(-spread, spread, n)
+        tol = 1e-12 * max(1.0, p.kappa * n * n)
+        assert abs(potential(p, theta) - _potential_double_sum(p, theta)) <= tol
+
+
+# ---------------------------------------------------------------------------
+# Majority clusters against the per-start scan
+# ---------------------------------------------------------------------------
+
+def reference_majority_cluster(theta, lam, ell):
+    """The per-window-start scan: one ``searchsorted`` per sorted residue."""
+    th = np.asarray(theta, dtype=float)
+    n = th.size
+    wraps = np.floor(th / TWO_PI).astype(int)
+    res = th - TWO_PI * wraps
+    order = np.argsort(res, kind="stable")
+    r_sorted = res[order]
+    r_ext = np.concatenate([r_sorted, r_sorted + TWO_PI])
+
+    best = None  # (count, arc, start_pos)
+    for s in range(n):
+        hi = np.searchsorted(r_ext, r_sorted[s] + ell, side="right")
+        count = hi - s
+        if count > n:
+            count = n
+            hi = s + n
+        arc = r_ext[hi - 1] - r_sorted[s]
+        if best is None or count > best[0] or (count == best[0] and arc < best[1]):
+            best = (count, arc, s)
+    count, arc, s = best
+    if count < math.ceil(lam * n):
+        return None
+    members = []
+    ks = []
+    for k in range(count):
+        pos = s + k
+        idx = int(order[pos % n])
+        bump = 1 if pos >= n else 0
+        members.append(idx)
+        ks.append(int(wraps[idx]) - bump)
+    values, freqs = np.unique(ks, return_counts=True)
+    mode = int(values[np.argmax(freqs)])
+    ks = [k - mode for k in ks]
+    pairs = sorted(zip(members, ks))
+    indices = tuple(i for i, _ in pairs)
+    translations = tuple(k for _, k in pairs)
+    return ClusterReport(indices, translations, float(arc), float(count) / n)
+
+
+def _cluster_fields(rep):
+    if rep is None:
+        return None
+    return (rep.indices, rep.translations, rep.arc_diameter.hex(), rep.fraction.hex())
+
+
+_SEAM = [0.0, 1e-12, -1e-12, TWO_PI - 1e-12, TWO_PI, -TWO_PI + 1e-9, 3 * TWO_PI + 1e-13]
+
+_phase = st.one_of(
+    st.floats(-40.0, 40.0, allow_nan=False),
+    st.sampled_from(_SEAM),
+    st.sampled_from([0.3, 0.3 + TWO_PI, 2.0, -1.0]),
+)
+
+_ell = st.one_of(
+    st.floats(1e-6, TWO_PI, exclude_max=True),
+    st.sampled_from([math.nextafter(TWO_PI, 0.0), TWO_PI - 1e-9, 1e-12]),
+)
+
+
+@given(
+    theta=st.lists(_phase, min_size=1, max_size=30),
+    lam=st.floats(1e-3, 1.0),
+    ell=_ell,
+)
+def test_cluster_matches_per_start_scan(theta, lam, ell):
+    theta = np.array(theta)
+    expected = reference_majority_cluster(theta, lam, ell)
+    assert _cluster_fields(find_majority_cluster(theta, lam, ell)) == _cluster_fields(expected)
+
+
+def test_cluster_matches_per_start_scan_on_runs(rng):
+    for n in (1, 2, 3, 20, 60):
+        p = SystemParams(0.5, 1.0, rng.uniform(-0.3, 0.3, n))
+        s = PhaseState(0.0, rng.uniform(0, TWO_PI, n), rng.uniform(-1, 1, n))
+        rec = record_trajectory(p, s, IntegratorConfig(dt=0.01, t_end=20.0, observer_stride=20))
+        for theta in rec.theta:
+            for lam, ell in ((0.6, 1.5), (0.9, 0.2), (1.0, TWO_PI - 1e-9)):
+                got = find_majority_cluster(theta, lam, ell)
+                assert _cluster_fields(got) == _cluster_fields(
+                    reference_majority_cluster(theta, lam, ell)
+                )
+
+
+# ---------------------------------------------------------------------------
+# Lock verdict against the all-pairs pass
+# ---------------------------------------------------------------------------
+
+def reference_detect_locking(params, record, tolerances=None, window=10.0):
+    """The all-pairs lock verdict: every pair gap of every snapshot held in
+    one S x N(N-1)/2 array."""
+    tol = tolerances or default_lock_tolerances(params.kappa)
+    h = _check_uniform_spacing(record.t)
+    length = int(round(window / h)) + 1
+    s = record.n_snapshots
+    if length > s:
+        raise ValueError("snapshots must cover at least one lock window")
+    freq_dev = np.abs(record.omega - params.nu_c).max(axis=1)
+    roll_freq = _rolling_max(freq_dev[:, None], length)[:, 0]
+    iu, jv = np.triu_indices(record.n, 1)
+    if iu.size:
+        gaps = record.theta[:, iu] - record.theta[:, jv]
+        osc = (_rolling_max(gaps, length) + _rolling_max(-gaps, length)).max(axis=1)
+    else:
+        osc = np.zeros(s - length + 1)
+    ok = (roll_freq < tol.eps_omega) & (osc < tol.eps_theta)
+    locked = bool(ok[-1])
+    t_lock = None
+    if locked:
+        trailing = np.logical_and.accumulate(ok[::-1])
+        n_true = int(trailing.sum())
+        t_lock = float(record.t[ok.size - n_true])
+    return LockReport(
+        locked=locked,
+        t_lock=t_lock,
+        omega_spread_final=float(roll_freq[-1]),
+        relative_phase_drift_final=float(osc[-1]),
+        eps_omega=tol.eps_omega,
+        eps_theta=tol.eps_theta,
+        window=window,
+    )
+
+
+def _lock_fields(report):
+    return tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(report))
+
+
+def assert_lock_matches_reference(params, record, tolerances=None, window=10.0):
+    got = detect_locking(params, record, tolerances, window)
+    assert _lock_fields(got) == _lock_fields(
+        reference_detect_locking(params, record, tolerances, window)
+    )
+    return got
+
+
+def _existing_lock_cases():
+    """The records of the four locking tests above, with their arguments."""
+    cases = []
+    n = 4
+    p = SystemParams(1.0, 1.0, np.zeros(n))
+    t = np.arange(0.0, 20.0 + 1e-9, 0.1)
+    rec = TrajectoryRecord(t, np.tile(np.full(n, 0.2), (t.size, 1)), np.zeros((t.size, n)))
+    cases.append((p, rec, None, 10.0))
+    p = SystemParams(0.5, 0.4, np.array([1.0, 1.0, 2.0, 2.0]))
+    s = PhaseState(0.0, np.array([0.0, np.pi, 0.0, np.pi]), np.zeros(4))
+    rec = record_trajectory(p, s, IntegratorConfig(dt=0.01, t_end=40.0, observer_stride=10))
+    cases.append((p, rec, None, 10.0))
+    rng = np.random.default_rng(8)
+    n = 10
+    p = SystemParams(0.5, 1.0, rng.uniform(-0.05, 0.05, n))
+    s = PhaseState(0.0, rng.uniform(-1.0, 1.0, n), rng.uniform(-0.2, 0.2, n))
+    rec = record_trajectory(p, s, IntegratorConfig(dt=0.01, t_end=80.0, observer_stride=10))
+    cases.append((p, rec, LockTolerances(1e-4, 1e-3), 10.0))
+    return cases
+
+
+def test_locking_matches_reference_on_existing_cases():
+    verdicts = [assert_lock_matches_reference(*case).locked for case in _existing_lock_cases()]
+    assert verdicts == [True, False, True]
+    p = SystemParams(1.0, 1.0, [0.0, 0.0])
+    t = np.arange(5) * 0.1
+    rec = TrajectoryRecord(t, np.zeros((5, 2)), np.zeros((5, 2)))
+    for fn in (detect_locking, reference_detect_locking):
+        with pytest.raises(ValueError):
+            fn(p, rec, window=10.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _campaign_records():
+    """Campaign-style records: the sampled instance integrated as a campaign
+    run integrates it."""
+    out = []
+    for which in ("simple", "n3", "first_order"):
+        cc = CampaignConfig(which, n=12, t_end=40.0, stride=50)
+        for attempt in range(3):
+            params, state0, _, _ = _campaign_instance(cc, attempt)
+            cfg = IntegratorConfig(
+                dt=_effective_dt(cc.dt, params.m),
+                t_end=cc.t_end,
+                observer_stride=cc.stride,
+                coupling="mean_field",
+            )
+            if params.m > 0.0:
+                rec = record_trajectory(params, state0, cfg)
+            else:
+                rec = record_trajectory_first_order(params, state0.theta, cfg)
+            out.append((params, rec))
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _scenario_records():
+    out = []
+    for n in (1, 2, 3, 20, 60):
+        for d_v in (0.2, 1.0):
+            cfg = ScenarioConfig(n=n, d_v=d_v, seed=100 + n, t_end=40.0, stride=10)
+            params, state0 = sample_instance(cfg)
+            icfg = IntegratorConfig(dt=cfg.dt, t_end=cfg.t_end, observer_stride=cfg.stride)
+            out.append((params, record_trajectory(params, state0, icfg)))
+    return tuple(out)
+
+
+_LOCK_ARGS = [(eps_theta, window) for eps_theta in (1e-3, 1e-9, 0.5) for window in (5.0, 10.0)]
+
+
+def _check_records_against_reference(records):
+    verdicts = []
+    for params, rec in records:
+        for eps_theta, window in _LOCK_ARGS:
+            tol = LockTolerances(default_lock_tolerances(params.kappa).eps_omega, eps_theta)
+            verdicts.append(assert_lock_matches_reference(params, rec, tol, window).locked)
+    return verdicts
+
+
+def test_locking_matches_reference_on_campaign_records():
+    # Certified instances lock; eps_theta = 1e-9 moves t_lock late.
+    assert all(_check_records_against_reference(_campaign_records()))
+
+
+def test_locking_matches_reference_on_scenarios():
+    verdicts = _check_records_against_reference(_scenario_records())
+    assert any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize("budget", [1, 97, 2000])
+def test_locking_small_blocks_match_reference(monkeypatch, budget):
+    monkeypatch.setattr(diagnostics_module, "_BLOCK_ELEMENTS", budget)
+    records = _campaign_records()[::2] + _scenario_records()[4:]
+    _check_records_against_reference(records)
+
+
+@given(
+    n=st.integers(1, 9),
+    s=st.integers(3, 40),
+    scale=st.sampled_from([0.0, 1e-6, 1e-4, 1e-3, 1e-2]),
+    window_steps=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_locking_matches_reference_on_random_walks(n, s, scale, window_steps, seed):
+    # Phases and frequencies drifting by small random steps: windows mix
+    # verdicts, and the pair (0, j) bound alone decides only some of them.
+    gen = np.random.default_rng(seed)
+    t = np.arange(s) * 0.5
+    steps = gen.normal(0.0, 1.0, (s, n)) * scale * gen.uniform(0.0, 2.0, (s, 1))
+    theta = gen.uniform(0, TWO_PI, n) + np.cumsum(steps, axis=0)
+    omega = gen.normal(0.0, 1.0, (s, n)) * scale
+    rec = TrajectoryRecord(t, theta, omega)
+    params = SystemParams(1.0, 1.0, np.zeros(n))
+    window = 0.5 * min(window_steps, s - 1)
+    for eps_theta in (1e-4, 1e-3, 1e-2):
+        assert_lock_matches_reference(params, rec, LockTolerances(1e-3, eps_theta), window)
+
+
+def test_lock_bound_leaves_only_open_windows_to_exact_pass(monkeypatch):
+    evaluated = []
+    exact = diagnostics_module._pair_oscillation
+
+    def spy(theta, length, windows):
+        evaluated.append(windows.copy())
+        return exact(theta, length, windows)
+
+    monkeypatch.setattr(diagnostics_module, "_pair_oscillation", spy)
+    p, unlocked, _, _ = _existing_lock_cases()[1]
+    report = detect_locking(p, unlocked, window=10.0)
+    assert not report.locked
+    # Every window fails the pair (0, j) bound: only the last one is reported.
+    assert [w.tolist() for w in evaluated] == [[unlocked.n_snapshots - 101]]
+
+
+def test_window_max_matches_rolling_max(rng):
+    for _ in range(200):
+        s = int(rng.integers(1, 60))
+        length = int(rng.integers(1, s + 1))
+        a = rng.normal(size=(s, 3))
+        full = _rolling_max(a, length)
+        # From one window (reduced directly) up to all of them (scanned).
+        k = int(rng.integers(1, s - length + 2))
+        starts = np.sort(rng.choice(s - length + 1, size=k, replace=False))
+        assert np.array_equal(_window_max(a, length, starts), full[starts])
+
+
+def test_pair_blocks_cover_pairs_in_order():
+    for n in range(0, 9):
+        iu, jv = np.triu_indices(n, 1)
+        for width in (1, 2, 3, 7, 100):
+            blocks = list(_pair_blocks(n, width))
+            assert all(0 < b[0].size <= width for b in blocks)
+            got_i = np.concatenate([b[0] for b in blocks]) if blocks else np.zeros(0, int)
+            got_j = np.concatenate([b[1] for b in blocks]) if blocks else np.zeros(0, int)
+            assert np.array_equal(got_i, iu) and np.array_equal(got_j, jv)
+
+
+def test_large_n_scenario_runs_in_bounded_memory():
+    # The all-pairs gap array alone would take 201 x 499500 x 8 B = 803 MB.
+    tracemalloc.start()
+    try:
+        record = run_scenario(ScenarioConfig(n=1000, d_v=0.5, t_end=20.0, stride=10, seed=3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert record.lock is not None
+    assert peak < 100e6
