@@ -42,11 +42,6 @@ __all__ = [
 # Below this amplitude the centroid phase is treated as undefined.
 R_PHASE_THRESHOLD = 1e-12
 _FALLBACK_GRID = 64
-# Float64 gap values in one block (snapshots x pairs) of the exact pair pass
-# of :func:`detect_locking`.  Bounds its scratch memory whatever N and S; at
-# N=200 blocks of 2**14 (128 kB) ran a fully locked record faster than larger
-# ones, which fall out of cache.
-_BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -375,6 +370,8 @@ def _rolling_max(a: np.ndarray, length: int) -> np.ndarray:
     s = a.shape[0]
     if length == 1:
         return a.copy()
+    if length == s:
+        return a.max(axis=0, keepdims=True)
     nb = -(-s // length)
     pad = nb * length - s
     if pad:
@@ -389,43 +386,16 @@ def _rolling_max(a: np.ndarray, length: int) -> np.ndarray:
     return np.maximum(suffix[: s - length + 1], prefix[length - 1 : s])
 
 
-def _window_max(a: np.ndarray, length: int, starts: np.ndarray) -> np.ndarray:
-    """``_rolling_max(a, length)[starts]``.  A few windows are reduced one by
-    one, which is cheaper than the prefix/suffix scan of the whole range."""
-    if starts.size * length > 4 * a.shape[0]:
-        return _rolling_max(a, length)[starts]
-    return np.stack([a[w : w + length].max(axis=0) for w in starts])
-
-
-def _pair_blocks(n: int, width: int):
-    """Yield ``(iu, jv)`` index arrays covering the pairs i < j < n in
-    ``np.triu_indices`` order, at most ``width`` pairs per block."""
-    iu, jv, size = [], [], 0
-    for i in range(n - 1):
-        j = i + 1
-        while j < n:
-            take = min(n - j, width - size)
-            iu.append(np.full(take, i))
-            jv.append(np.arange(j, j + take))
-            size += take
-            j += take
-            if size == width:
-                yield np.concatenate(iu), np.concatenate(jv)
-                iu, jv, size = [], [], 0
-    if size:
-        yield np.concatenate(iu), np.concatenate(jv)
-
-
 def _pair_oscillation(theta: np.ndarray, length: int, windows: np.ndarray) -> np.ndarray:
     """Largest pairwise phase-gap oscillation over each window in ``windows``
-    (sorted starts), over blocks of at most ``_BLOCK_ELEMENTS`` gap values and
-    only the snapshots those windows cover."""
+    (sorted starts), one oscillator i at a time (pairs (i, j > i)) and only
+    over the snapshots those windows cover."""
     sub = theta[windows[0] : windows[-1] + length]
     rows = windows - windows[0]
     osc = np.full(windows.size, -np.inf)
-    for iu, jv in _pair_blocks(theta.shape[1], max(1, _BLOCK_ELEMENTS // sub.shape[0])):
-        gaps = sub[:, iu] - sub[:, jv]
-        block = _window_max(gaps, length, rows) + _window_max(-gaps, length, rows)
+    for i in range(theta.shape[1] - 1):
+        gaps = sub[:, i : i + 1] - sub[:, i + 1 :]
+        block = _rolling_max(gaps, length)[rows] + _rolling_max(-gaps, length)[rows]
         np.maximum(osc, block.max(axis=1), out=osc)
     return osc
 
@@ -443,8 +413,8 @@ def detect_locking(
     Memory stays O(S*N) for S snapshots.  The gaps theta_0 - theta_j are a
     subset of all pair gaps, so their oscillation is an exact lower bound of a
     window's pairwise oscillation and rejects most unlocked windows.  The
-    remaining windows, and always the last one, are evaluated exactly over
-    blocks of at most ``_BLOCK_ELEMENTS`` gap values.
+    remaining windows, and always the last one, are evaluated exactly, one
+    row of pairs (i, j > i) at a time.
     """
     tol = tolerances or default_lock_tolerances(params.kappa)
     h = _check_uniform_spacing(record.t)
