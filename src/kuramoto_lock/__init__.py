@@ -45,7 +45,6 @@ from .diagnostics import (  # noqa: F401
 from .certify import (  # noqa: F401
     FreeParams,
     CertificateReport,
-    CertQuantities,
     RootRangeError,
     zeta,
     xi,

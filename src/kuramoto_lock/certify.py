@@ -25,7 +25,6 @@ __all__ = [
     "FreeParams",
     "Condition",
     "CertificateReport",
-    "CertQuantities",
     "zeta",
     "xi",
     "xi_inf",
@@ -38,17 +37,16 @@ __all__ = [
     "select_ell",
     "n3_threshold",
     "arrangement_budget",
-    "cert_quantities",
     "check_framework",
     "check_simple",
     "check_partial_locking",
     "corollary_initial_budget",
+    "check_partial_locking_initial",
     "check_n3",
     "check_first_order",
     "sturm_picone_Tstar",
     "lemma_numeric_suite",
     "LemmaNumericReport",
-    "search_framework_params",
     "XYZ_COEFFICIENT",
 ]
 
@@ -324,45 +322,6 @@ class CertificateReport:
             "free_params": fp,
             "details": self.details,
         }
-
-
-@dataclass(frozen=True)
-class CertQuantities:
-    """All scalar certificate quantities for one instance and one choice of
-    free parameters; ``phi1``/``phi2`` are the roots at level 2*xi(eta) when
-    that level admits roots."""
-
-    zeta_eta: float
-    xi_eta: float
-    xi_infty: float
-    f_ell: float
-    theta_star: float
-    f_max: float
-    phi1: Optional[float]
-    phi2: Optional[float]
-
-
-def cert_quantities(
-    params: SystemParams, d_omega0: float, free: FreeParams
-) -> CertQuantities:
-    z = zeta(params, d_omega0, free.eta)
-    x_eta = xi(params, d_omega0, free.eta)
-    peak = theta_star(free.lam)
-    top = f_max(free.lam)
-    phi1 = phi2 = None
-    level = 2.0 * x_eta
-    if 0.0 < level < top:
-        phi1, phi2 = phi_roots(free.lam, level)
-    return CertQuantities(
-        zeta_eta=z,
-        xi_eta=x_eta,
-        xi_infty=xi_inf(params),
-        f_ell=f_lambda(free.lam, free.ell),
-        theta_star=peak,
-        f_max=top,
-        phi1=phi1,
-        phi2=phi2,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -850,35 +809,3 @@ def lemma_numeric_suite(grid_size: int = 1000) -> LemmaNumericReport:
         breakpoint_gate_gap=gate_gap,
         all_ok=all_ok,
     )
-
-
-# ---------------------------------------------------------------------------
-# Joint free-parameter grid search (no completeness claim)
-# ---------------------------------------------------------------------------
-
-def search_framework_params(
-    params: SystemParams,
-    r0: float,
-    d_omega0: float,
-    n_eta: int = 12,
-    n_lambda: int = 12,
-    n_ell: int = 12,
-    n_delta: int = 12,
-) -> Optional[FreeParams]:
-    """Coarse grid search for free parameters passing the framework check.
-
-    Useful when the automatic selection of :func:`check_simple` fails but the
-    framework might still hold.  Returns the first passing combination, or
-    ``None``; the search is not exhaustive.
-    """
-    if r0 <= 0.0:
-        return None
-    for eta in np.geomspace(0.05, 20.0, n_eta):
-        for lam in np.linspace(0.55, 1.0, n_lambda):
-            upper = f_zero_upper(float(lam))
-            for ell in np.linspace(0.05 * upper, 0.95 * upper, n_ell):
-                for delta in np.linspace(0.05, 0.95, n_delta):
-                    free = FreeParams(float(eta), float(delta), float(lam), float(ell))
-                    if check_framework(params, r0, d_omega0, free).passed:
-                        return free
-    return None

@@ -8,6 +8,7 @@ KURAMOTO_LOCK_THREADS caps worker processes.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -88,13 +89,28 @@ def _apply_overrides(doc: dict, overrides: tuple[str, ...]) -> dict:
     return doc
 
 
+def _exit_codes(command):
+    """Map input errors to exit 1 and numeric aborts to exit 3, with the
+    message on stderr."""
+
+    @functools.wraps(command)
+    def run(*args, **kwargs) -> int:
+        try:
+            return command(*args, **kwargs)
+        except (CliInputError, ConfigError, ValueError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            return EXIT_INPUT
+        except IntegrationError as exc:
+            click.echo(f"numeric abort: {exc}", err=True)
+            return EXIT_NUMERIC
+
+    return run
+
+
 def _scenario_from_doc(doc: dict, seed: Optional[int]) -> ScenarioConfig:
     if seed is not None:
         doc = {**doc, "seed": seed}
-    try:
-        return ScenarioConfig.from_dict(doc)
-    except ConfigError as exc:
-        raise CliInputError(str(exc)) from None
+    return ScenarioConfig.from_dict(doc)
 
 
 @click.group()
@@ -108,19 +124,12 @@ def cli() -> None:
 @click.option("--json", "as_json", is_flag=True, default=False)
 @click.option("--seed", type=int, default=None)
 @click.option("--set", "overrides", multiple=True)
+@_exit_codes
 def simulate(config_path, out_dir, as_json, seed, overrides) -> int:
     """Run one seeded scenario and persist the run record."""
-    try:
-        doc = _apply_overrides(_load_config(config_path), overrides)
-        config = _scenario_from_doc(doc, seed)
-        record = run_scenario(config)
-        save_run_record(record, out_dir)
-    except (CliInputError, ConfigError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        return EXIT_INPUT
-    except IntegrationError as exc:
-        click.echo(f"numeric abort: {exc}", err=True)
-        return EXIT_NUMERIC
+    doc = _apply_overrides(_load_config(config_path), overrides)
+    record = run_scenario(_scenario_from_doc(doc, seed))
+    save_run_record(record, out_dir)
     summary = {
         "out": str(Path(out_dir)),
         "R0": record.r0,
@@ -213,14 +222,10 @@ def _run_certifier(doc: dict) -> CertificateReport:
 @click.option("--config", "config_path", required=True, type=str)
 @click.option("--json", "as_json", is_flag=True, default=False)
 @click.option("--set", "overrides", multiple=True)
+@_exit_codes
 def certify(config_path, as_json, overrides) -> int:
     """Evaluate a closed-form certificate; exit 0 iff it passes."""
-    try:
-        doc = _apply_overrides(_load_config(config_path), overrides)
-        report = _run_certifier(doc)
-    except (CliInputError, ConfigError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        return EXIT_INPUT
+    report = _run_certifier(_apply_overrides(_load_config(config_path), overrides))
     if as_json:
         click.echo(json.dumps(report.to_json_dict()))
     else:
@@ -299,18 +304,12 @@ def _sweep_from_doc(doc: dict, seed: Optional[int]):
 @click.option("--json", "as_json", is_flag=True, default=False)
 @click.option("--seed", type=int, default=None)
 @click.option("--set", "overrides", multiple=True)
+@_exit_codes
 def sweep(config_path, out_dir, as_json, seed, overrides) -> int:
     """Parameter sweep with a shared frozen sample; writes summary.csv."""
-    try:
-        doc = _apply_overrides(_load_config(config_path), overrides)
-        axis, values, base, fresh = _sweep_from_doc(doc, seed)
-        result = figure_sweep(axis, values, base, fresh_samples=fresh, workers=worker_count())
-    except (CliInputError, ConfigError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        return EXIT_INPUT
-    except IntegrationError as exc:
-        click.echo(f"numeric abort: {exc}", err=True)
-        return EXIT_NUMERIC
+    doc = _apply_overrides(_load_config(config_path), overrides)
+    axis, values, base, fresh = _sweep_from_doc(doc, seed)
+    result = figure_sweep(axis, values, base, fresh_samples=fresh, workers=worker_count())
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     result.to_csv(out / "summary.csv")
@@ -330,18 +329,12 @@ def sweep(config_path, out_dir, as_json, seed, overrides) -> int:
 @click.option("--out", "out_dir", default="figures", type=str)
 @click.option("--seed", type=int, default=None)
 @click.option("--set", "overrides", multiple=True)
+@_exit_codes
 def figures(config_path, out_dir, seed, overrides) -> int:
     """Sweep and emit SVG line charts of R(t) and Delta(t) plus CSVs."""
-    try:
-        doc = _apply_overrides(_load_config(config_path), overrides)
-        axis, values, base, fresh = _sweep_from_doc(doc, seed)
-        result = figure_sweep(axis, values, base, fresh_samples=fresh, workers=worker_count())
-    except (CliInputError, ConfigError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        return EXIT_INPUT
-    except IntegrationError as exc:
-        click.echo(f"numeric abort: {exc}", err=True)
-        return EXIT_NUMERIC
+    doc = _apply_overrides(_load_config(config_path), overrides)
+    axis, values, base, fresh = _sweep_from_doc(doc, seed)
+    result = figure_sweep(axis, values, base, fresh_samples=fresh, workers=worker_count())
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     result.to_csv(out / "summary.csv")
@@ -364,18 +357,11 @@ def figures(config_path, out_dir, seed, overrides) -> int:
 @click.option("--json", "as_json", is_flag=True, default=False)
 @click.option("--seed", type=int, default=None)
 @click.option("--set", "overrides", multiple=True)
+@_exit_codes
 def collide(config_path, out_dir, as_json, seed, overrides) -> int:
     """Collision census of one scenario run."""
-    try:
-        doc = _apply_overrides(_load_config(config_path), overrides)
-        config = _scenario_from_doc(doc, seed)
-        census = collision_census(config)
-    except (CliInputError, ConfigError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        return EXIT_INPUT
-    except IntegrationError as exc:
-        click.echo(f"numeric abort: {exc}", err=True)
-        return EXIT_NUMERIC
+    doc = _apply_overrides(_load_config(config_path), overrides)
+    census = collision_census(_scenario_from_doc(doc, seed))
     payload = census.to_json_dict()
     if out_dir is not None:
         out = Path(out_dir)

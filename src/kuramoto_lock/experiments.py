@@ -51,9 +51,9 @@ from .certify import (
     CertificateReport,
     check_first_order,
     check_n3,
-    check_partial_locking,
+    check_partial_locking,  # unused here, but perfbench's tracer patches this name
+    check_partial_locking_initial,
     check_simple,
-    corollary_initial_budget,
 )
 
 __all__ = [
@@ -72,7 +72,6 @@ __all__ = [
     "certify_campaign",
     "CensusReport",
     "collision_census",
-    "zero_inertia_comparison",
     "save_run_record",
     "save_campaign",
     "worker_count",
@@ -141,6 +140,15 @@ _FIELD_TO_KEY = {
 }
 
 
+def _validate_scenario(doc) -> None:
+    try:
+        import jsonschema
+
+        jsonschema.validate(doc, SCENARIO_SCHEMA)
+    except Exception as exc:  # noqa: BLE001 - rewrap with context
+        raise ConfigError(f"invalid scenario config: {exc}") from None
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One seeded scenario: the seed fully determines the instance.
@@ -169,24 +177,18 @@ class ScenarioConfig:
     cluster_ell: float = 1.5
 
     def __post_init__(self):
-        try:
-            import jsonschema
-
-            jsonschema.validate(self.to_dict(), SCENARIO_SCHEMA)
-        except Exception as exc:  # noqa: BLE001 - rewrap with context
-            raise ConfigError(f"invalid scenario config: {exc}") from None
+        _validate_scenario(self.to_dict())
 
     def to_dict(self) -> dict:
         return {key: getattr(self, attr) for attr, key in _FIELD_TO_KEY.items()}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScenarioConfig":
-        try:
-            import jsonschema
-
-            jsonschema.validate(doc, SCENARIO_SCHEMA)
-        except Exception as exc:  # noqa: BLE001
-            raise ConfigError(f"invalid scenario config: {exc}") from None
+        """Config from a schema document.  ``__post_init__`` validates the
+        known keys; a document that is not an object or holds any other key
+        is rejected by the schema itself, so its error reads the same."""
+        if not isinstance(doc, dict) or not doc.keys() <= SCENARIO_SCHEMA["properties"].keys():
+            _validate_scenario(doc)
         kwargs = {attr: doc[key] for attr, key in _FIELD_TO_KEY.items() if key in doc}
         return cls(**kwargs)
 
@@ -379,30 +381,23 @@ def run_instance(
             certificates["first_order"] = check_first_order(params, r0)
 
     dt_eff = _effective_dt(config.dt, params.m)
+    # The collision scan (inertial runs only) needs every step; its record is
+    # thinned afterwards.
+    scan = config.collisions and params.m > 0.0
+    cfg = IntegratorConfig(
+        dt=dt_eff,
+        t_end=config.t_end,
+        observer_stride=1 if scan else config.stride,
+        coupling="mean_field",
+    )
     collisions: Optional[tuple[CollisionEvent, ...]] = None
-    if params.m > 0.0:
-        if config.collisions:
-            dense_cfg = IntegratorConfig(
-                dt=dt_eff, t_end=config.t_end, observer_stride=1, coupling="mean_field"
-            )
-            dense = record_trajectory(params, state0, dense_cfg)
-            collisions = tuple(collision_events_from_record(params, dense, dense_cfg))
-            record = dense.subsample(config.stride)
-        else:
-            cfg = IntegratorConfig(
-                dt=dt_eff,
-                t_end=config.t_end,
-                observer_stride=config.stride,
-                coupling="mean_field",
-            )
-            record = record_trajectory(params, state0, cfg)
+    if scan:
+        dense = record_trajectory(params, state0, cfg)
+        collisions = tuple(collision_events_from_record(params, dense, cfg))
+        record = dense.subsample(config.stride)
+    elif params.m > 0.0:
+        record = record_trajectory(params, state0, cfg)
     else:
-        cfg = IntegratorConfig(
-            dt=dt_eff,
-            t_end=config.t_end,
-            observer_stride=config.stride,
-            coupling="mean_field",
-        )
         record = record_trajectory_first_order(params, state0.theta, cfg)
 
     series = compute_series(params, record, config.cluster_lambda, config.cluster_ell)
@@ -585,12 +580,6 @@ class CampaignConfig:
         if self.n_instances < 1 or self.n < 1:
             raise ConfigError("n_instances and n must be >= 1")
 
-    def lock_tolerances(self) -> LockTolerances:
-        eps_w = self.eps_omega
-        if eps_w is None:
-            eps_w = default_lock_tolerances(self.kappa).eps_omega
-        return LockTolerances(eps_w, self.eps_theta)
-
 
 @dataclass(frozen=True)
 class PartialSpec:
@@ -698,14 +687,12 @@ def _sample_partial(cc: CampaignConfig, rng: np.random.Generator):
         omega0 = rng.uniform(-0.05, 0.05, n) * kappa
         params = SystemParams(m, kappa, nu)
         state0 = PhaseState(0.0, theta0, omega0)
-        d_om_a = diameter(omega0, subset_a)
-        d_om_b = diameter(omega0)
-        t1 = cc.eta * m
-        report = check_partial_locking(
-            params, subset_a, subset_b, d_om_a, d_om_b, cc.lam, cc.ell, cc.eta, t1
+        report = check_partial_locking_initial(
+            params, theta0, subset_a, subset_b, diameter(omega0, subset_a),
+            diameter(omega0), cc.lam, cc.ell, cc.eta,
         )
-        budget = corollary_initial_budget(params, subset_a, d_om_a, cc.ell, cc.eta)
-        if report.passed and diameter(theta0, subset_a) <= budget:
+        if report.passed:
+            t1 = report.details["t1"]
             spec = PartialSpec(subset_a, subset_b, cc.lam, cc.ell, cc.eta, t1)
             return params, state0, report, spec
     raise ConfigError("could not construct a certified partial-locking instance")
@@ -744,9 +731,8 @@ def _campaign_scenario(cc: CampaignConfig, params: SystemParams) -> ScenarioConf
 
 
 def _campaign_task(args: tuple) -> dict:
-    cc_doc, attempt, outdir = args
+    cc_doc, attempt, (params, state0, report, spec), outdir = args
     cc = CampaignConfig(**cc_doc)
-    params, state0, report, spec = _campaign_instance(cc, attempt)
     result = {
         "index": attempt,
         "seed": cc.seed + attempt,
@@ -877,7 +863,7 @@ def certify_campaign(
     """Sample certified instances, simulate each, and assert the certified
     prediction.  Any certified-but-failed instance is reported as a defect
     with its reproduction seed."""
-    kept: list[int] = []
+    kept: list[tuple[int, tuple]] = []
     attempt = 0
     limit = cc.n_instances * cc.max_attempts_factor
     while len(kept) < cc.n_instances:
@@ -885,9 +871,9 @@ def certify_campaign(
             raise ConfigError(
                 f"sampler produced only {len(kept)} certified instances in {limit} attempts"
             )
-        _, _, report, _ = _campaign_instance(cc, attempt)
+        params, state0, report, spec = _campaign_instance(cc, attempt)
         if report.passed:
-            kept.append(attempt)
+            kept.append((attempt, (params, state0, report, spec)))
         attempt += 1
     out_str = None
     if outdir is not None:
@@ -896,7 +882,7 @@ def certify_campaign(
         (out / "series").mkdir(parents=True, exist_ok=True)
         out_str = str(out)
     cc_doc = dataclasses.asdict(cc)
-    tasks = [(cc_doc, k, out_str) for k in kept]
+    tasks = [(cc_doc, k, instance, out_str) for k, instance in kept]
     results = _map_tasks(_campaign_task, tasks, worker_count(workers))
     results.sort(key=lambda row: row["index"])
     defects = [row for row in results if not row["ok"]]
@@ -972,39 +958,6 @@ def collision_census(config: ScenarioConfig) -> CensusReport:
         tail_violations=violations,
         tail_ok=tail_ok,
     )
-
-
-# ---------------------------------------------------------------------------
-# Zero-inertia comparison (no convergence rate asserted)
-# ---------------------------------------------------------------------------
-
-def zero_inertia_comparison(
-    config: ScenarioConfig, m_values: Sequence[float], t_skip: float = 1.0
-) -> list[dict]:
-    """Sup-norm gap between inertial runs and the zero-inertia run, after
-    skipping the initial layer.  Reports the gaps; no rate is claimed."""
-    params0, state0 = sample_instance(dataclasses.replace(config, m=0.0))
-    cfg = IntegratorConfig(
-        dt=config.dt, t_end=config.t_end, observer_stride=config.stride, coupling="mean_field"
-    )
-    base = record_trajectory_first_order(params0, state0.theta, cfg)
-    rows = []
-    for m in m_values:
-        params_m = SystemParams(m, params0.kappa, params0.nu)
-        dt_eff = _effective_dt(config.dt, m)
-        cfg_m = IntegratorConfig(
-            dt=dt_eff, t_end=config.t_end, observer_stride=1, coupling="mean_field"
-        )
-        rec = record_trajectory(params_m, state0, cfg_m)
-        # Compare on the coarse snapshot grid of the zero-inertia run.
-        gaps = []
-        for k, t in enumerate(base.t):
-            if t < t_skip:
-                continue
-            kk = int(np.argmin(np.abs(rec.t - t)))
-            gaps.append(float(np.abs(rec.theta[kk] - base.theta[k]).max()))
-        rows.append({"m": float(m), "sup_gap": max(gaps) if gaps else math.nan})
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -60,10 +60,6 @@ class IntegratorConfig:
         if self.coupling not in COUPLING_FORMS:
             raise ValueError(f"unknown coupling form {self.coupling!r}")
 
-    def reference(self) -> "IntegratorConfig":
-        """High-accuracy variant (dt/20) used for oracle comparisons."""
-        return dataclasses.replace(self, dt=self.dt / 20.0)
-
 
 def _step_plan(dt: float, t_end: float) -> tuple[int, float]:
     """Number of full steps and the trailing partial step (0 if none)."""
@@ -402,8 +398,8 @@ def collision_events_from_record(
     re-integrates the bracketing step down to a time uncertainty of
     ``config.refine_tol``.  A snapshot where the crossing function is exactly
     zero is an event at that snapshot.  Double roots inside one step are a
-    known blind spot of the bracketing; the reference (dt/20) mode shrinks it.
-    Events are sorted by ``(t_star, i, j)``.
+    known blind spot of the bracketing.  Events are sorted by
+    ``(t_star, i, j)``.
     """
     coup = COUPLING_FORMS[config.coupling]
     t, theta = record.t, record.theta

@@ -28,11 +28,9 @@ from kuramoto_lock import (
 )
 from kuramoto_lock.certify import (
     arrangement_budget,
-    cert_quantities,
     corollary_initial_budget,
     f_zero_upper,
     n3_threshold,
-    search_framework_params,
     select_ell,
     select_lambda,
 )
@@ -455,20 +453,3 @@ def test_selection_breakpoint_continuity():
     lo, hi = select_lambda(0.94 - 1e-12), select_lambda(0.94 + 1e-12)
     assert abs(lo - hi) < 1e-9
     assert abs(select_ell(0.94 - 1e-12) - select_ell(0.94 + 1e-12)) < 1e-9
-
-
-def test_cert_quantities_consistency():
-    p = params_with(m=0.01, kappa=1.0, d_v=0.1)
-    free = FreeParams(eta=1.0, delta=0.5, lam=0.8, ell=1.0)
-    q = cert_quantities(p, 0.2, free)
-    assert q.zeta_eta >= 0 and q.xi_eta >= 0
-    assert q.xi_eta >= q.xi_infty
-    assert q.phi1 is not None and q.phi1 < q.theta_star < q.phi2
-    assert abs(f_lambda(0.8, q.phi1) - 2 * q.xi_eta) < 1e-12
-
-
-def test_search_framework_params_finds_easy_instance():
-    p = SystemParams(0.001, 1.0, np.array([-0.01, 0.01]))
-    free = search_framework_params(p, 0.9, 0.01, n_eta=6, n_lambda=6, n_ell=6, n_delta=6)
-    assert free is not None
-    assert check_framework(p, 0.9, 0.01, free).passed

@@ -69,6 +69,13 @@ def test_simulate_override_type_checked(tmp_path, sim_config):
     assert main(["simulate", "--config", sim_config, "--set", "t_end=soon"]) == 1
 
 
+def test_simulate_numeric_abort(tmp_path, capsys):
+    # Natural frequencies near the float limit overflow in the first step.
+    cfg = write(tmp_path / "c.json", {"N": 4, "D_V": 1e308, "t_end": 20, "certify": False})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.startswith("numeric abort: non-finite state at t=0.01")
+
+
 def test_certify_pass_and_json(tmp_path, capsys):
     cfg = write(
         tmp_path / "cert.json",
@@ -109,6 +116,26 @@ def test_certify_bipolar_not_certified(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     front = [c for c in payload["conditions"] if c["name"] == "initial_order_parameter"]
     assert front and not front[0]["satisfied"]
+
+
+def test_certify_corollary_gates_on_initial_arc(tmp_path, capsys):
+    doc = {
+        "which": "corollary",
+        "params": {"m": 0.01, "kappa": 1.0,
+                   "nu": np.concatenate([np.linspace(-0.03, 0.03, 7), [0.02, -0.02, 0.0]]).tolist()},
+        "theta0": np.concatenate([np.linspace(-0.1, 0.1, 7), [3.0, 3.1, 3.2]]).tolist(),
+        "D_omega0": 0.05,
+        "subset_a": list(range(7)),
+        "lambda": 0.7, "ell": 1.0, "eta": 2.0,
+    }
+    assert main(["certify", "--config", write(tmp_path / "tight.json", doc), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["which"] == "corollary" and payload["pass"] is True
+    # A wide initial cluster arc fails the gate while the budgets still hold.
+    doc["theta0"] = np.concatenate([np.linspace(-0.6, 0.6, 7), [3.0, 3.1, 3.2]]).tolist()
+    assert main(["certify", "--config", write(tmp_path / "wide.json", doc), "--json"]) == 2
+    conditions = json.loads(capsys.readouterr().out)["conditions"]
+    assert [c["name"] for c in conditions if not c["satisfied"]] == ["initial_cluster_arc"]
 
 
 def test_certify_n3_wrong_size(tmp_path):

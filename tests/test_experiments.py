@@ -3,7 +3,7 @@ collision censuses, and persistence."""
 
 import dataclasses
 import json
-import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,7 +17,6 @@ from kuramoto_lock.experiments import (
     sample_instance,
     save_run_record,
     worker_count,
-    zero_inertia_comparison,
     _effective_dt,
 )
 
@@ -208,12 +207,39 @@ def test_campaign_partial_small():
 def test_campaign_parallel_matches_serial(tmp_path):
     cc = CampaignConfig(which="first_order", n_instances=2, seed=9, n=8,
                         t_end=60.0, stride=25)
-    serial = certify_campaign(cc, workers=1)
-    parallel = certify_campaign(cc, workers=2, outdir=tmp_path)
+    serial = certify_campaign(cc, workers=1, outdir=tmp_path / "serial")
+    parallel = certify_campaign(cc, workers=2, outdir=tmp_path / "parallel")
     assert serial.to_json_dict() == parallel.to_json_dict()
-    assert (tmp_path / "summary.csv").exists()
-    assert (tmp_path / "config.json").exists()
-    assert sorted((tmp_path / "records").glob("*.json"))
+    assert (tmp_path / "parallel" / "config.json").exists()
+
+    def persisted(root):
+        names = ["campaign.json", "summary.csv"]
+        names += [str(p.relative_to(root)) for p in sorted(root.glob("records/*.json"))]
+        names += [str(p.relative_to(root)) for p in sorted(root.glob("series/*.csv"))]
+        return {name: (root / name).read_bytes() for name in names}
+
+    files = persisted(tmp_path / "serial")
+    assert len(files) == 2 + 2 * cc.n_instances
+    assert persisted(tmp_path / "parallel") == files
+
+
+@pytest.mark.parametrize("which", ["simple", "partial"])
+def test_campaign_samples_each_attempt_once(monkeypatch, which):
+    from kuramoto_lock import experiments
+
+    calls = Counter()
+    sample = experiments._campaign_instance
+
+    def counting(cc, attempt):
+        calls[attempt] += 1
+        return sample(cc, attempt)
+
+    monkeypatch.setattr(experiments, "_campaign_instance", counting)
+    cc = CampaignConfig(which=which, n_instances=2, seed=3, n=10, t_end=15.0, stride=10)
+    report = certify_campaign(cc, workers=1)
+    assert len(report.results) == 2
+    assert sorted(calls) == list(range(max(calls) + 1))
+    assert set(calls.values()) == {1}
 
 
 def test_worker_count_env(monkeypatch):
@@ -263,15 +289,3 @@ def test_census_identical_pair_excluded():
     cfg = small_config(n=3, m=0.1, kappa=0.5, t_end=30.0, collisions=True)
     rec = run_instance(cfg, params, state0)
     assert not any((ev.i, ev.j) == (0, 1) for ev in rec.collisions)
-
-
-# ---------------------------------------------------------------------------
-# Zero-inertia comparison (exposed, no rate asserted)
-# ---------------------------------------------------------------------------
-
-def test_zero_inertia_comparison_runs():
-    cfg = small_config(n=5, t_end=5.0, d_omega0=1.0)
-    rows = zero_inertia_comparison(cfg, [1e-3, 1e-2])
-    assert len(rows) == 2
-    assert all(math.isfinite(r["sup_gap"]) for r in rows)
-    assert rows[0]["sup_gap"] < 0.05

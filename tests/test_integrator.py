@@ -60,7 +60,6 @@ def test_config_validation():
         IntegratorConfig(observer_stride=0)
     with pytest.raises(ValueError):
         IntegratorConfig(coupling="nope")
-    assert IntegratorConfig(dt=0.2).reference().dt == 0.01
 
 
 def test_nonsync_oracle_error():
