@@ -2,8 +2,8 @@
 selftest, with machine-readable output.
 
 Exit codes: 0 success (or certified), 1 input/validation error, 2 not
-certified (or selftest failure), 3 numeric abort.  The env var
-KURAMOTO_LOCK_THREADS caps worker processes.
+certified (or selftest failure), 3 numeric abort.  Sweeps run in this
+process, every value's instance integrated in one batch.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .experiments import (
     figure_sweep,
     run_scenario,
     save_run_record,
-    worker_count,
 )
 from .selftest import run_selftest
 
@@ -309,7 +308,7 @@ def sweep(config_path, out_dir, as_json, seed, overrides) -> int:
     """Parameter sweep with a shared frozen sample; writes summary.csv."""
     doc = _apply_overrides(_load_config(config_path), overrides)
     axis, values, base, fresh = _sweep_from_doc(doc, seed)
-    result = figure_sweep(axis, values, base, fresh_samples=fresh, workers=worker_count())
+    result = figure_sweep(axis, values, base, fresh_samples=fresh)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     result.to_csv(out / "summary.csv")
@@ -334,7 +333,7 @@ def figures(config_path, out_dir, seed, overrides) -> int:
     """Sweep and emit SVG line charts of R(t) and Delta(t) plus CSVs."""
     doc = _apply_overrides(_load_config(config_path), overrides)
     axis, values, base, fresh = _sweep_from_doc(doc, seed)
-    result = figure_sweep(axis, values, base, fresh_samples=fresh, workers=worker_count())
+    result = figure_sweep(axis, values, base, fresh_samples=fresh)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     result.to_csv(out / "summary.csv")

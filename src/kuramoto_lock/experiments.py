@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -28,12 +27,14 @@ from .model import (
     diameter,
 )
 from .integrate import (
+    IntegrationError,
     IntegratorConfig,
     TrajectoryRecord,
     CollisionEvent,
     collision_events_from_record,
     record_trajectory,
     record_trajectory_first_order,
+    _n_snapshots,
 )
 from .diagnostics import (
     LockReport,
@@ -74,7 +75,6 @@ __all__ = [
     "collision_census",
     "save_run_record",
     "save_campaign",
-    "worker_count",
 ]
 
 
@@ -140,13 +140,26 @@ _FIELD_TO_KEY = {
 }
 
 
-def _validate_scenario(doc) -> None:
-    try:
-        import jsonschema
+@functools.cache
+def _scenario_validator():
+    """Validator of ``SCENARIO_SCHEMA``, built on first use.  The schema is a
+    constant, so it is not re-checked on every call as ``jsonschema.validate``
+    would."""
+    from jsonschema.validators import validator_for
 
-        jsonschema.validate(doc, SCENARIO_SCHEMA)
+    return validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA)
+
+
+def _validate_scenario(doc) -> None:
+    """Raise what ``jsonschema.validate`` would raise, as a ConfigError."""
+    try:
+        from jsonschema.exceptions import best_match
+
+        error = best_match(_scenario_validator().iter_errors(doc))
     except Exception as exc:  # noqa: BLE001 - rewrap with context
         raise ConfigError(f"invalid scenario config: {exc}") from None
+    if error is not None:
+        raise ConfigError(f"invalid scenario config: {error}") from None
 
 
 @dataclass(frozen=True)
@@ -178,6 +191,11 @@ class ScenarioConfig:
 
     def __post_init__(self):
         _validate_scenario(self.to_dict())
+        if self.collisions and self.m == 0.0:
+            raise ConfigError(
+                "collision detection needs inertia m > 0: its refinement steps "
+                "the inertial system"
+            )
 
     def to_dict(self) -> dict:
         return {key: getattr(self, attr) for attr, key in _FIELD_TO_KEY.items()}
@@ -363,10 +381,29 @@ class RunRecord:
         }
 
 
+def _integrator_config(config: ScenarioConfig, params: SystemParams) -> IntegratorConfig:
+    """Step plan of an instance.  The collision scan needs every step; its
+    record is thinned afterwards."""
+    return IntegratorConfig(
+        dt=_effective_dt(config.dt, params.m),
+        t_end=config.t_end,
+        observer_stride=1 if config.collisions else config.stride,
+        coupling="mean_field",
+    )
+
+
 def run_instance(
-    config: ScenarioConfig, params: SystemParams, state0: PhaseState
+    config: ScenarioConfig,
+    params: SystemParams,
+    state0: PhaseState,
+    record: Optional[TrajectoryRecord] = None,
 ) -> RunRecord:
-    """Certify, integrate, and attach diagnostics for an explicit instance."""
+    """Certify, integrate, and attach diagnostics for an explicit instance.
+
+    ``record``, when given, is the instance's trajectory as this function
+    would record it (every step when ``config.collisions`` is set), for
+    example one instance of a batch; it is not integrated again.
+    """
     if config.certify and config.kappa <= 0.0:
         raise ConfigError("certification requested but kappa is zero")
     r0 = order_state(state0.theta).r
@@ -380,25 +417,16 @@ def run_instance(
         else:
             certificates["first_order"] = check_first_order(params, r0)
 
-    dt_eff = _effective_dt(config.dt, params.m)
-    # The collision scan (inertial runs only) needs every step; its record is
-    # thinned afterwards.
-    scan = config.collisions and params.m > 0.0
-    cfg = IntegratorConfig(
-        dt=dt_eff,
-        t_end=config.t_end,
-        observer_stride=1 if scan else config.stride,
-        coupling="mean_field",
-    )
+    cfg = _integrator_config(config, params)
+    if record is None:
+        if params.m > 0.0:
+            record = record_trajectory(params, state0, cfg)
+        else:
+            record = record_trajectory_first_order(params, state0.theta, cfg)
     collisions: Optional[tuple[CollisionEvent, ...]] = None
-    if scan:
-        dense = record_trajectory(params, state0, cfg)
-        collisions = tuple(collision_events_from_record(params, dense, cfg))
-        record = dense.subsample(config.stride)
-    elif params.m > 0.0:
-        record = record_trajectory(params, state0, cfg)
-    else:
-        record = record_trajectory_first_order(params, state0.theta, cfg)
+    if config.collisions:
+        collisions = tuple(collision_events_from_record(params, record, cfg))
+        record = record.subsample(config.stride)
 
     series = compute_series(params, record, config.cluster_lambda, config.cluster_ell)
     lock = None
@@ -416,7 +444,7 @@ def run_instance(
         state0=state0,
         r0=r0,
         d_omega0=d_om0,
-        effective_dt=dt_eff,
+        effective_dt=cfg.dt,
         certificates=certificates,
         series=series,
         lock=lock,
@@ -433,24 +461,48 @@ def run_scenario(config: ScenarioConfig) -> RunRecord:
 
 
 # ---------------------------------------------------------------------------
-# Worker pool plumbing
+# Batched integration
 # ---------------------------------------------------------------------------
 
-def worker_count(explicit: Optional[int] = None) -> int:
-    """Worker cap: explicit argument, else KURAMOTO_LOCK_THREADS, else CPUs."""
-    if explicit is not None:
-        return max(1, int(explicit))
-    env = os.environ.get("KURAMOTO_LOCK_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+# Float64 elements of one batch's phase record (instances x snapshots x N);
+# the frequency record is as large.  Bounds the memory of a campaign or sweep
+# whatever its number of instances: while one batch is recorded, the caller
+# may still hold an instance of the previous one, so at most two are alive.
+_BATCH_ELEMENTS = 1 << 20
 
 
-def _map_tasks(fn: Callable, tasks: Sequence, workers: int) -> list:
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+def _recorded(
+    jobs: Sequence[tuple[ScenarioConfig, SystemParams, PhaseState]],
+    labels: Sequence[str],
+) -> Iterator[tuple[int, TrajectoryRecord]]:
+    """Yield ``(k, record)`` with the trajectory ``run_instance`` would record
+    for every job ``k``.
+
+    Jobs that share a step plan (effective dt, t_end, stride, inertial or
+    first-order) and N are integrated together, in consecutive batches of at
+    most ``_BATCH_ELEMENTS`` phase values; a batch's records are yielded
+    before the next batch is integrated.  A blow-up is re-raised naming the
+    job by its label.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for k, (config, params, state0) in enumerate(jobs):
+        key = (_integrator_config(config, params), params.m > 0.0, params.n)
+        groups.setdefault(key, []).append(k)
+    for (cfg, inertial, n), members in groups.items():
+        rows = max(1, _BATCH_ELEMENTS // (_n_snapshots(cfg) * n))
+        for start in range(0, len(members), rows):
+            batch = members[start:start + rows]
+            params = [jobs[k][1] for k in batch]
+            try:
+                if inertial:
+                    record = record_trajectory(params, [jobs[k][2] for k in batch], cfg)
+                else:
+                    theta0 = [jobs[k][2].theta for k in batch]
+                    record = record_trajectory_first_order(params, theta0, cfg)
+            except IntegrationError as exc:
+                raise IntegrationError(f"{labels[batch[exc.row]]}: {exc.reason}") from None
+            for b, k in enumerate(batch):
+                yield k, record.instance(b)
 
 
 # ---------------------------------------------------------------------------
@@ -470,16 +522,9 @@ def _sweep_config(base: ScenarioConfig, axis: str, value: float) -> ScenarioConf
     raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {_SWEEP_AXES}")
 
 
-def _sweep_task(args: tuple) -> dict:
-    base_doc, axis, value, fresh, index = args
-    base = ScenarioConfig.from_dict(base_doc)
-    config = _sweep_config(base, axis, float(value))
-    seed = base.seed + index if fresh else base.seed
-    draws = _unit_draws(config.n, seed)
-    params, state0 = _instance_from_draws(config, draws)
-    record = run_instance(config, params, state0)
+def _sweep_row(value: float, record: RunRecord) -> dict:
     row = {
-        "value": float(value),
+        "value": value,
         "R_end": record.series.value_at("R", record.series.t[-1]),
         "Delta_end": record.series.value_at("Delta", record.series.t[-1]),
         "locked": bool(record.lock.locked) if record.lock else False,
@@ -487,15 +532,15 @@ def _sweep_task(args: tuple) -> dict:
     }
     if record.series.t[-1] >= 30.0 - 1e-9:
         r30 = record.series.value_at("R", 30.0)
-        var_nu = params.nu_var
+        var_nu = record.params.nu_var
         row["R_30"] = r30
         row["ratio_one_minus_R30"] = (
-            (1.0 - r30) * config.kappa**2 / var_nu if var_nu > 0 else math.nan
+            (1.0 - r30) * record.config.kappa**2 / var_nu if var_nu > 0 else math.nan
         )
     else:
         row["R_30"] = math.nan
         row["ratio_one_minus_R30"] = math.nan
-    return {"row": row, "record": record}
+    return row
 
 
 @dataclass
@@ -526,20 +571,26 @@ def figure_sweep(
 
     By default the unit draws behind phases/frequencies are made once from the
     base seed and rescaled per value; ``fresh_samples`` draws per-value
-    substreams instead.
+    substreams instead.  The runs are integrated as batches in this process;
+    ``workers`` has no effect.
     """
     values = [float(v) for v in values]
     if any(not (math.isfinite(v) and v > 0) for v in values):
         raise ConfigError("sweep values must be positive and finite")
-    tasks = [
-        (base_config.to_dict(), axis, v, fresh_samples, k) for k, v in enumerate(values)
-    ]
-    results = _map_tasks(_sweep_task, tasks, worker_count(workers))
+    jobs = []
+    for k, value in enumerate(values):
+        config = _sweep_config(base_config, axis, value)
+        seed = base_config.seed + k if fresh_samples else base_config.seed
+        jobs.append((config, *_instance_from_draws(config, _unit_draws(config.n, seed))))
+    labels = [f"sweep value {value!r}" for value in values]
+    records: list = [None] * len(jobs)
+    for k, trajectory in _recorded(jobs, labels):
+        records[k] = run_instance(*jobs[k], record=trajectory)
     return SweepResult(
         axis=axis,
         values=tuple(values),
-        rows=[res["row"] for res in results],
-        records=[res["record"] for res in results],
+        rows=[_sweep_row(value, record) for value, record in zip(values, records)],
+        records=records,
     )
 
 
@@ -730,25 +781,30 @@ def _campaign_scenario(cc: CampaignConfig, params: SystemParams) -> ScenarioConf
     )
 
 
-def _campaign_task(args: tuple) -> dict:
-    cc_doc, attempt, (params, state0, report, spec), outdir = args
-    cc = CampaignConfig(**cc_doc)
+def _campaign_result(
+    cc: CampaignConfig,
+    attempt: int,
+    instance: tuple,
+    trajectory: TrajectoryRecord,
+    outdir: Optional[Path],
+) -> dict:
+    """Check one recorded campaign instance and persist its run record."""
+    params, state0, report, spec = instance
     result = {
         "index": attempt,
         "seed": cc.seed + attempt,
         "certified": report.passed,
     }
     if cc.which == "partial":
-        result.update(_verify_partial(cc, params, state0, report, spec))
+        result.update(_verify_partial(cc, params, report, spec, trajectory))
         return result
     config = _campaign_scenario(cc, params)
-    record = run_instance(config, params, state0)
+    record = run_instance(config, params, state0, record=trajectory)
     if outdir is not None:
-        out = Path(outdir)
-        with open(out / "records" / f"run_{attempt:05d}.json", "w") as fh:
+        with open(outdir / "records" / f"run_{attempt:05d}.json", "w") as fh:
             json.dump(record.to_json_dict(), fh)
             fh.write("\n")
-        record.series.to_csv(out / "series" / f"run_{attempt:05d}.csv")
+        record.series.to_csv(outdir / "series" / f"run_{attempt:05d}.csv")
     locked = bool(record.lock and record.lock.locked)
     result.update(
         {
@@ -780,21 +836,16 @@ def _campaign_task(args: tuple) -> dict:
 def _verify_partial(
     cc: CampaignConfig,
     params: SystemParams,
-    state0: PhaseState,
     report: CertificateReport,
     spec: PartialSpec,
+    record: TrajectoryRecord,
     slack: float = 1e-3,
     arc_slack: float = 1e-6,
 ) -> dict:
-    """Simulate a certified partial-locking instance and check its three
-    predictions: arc persistence from t1, the tail diameter bound, and the
-    pairwise arrangement interval."""
+    """Check the three predictions of a certified partial-locking instance on
+    its recorded trajectory: arc persistence from t1, the tail diameter
+    bound, and the pairwise arrangement interval."""
     preds = report.details["predictions"]
-    dt_eff = _effective_dt(cc.dt, params.m)
-    cfg = IntegratorConfig(
-        dt=dt_eff, t_end=cc.t_end, observer_stride=cc.stride, coupling="mean_field"
-    )
-    record = record_trajectory(params, state0, cfg)
     idx = np.asarray(spec.subset_a, dtype=int)
     sub = record.theta[:, idx]
     diam = sub.max(axis=1) - sub.min(axis=1)
@@ -862,7 +913,11 @@ def certify_campaign(
 ) -> CampaignReport:
     """Sample certified instances, simulate each, and assert the certified
     prediction.  Any certified-but-failed instance is reported as a defect
-    with its reproduction seed."""
+    with its reproduction seed.
+
+    The instances are integrated as batches in this process; ``workers`` has
+    no effect.  A blow-up is raised naming the attempt and its seed.
+    """
     kept: list[tuple[int, tuple]] = []
     attempt = 0
     limit = cc.n_instances * cc.max_attempts_factor
@@ -875,20 +930,19 @@ def certify_campaign(
         if report.passed:
             kept.append((attempt, (params, state0, report, spec)))
         attempt += 1
-    out_str = None
     if outdir is not None:
-        out = Path(outdir)
-        (out / "records").mkdir(parents=True, exist_ok=True)
-        (out / "series").mkdir(parents=True, exist_ok=True)
-        out_str = str(out)
-    cc_doc = dataclasses.asdict(cc)
-    tasks = [(cc_doc, k, instance, out_str) for k, instance in kept]
-    results = _map_tasks(_campaign_task, tasks, worker_count(workers))
-    results.sort(key=lambda row: row["index"])
+        outdir = Path(outdir)
+        (outdir / "records").mkdir(parents=True, exist_ok=True)
+        (outdir / "series").mkdir(parents=True, exist_ok=True)
+    jobs = [(_campaign_scenario(cc, params), params, state0) for _, (params, state0, _, _) in kept]
+    labels = [f"campaign attempt {attempt} (seed {cc.seed + attempt})" for attempt, _ in kept]
+    results: list = [None] * len(kept)
+    for k, trajectory in _recorded(jobs, labels):
+        results[k] = _campaign_result(cc, *kept[k], trajectory, outdir)
     defects = [row for row in results if not row["ok"]]
     report = CampaignReport(cc.which, cc.n_instances, results, defects, not defects)
     if outdir is not None:
-        save_campaign(report, cc, Path(outdir))
+        save_campaign(report, cc, outdir)
     return report
 
 

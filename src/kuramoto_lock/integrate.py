@@ -7,7 +7,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -36,8 +36,15 @@ class IntegrationError(RuntimeError):
     """Raised when the state stops being finite mid-run.
 
     The model is globally well-posed, so this only flags an implementation
-    fault or a step size far too large for the stiffness 1/m.
+    fault or a step size far too large for the stiffness 1/m.  ``reason``
+    says what went wrong; for a batch, ``row`` is the first row that stopped
+    being finite (``None`` for a single instance) and the message names it.
     """
+
+    def __init__(self, reason: str, row: Optional[int] = None):
+        super().__init__(reason if row is None else f"batch row {row}: {reason}")
+        self.reason = reason
+        self.row = row
 
 
 @dataclass(frozen=True)
@@ -70,16 +77,35 @@ def _step_plan(dt: float, t_end: float) -> tuple[int, float]:
     return n_full, rem
 
 
-def _check_finite(theta: np.ndarray, omega: Optional[np.ndarray], t: float) -> None:
-    ok = bool(np.isfinite(theta).all())
-    if ok and omega is not None:
-        ok = bool(np.isfinite(omega).all())
-    if not ok:
-        raise IntegrationError(f"non-finite state at t={t:.6g}; check dt against 1/m")
+def _n_snapshots(config: IntegratorConfig) -> int:
+    """Snapshots a run records: one before every ``observer_stride``-th step
+    and one after the last step."""
+    n_full, rem = _step_plan(config.dt, config.t_end)
+    steps = n_full + (rem > 0.0)
+    return -(-steps // config.observer_stride) + 1
+
+
+def _check_finite(y: tuple[np.ndarray, ...], t: float) -> None:
+    for a in y:
+        if not np.isfinite(a).all():
+            row = None
+            if a.ndim == 2:
+                bad = np.logical_or.reduce([~np.isfinite(b).all(axis=1) for b in y])
+                row = int(np.argmax(bad))
+            raise IntegrationError(f"non-finite state at t={t:.6g}; check dt against 1/m", row)
+
+
+class _Rows(NamedTuple):
+    """The fields of :class:`SystemParams` that a step reads, stacked over a
+    batch: ``nu`` is ``(B, N)``, ``kappa`` and ``m`` are ``(B, 1)``."""
+
+    m: np.ndarray
+    kappa: np.ndarray
+    nu: np.ndarray
 
 
 def _rk4_step(
-    params: SystemParams,
+    params,
     coup: Callable[[np.ndarray, float], np.ndarray],
     theta: np.ndarray,
     omega: np.ndarray,
@@ -88,7 +114,8 @@ def _rk4_step(
     """One classic RK4 step of the inertial system.
 
     ``theta`` and ``omega`` hold one state ``(N,)`` or a batch ``(B, N)`` of
-    states sharing ``params``; ``h`` is a scalar or a ``(B, 1)`` column of
+    states; ``params`` is one :class:`SystemParams` shared by every row, or
+    per-row :class:`_Rows`; ``h`` is a scalar or a ``(B, 1)`` column of
     per-row step sizes.  Every row gets exactly the arithmetic of the
     one-dimensional call.
     """
@@ -113,6 +140,57 @@ def _rk4_step(
     )
 
 
+def _rk4_step_first_order(params, coup, theta: np.ndarray, h) -> np.ndarray:
+    """One classic RK4 step of the zero-inertia system, with the shapes of
+    :func:`_rk4_step`; inertia in ``params`` is ignored."""
+    nu, kappa = params.nu, params.kappa
+
+    def vel(th):
+        return nu + coup(th, kappa)
+
+    k1 = vel(theta)
+    k2 = vel(theta + (0.5 * h) * k1)
+    k3 = vel(theta + (0.5 * h) * k2)
+    k4 = vel(theta + h * k3)
+    return theta + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _march(
+    step: Callable[[tuple, float], tuple],
+    y: tuple[np.ndarray, ...],
+    t0: float,
+    config: IntegratorConfig,
+    observe: Callable[[float, tuple], None],
+) -> tuple[float, tuple[np.ndarray, ...]]:
+    """Advance the state ``y`` by ``step(y, h)`` over the step plan of
+    ``config`` and return the final ``(t, y)``.
+
+    ``observe(t, y)`` is called before step 0, before every
+    ``observer_stride``-th step thereafter, and after the last step.  The
+    state is checked for finiteness after every step.
+    """
+    dt = config.dt
+    stride = config.observer_stride
+    n_full, rem = _step_plan(dt, config.t_end)
+    # Blow-up is detected by the explicit finiteness check; silence the
+    # transient inf/nan arithmetic warnings it would otherwise emit.
+    with np.errstate(invalid="ignore", over="ignore"):
+        for k in range(n_full):
+            if k % stride == 0:
+                observe(t0 + k * dt, y)
+            y = step(y, dt)
+            _check_finite(y, t0 + (k + 1) * dt)
+        t_last = t0 + n_full * dt
+        if rem > 0.0:
+            if n_full % stride == 0:
+                observe(t_last, y)
+            y = step(y, rem)
+            t_last = t0 + config.t_end
+            _check_finite(y, t_last)
+    observe(t_last, y)
+    return t_last, y
+
+
 def integrate(
     params: SystemParams,
     state0: PhaseState,
@@ -130,39 +208,16 @@ def integrate(
     if params.n != state0.n:
         raise ValueError("state/params size mismatch")
     coup = COUPLING_FORMS[config.coupling]
-    dt = config.dt
-    stride = config.observer_stride
-    n_full, rem = _step_plan(dt, config.t_end)
 
-    th = state0.theta.copy()
-    om = state0.omega.copy()
-    t0 = state0.t
+    def observe(t, y):
+        if observer is not None:
+            observer(t, PhaseState(t, *y))
 
-    last_observed = -1
-    # Blow-up is detected by the explicit finiteness check; silence the
-    # transient inf/nan arithmetic warnings it would otherwise emit.
-    with np.errstate(invalid="ignore", over="ignore"):
-        for k in range(n_full):
-            if observer is not None and k % stride == 0:
-                observer(t0 + k * dt, PhaseState(t0 + k * dt, th, om))
-                last_observed = k
-            th, om = _rk4_step(params, coup, th, om, dt)
-            _check_finite(th, om, t0 + (k + 1) * dt)
-        t_last = t0 + n_full * dt
-        if rem > 0.0:
-            if observer is not None and n_full % stride == 0:
-                observer(t_last, PhaseState(t_last, th, om))
-                last_observed = n_full
-            th, om = _rk4_step(params, coup, th, om, rem)
-            _check_finite(th, om, t0 + config.t_end)
-            t_last = t0 + config.t_end
-            final_step = n_full + 1
-        else:
-            final_step = n_full
-    final = PhaseState(t_last, th, om)
-    if observer is not None and last_observed != final_step:
-        observer(t_last, final)
-    return final
+    t, (th, om) = _march(
+        lambda y, h: _rk4_step(params, coup, *y, h),
+        (state0.theta, state0.omega), state0.t, config, observe,
+    )
+    return PhaseState(t, th, om)
 
 
 def integrate_first_order(
@@ -176,53 +231,29 @@ def integrate_first_order(
     The observer receives ``(t, theta)`` with the same cadence as
     :func:`integrate`.  Inertia in ``params`` is ignored.
     """
-    th = np.asarray(theta0, dtype=float).copy()
+    th = np.array(theta0, dtype=float)
     if params.n != th.size:
         raise ValueError("state/params size mismatch")
     coup = COUPLING_FORMS[config.coupling]
-    nu, kappa = params.nu, params.kappa
-    dt = config.dt
-    stride = config.observer_stride
-    n_full, rem = _step_plan(dt, config.t_end)
 
-    def vel(theta):
-        return nu + coup(theta, kappa)
+    def observe(t, y):
+        if observer is not None:
+            observer(t, y[0].copy())
 
-    def rk4(theta, h):
-        k1 = vel(theta)
-        k2 = vel(theta + (0.5 * h) * k1)
-        k3 = vel(theta + (0.5 * h) * k2)
-        k4 = vel(theta + h * k3)
-        return theta + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    last_observed = -1
-    for k in range(n_full):
-        if observer is not None and k % stride == 0:
-            observer(k * dt, th.copy())
-            last_observed = k
-        th = rk4(th, dt)
-        _check_finite(th, None, (k + 1) * dt)
-    t_last = n_full * dt
-    if rem > 0.0:
-        if observer is not None and n_full % stride == 0:
-            observer(t_last, th.copy())
-            last_observed = n_full
-        th = rk4(th, rem)
-        _check_finite(th, None, config.t_end)
-        t_last = config.t_end
-        final_step = n_full + 1
-    else:
-        final_step = n_full
-    if observer is not None and last_observed != final_step:
-        observer(t_last, th.copy())
+    _, (th,) = _march(
+        lambda y, h: (_rk4_step_first_order(params, coup, y[0], h),),
+        (th,), 0.0, config, observe,
+    )
     return th
 
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    """Equally indexed snapshots of a run: times plus (S, N) phase and
-    frequency arrays.  For first-order runs the frequency rows hold the
-    instantaneous phase velocities."""
+    """Equally indexed snapshots of a run: times ``t`` (S,) plus phase and
+    frequency arrays of shape (S, N).  A batch of B instances recorded
+    together holds (B, S, N) arrays; :meth:`instance` gives one instance's
+    record.  For first-order runs the frequency rows hold the instantaneous
+    phase velocities."""
 
     t: np.ndarray
     theta: np.ndarray
@@ -234,7 +265,11 @@ class TrajectoryRecord:
 
     @property
     def n(self) -> int:
-        return self.theta.shape[1]
+        return self.theta.shape[-1]
+
+    def instance(self, b: int) -> "TrajectoryRecord":
+        """Record of instance ``b`` of a batch, as a view."""
+        return TrajectoryRecord(self.t, self.theta[b], self.omega[b])
 
     def state(self, k: int) -> PhaseState:
         return PhaseState(float(self.t[k]), self.theta[k], self.omega[k])
@@ -256,40 +291,88 @@ class TrajectoryRecord:
         return TrajectoryRecord(self.t[sel], self.theta[sel], self.omega[sel])
 
 
-def record_trajectory(
-    params: SystemParams, state0: PhaseState, config: IntegratorConfig
-) -> TrajectoryRecord:
-    """Integrate the inertial system and collect observer snapshots."""
-    ts: list[float] = []
-    ths: list[np.ndarray] = []
-    oms: list[np.ndarray] = []
-
-    def obs(t: float, state: PhaseState) -> None:
-        ts.append(t)
-        ths.append(state.theta.copy())
-        oms.append(state.omega.copy())
-
-    integrate(params, state0, config, obs)
-    return TrajectoryRecord(np.asarray(ts), np.stack(ths), np.stack(oms))
+def _coefficients(params):
+    """``params`` of one instance as given; a sequence of them as per-row
+    :class:`_Rows` sharing N."""
+    if isinstance(params, SystemParams):
+        return params
+    params = list(params)
+    if not params or len({p.n for p in params}) != 1:
+        raise ValueError("a batch needs at least one instance, all of one size N")
+    return _Rows(
+        np.array([[p.m] for p in params]),
+        np.array([[p.kappa] for p in params]),
+        np.stack([p.nu for p in params]),
+    )
 
 
-def record_trajectory_first_order(
-    params: SystemParams, theta0: np.ndarray, config: IntegratorConfig
-) -> TrajectoryRecord:
-    """Integrate the zero-inertia system; frequency rows are the phase
-    velocities evaluated on each snapshot."""
-    ts: list[float] = []
-    ths: list[np.ndarray] = []
+def _record(step, y, t0: float, config: IntegratorConfig, omega_of) -> TrajectoryRecord:
+    """Run :func:`_march` into a record allocated up front: ``(S, N)``
+    arrays, or ``(B, S, N)`` for a batch.  ``omega_of(y)`` gives the
+    frequency rows of a snapshot."""
+    s = _n_snapshots(config)
+    t = np.empty(s)
+    theta = np.empty(y[0].shape[:-1] + (s, y[0].shape[-1]))
+    omega = np.empty_like(theta)
+    k = 0
 
-    def obs(t: float, theta: np.ndarray) -> None:
-        ts.append(t)
-        ths.append(theta)
+    def observe(tk, yk):
+        nonlocal k
+        t[k] = tk
+        theta[..., k, :] = yk[0]
+        omega[..., k, :] = omega_of(yk)
+        k += 1
 
-    integrate_first_order(params, theta0, config, obs)
-    theta = np.stack(ths)
+    _march(step, y, t0, config, observe)
+    return TrajectoryRecord(t, theta, omega)
+
+
+def record_trajectory(params, state0, config: IntegratorConfig) -> TrajectoryRecord:
+    """Integrate the inertial system and collect observer snapshots.
+
+    ``params`` and ``state0`` are one :class:`SystemParams` and
+    :class:`PhaseState`, or equal-length sequences of them sharing N and the
+    start time.  A batch is stepped as one ``(B, N)`` array and recorded with
+    a leading instance axis; every instance's record equals its
+    single-instance record bit for bit.  A blow-up raises
+    :class:`IntegrationError` naming the first non-finite row of a batch.
+    """
+    coef = _coefficients(params)
+    if isinstance(state0, PhaseState):
+        theta, omega, t0 = state0.theta, state0.omega, state0.t
+    else:
+        states = list(state0)
+        if len({s.t for s in states}) > 1:
+            raise ValueError("a batch must share its start time")
+        theta = np.stack([s.theta for s in states])
+        omega = np.stack([s.omega for s in states])
+        t0 = states[0].t
+    if coef.nu.shape != theta.shape:
+        raise ValueError("state/params size mismatch")
+    if np.any(np.asarray(coef.m) <= 0.0):
+        raise ValueError("integrate requires m > 0; use integrate_first_order")
     coup = COUPLING_FORMS[config.coupling]
-    omega = np.stack([params.nu + coup(row, params.kappa) for row in theta])
-    return TrajectoryRecord(np.asarray(ts), theta, omega)
+    return _record(
+        lambda y, h: _rk4_step(coef, coup, *y, h), (theta, omega), t0, config, lambda y: y[1]
+    )
+
+
+def record_trajectory_first_order(params, theta0, config: IntegratorConfig) -> TrajectoryRecord:
+    """Integrate the zero-inertia system; frequency rows are the phase
+    velocities evaluated on each snapshot.
+
+    A batch is given as a sequence of params and one ``theta0`` row per
+    instance, and recorded like a batch of :func:`record_trajectory`.
+    """
+    coef = _coefficients(params)
+    theta = np.asarray(theta0, dtype=float)
+    if coef.nu.shape != theta.shape:
+        raise ValueError("state/params size mismatch")
+    coup = COUPLING_FORMS[config.coupling]
+    return _record(
+        lambda y, h: (_rk4_step_first_order(coef, coup, y[0], h),), (theta,), 0.0, config,
+        lambda y: coef.nu + coup(y[0], coef.kappa),
+    )
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,6 @@ from kuramoto_lock.experiments import (
     _campaign_instance,
     figure_sweep,
     sample_instance,
-    worker_count,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -206,7 +205,7 @@ def test_06_figure_regime_reproduction():
     base = ScenarioConfig(n=50, m=1.0, kappa=1.0, d_v=1.0, d_omega0=1.0, seed=2026,
                           t_end=200.0, dt=0.01, stride=10, certify=False)
     values = [2.0, 0.5, 0.25, 0.125, 0.0625]
-    result = figure_sweep("Dv_over_kappa", values, base, workers=worker_count())
+    result = figure_sweep("Dv_over_kappa", values, base)
     elapsed = time.perf_counter() - t0
     rows = result.rows
     lock_pattern_ok = (not rows[0]["locked"]) and all(r["locked"] for r in rows[1:])

@@ -183,6 +183,16 @@ def test_sweep_command(tmp_path, capsys):
     assert payload["axis"] == "Dv_over_kappa"
 
 
+def test_sweep_numeric_abort_names_value(tmp_path, capsys):
+    cfg = write(
+        tmp_path / "sweep.json",
+        {"axis": "Dv_over_kappa", "values": [0.5, 1e308],
+         "base": {"N": 4, "t_end": 5.0, "certify": False}},
+    )
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert "numeric abort: sweep value 1e+308: non-finite state" in capsys.readouterr().err
+
+
 def test_figures_command(tmp_path):
     cfg = write(
         tmp_path / "sweep.json",
@@ -208,6 +218,12 @@ def test_collide_command(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert "counts" in payload and "tail_ok" in payload
     assert (tmp_path / "census" / "census.json").exists()
+
+
+def test_collide_zero_inertia_is_input_error(tmp_path, capsys):
+    cfg = write(tmp_path / "col.json", {"N": 6, "m": 0, "t_end": 5.0, "certify": False})
+    assert main(["collide", "--config", cfg]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_selftest_passes():

@@ -9,14 +9,15 @@ import numpy as np
 import pytest
 
 from kuramoto_lock import CampaignConfig, ScenarioConfig, certify_campaign, run_scenario
+from kuramoto_lock.integrate import IntegrationError, record_trajectory
 from kuramoto_lock.experiments import (
+    SCENARIO_SCHEMA,
     ConfigError,
     DiagnosticsSeries,
     collision_census,
     figure_sweep,
     sample_instance,
     save_run_record,
-    worker_count,
     _effective_dt,
 )
 
@@ -42,6 +43,21 @@ def test_schema_rejects_bad_types():
         ScenarioConfig.from_dict({"N": "ten"})
     with pytest.raises(ConfigError):
         ScenarioConfig.from_dict({"dt": -0.1})
+
+
+def test_scenario_schema_is_valid():
+    from jsonschema.validators import validator_for
+
+    validator_for(SCENARIO_SCHEMA).check_schema(SCENARIO_SCHEMA)
+
+
+def test_zero_inertia_collisions_rejected():
+    with pytest.raises(ConfigError, match="m > 0"):
+        ScenarioConfig(m=0.0, collisions=True)
+    with pytest.raises(ConfigError, match="m > 0"):
+        ScenarioConfig.from_dict({"N": 4, "m": 0, "collisions": True})
+    with pytest.raises(ConfigError, match="m > 0"):
+        collision_census(small_config(m=0.0))
 
 
 def test_config_roundtrip():
@@ -120,7 +136,7 @@ def test_sample_instance_distribution_bounds():
 
 def test_figure_sweep_frozen_sample():
     base = small_config(n=10, t_end=15.0)
-    result = figure_sweep("m_kappa", [0.5, 1.0], base, workers=1)
+    result = figure_sweep("m_kappa", [0.5, 1.0], base)
     assert [row["value"] for row in result.rows] == [0.5, 1.0]
     # Frozen unit draws: identical nu samples across the sweep values.
     nu0 = result.records[0].params.nu
@@ -131,22 +147,27 @@ def test_figure_sweep_frozen_sample():
 def test_figure_sweep_lock_delay_grows_with_inertia():
     base = ScenarioConfig(n=12, kappa=1.0, d_v=0.25, d_omega0=0.5, seed=4,
                           t_end=120.0, stride=10, certify=False)
-    result = figure_sweep("m_kappa", [0.25, 1.0, 4.0], base, workers=1)
+    result = figure_sweep("m_kappa", [0.25, 1.0, 4.0], base)
     locks = [row["t_lock"] for row in result.rows]
     assert all(row["locked"] for row in result.rows)
     assert locks[0] < locks[-1]
 
 
+def test_figure_sweep_blowup_names_value():
+    with pytest.raises(IntegrationError, match=r"sweep value 1e\+308: non-finite state"):
+        figure_sweep("Dv_over_kappa", [0.5, 1e308], small_config(n=4, t_end=5.0))
+
+
 def test_figure_sweep_rejects_bad_axis():
     with pytest.raises(ConfigError):
-        figure_sweep("bogus", [1.0], small_config(), workers=1)
+        figure_sweep("bogus", [1.0], small_config())
     with pytest.raises(ConfigError):
-        figure_sweep("m_kappa", [-1.0], small_config(), workers=1)
+        figure_sweep("m_kappa", [-1.0], small_config())
 
 
 def test_sweep_csv(tmp_path):
     base = small_config(n=6, t_end=12.0)
-    result = figure_sweep("Dv_over_kappa", [0.2], base, workers=1)
+    result = figure_sweep("Dv_over_kappa", [0.2], base)
     path = tmp_path / "summary.csv"
     result.to_csv(path)
     lines = path.read_text().splitlines()
@@ -161,7 +182,7 @@ def test_sweep_csv(tmp_path):
 def test_simple_campaign_small():
     cc = CampaignConfig(which="simple", n_instances=3, seed=42, n=12,
                         t_end=120.0, stride=50)
-    report = certify_campaign(cc, workers=1)
+    report = certify_campaign(cc)
     assert report.all_ok
     assert len(report.results) == 3
     assert all(r["certified"] for r in report.results)
@@ -173,7 +194,7 @@ def test_campaign_defect_reporting():
     # its reproduction seed.
     cc = CampaignConfig(which="simple", n_instances=2, seed=7, n=10,
                         t_end=40.0, stride=25, eps_omega=1e-15)
-    report = certify_campaign(cc, workers=1)
+    report = certify_campaign(cc)
     assert not report.all_ok
     assert len(report.defects) == 2
     assert all("seed" in d for d in report.defects)
@@ -197,30 +218,51 @@ def test_nonsync_family_not_certified():
 def test_campaign_partial_small():
     cc = CampaignConfig(which="partial", n_instances=2, seed=3, n=10,
                         t_end=120.0, stride=10, lam=0.7, ell=1.0, eta=2.0)
-    report = certify_campaign(cc, workers=1)
+    report = certify_campaign(cc)
     assert report.all_ok
     for row in report.results:
         assert row["persist_max"] <= 1.0 + 1e-6
         assert row["tail_diameter"] <= row["tail_bound"] + 1e-3
 
 
-def test_campaign_parallel_matches_serial(tmp_path):
-    cc = CampaignConfig(which="first_order", n_instances=2, seed=9, n=8,
-                        t_end=60.0, stride=25)
-    serial = certify_campaign(cc, workers=1, outdir=tmp_path / "serial")
-    parallel = certify_campaign(cc, workers=2, outdir=tmp_path / "parallel")
-    assert serial.to_json_dict() == parallel.to_json_dict()
-    assert (tmp_path / "parallel" / "config.json").exists()
+def _persisted(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
-    def persisted(root):
-        names = ["campaign.json", "summary.csv"]
-        names += [str(p.relative_to(root)) for p in sorted(root.glob("records/*.json"))]
-        names += [str(p.relative_to(root)) for p in sorted(root.glob("series/*.csv"))]
-        return {name: (root / name).read_bytes() for name in names}
 
-    files = persisted(tmp_path / "serial")
-    assert len(files) == 2 + 2 * cc.n_instances
-    assert persisted(tmp_path / "parallel") == files
+@pytest.mark.parametrize("which", ["simple", "n3", "first_order", "partial"])
+def test_campaign_batched_matches_per_instance(tmp_path, monkeypatch, which):
+    from kuramoto_lock import experiments
+    from kuramoto_lock.experiments import run_instance
+
+    cc = CampaignConfig(which=which, n_instances=3, seed=9, n=8, t_end=30.0, stride=25)
+    report = certify_campaign(cc, outdir=tmp_path / "batched")
+    files = _persisted(tmp_path / "batched")
+    records = 0 if which == "partial" else cc.n_instances
+    assert len(files) == 3 + 2 * records
+
+    for row in report.results:
+        attempt = row["index"]
+        params, state0, cert, spec = experiments._campaign_instance(cc, attempt)
+        config = experiments._campaign_scenario(cc, params)
+        if which == "partial":
+            cfg = experiments._integrator_config(config, params)
+            alone = record_trajectory(params, state0, cfg)
+            expected = experiments._verify_partial(cc, params, cert, spec, alone)
+            assert json.dumps({**row, **expected}) == json.dumps(row)
+            continue
+        record = run_instance(config, params, state0)
+        assert files[f"records/run_{attempt:05d}.json"] == (
+            json.dumps(record.to_json_dict()) + "\n"
+        ).encode()
+        record.series.to_csv(tmp_path / "alone.csv")
+        assert files[f"series/run_{attempt:05d}.csv"] == (tmp_path / "alone.csv").read_bytes()
+
+    # A budget of two instances splits the group into batches of two and one.
+    params = experiments._campaign_instance(cc, report.results[0]["index"])[0]
+    cfg = experiments._integrator_config(experiments._campaign_scenario(cc, params), params)
+    monkeypatch.setattr(experiments, "_BATCH_ELEMENTS", 2 * experiments._n_snapshots(cfg) * params.n)
+    certify_campaign(cc, outdir=tmp_path / "split")
+    assert _persisted(tmp_path / "split") == files
 
 
 @pytest.mark.parametrize("which", ["simple", "partial"])
@@ -236,17 +278,10 @@ def test_campaign_samples_each_attempt_once(monkeypatch, which):
 
     monkeypatch.setattr(experiments, "_campaign_instance", counting)
     cc = CampaignConfig(which=which, n_instances=2, seed=3, n=10, t_end=15.0, stride=10)
-    report = certify_campaign(cc, workers=1)
+    report = certify_campaign(cc)
     assert len(report.results) == 2
     assert sorted(calls) == list(range(max(calls) + 1))
     assert set(calls.values()) == {1}
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("KURAMOTO_LOCK_THREADS", "3")
-    assert worker_count() == 3
-    assert worker_count(1) == 1
-    monkeypatch.delenv("KURAMOTO_LOCK_THREADS")
 
 
 # ---------------------------------------------------------------------------

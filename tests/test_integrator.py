@@ -131,6 +131,35 @@ def test_blowup_guard_raises():
         integrate(p, s, IntegratorConfig(dt=0.05, t_end=10.0))
 
 
+def test_blowup_guard_names_batch_row():
+    ok = SystemParams(1.0, 1.0, [0.1, -0.1])
+    stiff = SystemParams(1e-4, 1.0, [0.1, -0.1])
+    s = PhaseState(0.0, [0.0, 1.0], [5.0, -5.0])
+    with pytest.raises(IntegrationError, match="batch row 1: non-finite state") as info:
+        record_trajectory([ok, stiff, ok], [s, s, s], IntegratorConfig(dt=0.05, t_end=10.0))
+    assert info.value.row == 1
+
+
+@pytest.mark.parametrize("coupling", sorted(COUPLING_FORMS))
+def test_batched_records_match_single_instances(rng, coupling):
+    # Rows differ in m, kappa and nu; 100 full steps plus a partial one, and
+    # a stride that divides neither.
+    instances = [random_instance(rng, n=6, m=m, kappa=kappa) for m, kappa in
+                 ((0.3, 1.0), (1.0, 0.5), (2.5, 2.0))]
+    params = [p for p, _ in instances]
+    states = [s for _, s in instances]
+    cfg = IntegratorConfig(dt=0.01, t_end=1.005, observer_stride=7, coupling=coupling)
+    batch = record_trajectory(params, states, cfg)
+    first = record_trajectory_first_order(params, [s.theta for s in states], cfg)
+    assert batch.theta.shape == first.omega.shape == (3, 16, 6)
+    for b, (p, s) in enumerate(instances):
+        pairs = ((batch.instance(b), record_trajectory(p, s, cfg)),
+                 (first.instance(b), record_trajectory_first_order(p, s.theta, cfg)))
+        for got, want in pairs:
+            for x, y in ((got.t, want.t), (got.theta, want.theta), (got.omega, want.omega)):
+                assert x.shape == y.shape and np.array_equal(x, y)
+
+
 def test_mean_matches_closed_form_along_run(rng):
     p, s = random_instance(rng, n=20, m=1.0, kappa=1.0, d_v=0.5)
     mt = mean_closed_form(p, s)
