@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -466,23 +466,25 @@ def run_scenario(config: ScenarioConfig) -> RunRecord:
 
 # Float64 elements of one batch's phase record (instances x snapshots x N);
 # the frequency record is as large.  Bounds the memory of a campaign or sweep
-# whatever its number of instances: while one batch is recorded, the caller
-# may still hold an instance of the previous one, so at most two are alive.
+# whatever its number of instances: a batch is dropped before the next one is
+# recorded, so one is alive at a time.
 _BATCH_ELEMENTS = 1 << 20
 
 
 def _recorded(
     jobs: Sequence[tuple[ScenarioConfig, SystemParams, PhaseState]],
     labels: Sequence[str],
-) -> Iterator[tuple[int, TrajectoryRecord]]:
-    """Yield ``(k, record)`` with the trajectory ``run_instance`` would record
-    for every job ``k``.
+    run: Callable[[int, TrajectoryRecord], None],
+) -> None:
+    """Call ``run(k, record)`` with the trajectory ``run_instance`` would
+    record for every job ``k``.
 
     Jobs that share a step plan (effective dt, t_end, stride, inertial or
     first-order) and N are integrated together, in consecutive batches of at
-    most ``_BATCH_ELEMENTS`` phase values; a batch's records are yielded
-    before the next batch is integrated.  A blow-up is re-raised naming the
-    job by its label.
+    most ``_BATCH_ELEMENTS`` phase values; a batch's records are handed out,
+    and the batch dropped, before the next batch is integrated, so ``run``
+    must not keep its record.  A blow-up is re-raised naming the job by its
+    label.
     """
     groups: dict[tuple, list[int]] = {}
     for k, (config, params, state0) in enumerate(jobs):
@@ -502,7 +504,8 @@ def _recorded(
             except IntegrationError as exc:
                 raise IntegrationError(f"{labels[batch[exc.row]]}: {exc.reason}") from None
             for b, k in enumerate(batch):
-                yield k, record.instance(b)
+                run(k, record.instance(b))
+            del record
 
 
 # ---------------------------------------------------------------------------
@@ -584,8 +587,11 @@ def figure_sweep(
         jobs.append((config, *_instance_from_draws(config, _unit_draws(config.n, seed))))
     labels = [f"sweep value {value!r}" for value in values]
     records: list = [None] * len(jobs)
-    for k, trajectory in _recorded(jobs, labels):
+
+    def run(k, trajectory):
         records[k] = run_instance(*jobs[k], record=trajectory)
+
+    _recorded(jobs, labels, run)
     return SweepResult(
         axis=axis,
         values=tuple(values),
@@ -937,8 +943,11 @@ def certify_campaign(
     jobs = [(_campaign_scenario(cc, params), params, state0) for _, (params, state0, _, _) in kept]
     labels = [f"campaign attempt {attempt} (seed {cc.seed + attempt})" for attempt, _ in kept]
     results: list = [None] * len(kept)
-    for k, trajectory in _recorded(jobs, labels):
+
+    def run(k, trajectory):
         results[k] = _campaign_result(cc, *kept[k], trajectory, outdir)
+
+    _recorded(jobs, labels, run)
     defects = [row for row in results if not row["ok"]]
     report = CampaignReport(cc.which, cc.n_instances, results, defects, not defects)
     if outdir is not None:

@@ -104,13 +104,22 @@ class _Rows(NamedTuple):
     nu: np.ndarray
 
 
+def _accel(params, coup, theta: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """Accelerations of the inertial system at ``(theta, omega)``, with the
+    shapes of :func:`_rk4_step`."""
+    return (params.nu - omega + coup(theta, params.kappa)) / params.m
+
+
 def _rk4_step(
     params,
     coup: Callable[[np.ndarray, float], np.ndarray],
     theta: np.ndarray,
     omega: np.ndarray,
     h,
-) -> tuple[np.ndarray, np.ndarray]:
+    *,
+    b1: Optional[np.ndarray] = None,
+    phases_only: bool = False,
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """One classic RK4 step of the inertial system.
 
     ``theta`` and ``omega`` hold one state ``(N,)`` or a batch ``(B, N)`` of
@@ -118,26 +127,27 @@ def _rk4_step(
     per-row :class:`_Rows`; ``h`` is a scalar or a ``(B, 1)`` column of
     per-row step sizes.  Every row gets exactly the arithmetic of the
     one-dimensional call.
+
+    ``b1``, when given, is the stage-1 acceleration at ``(theta, omega)``,
+    which does not depend on ``h``.  ``phases_only`` skips the stage-4
+    acceleration, which only the new frequencies read, and returns
+    ``(theta_new, None)``.  Neither changes an operation on the values still
+    computed, so the new phases equal those of the full step bit for bit.
     """
-    nu, kappa, m = params.nu, params.kappa, params.m
-
-    def accel(th, om):
-        return (nu - om + coup(th, kappa)) / m
-
-    b1 = accel(theta, omega)
+    if b1 is None:
+        b1 = _accel(params, coup, theta, omega)
     th2 = theta + (0.5 * h) * omega
     om2 = omega + (0.5 * h) * b1
-    b2 = accel(th2, om2)
+    b2 = _accel(params, coup, th2, om2)
     th3 = theta + (0.5 * h) * om2
     om3 = omega + (0.5 * h) * b2
-    b3 = accel(th3, om3)
-    th4 = theta + h * om3
+    b3 = _accel(params, coup, th3, om3)
     om4 = omega + h * b3
-    b4 = accel(th4, om4)
-    return (
-        theta + (h / 6.0) * (omega + 2.0 * om2 + 2.0 * om3 + om4),
-        omega + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
-    )
+    theta_new = theta + (h / 6.0) * (omega + 2.0 * om2 + 2.0 * om3 + om4)
+    if phases_only:
+        return theta_new, None
+    b4 = _accel(params, coup, theta + h * om3, om4)
+    return theta_new, omega + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
 
 
 def _rk4_step_first_order(params, coup, theta: np.ndarray, h) -> np.ndarray:
@@ -423,12 +433,13 @@ def _bisect(
 
     Rows are bisected together, in batches of at most ``_BLOCK_ELEMENTS // N``
     rows; each round re-integrates the still-active rows from their bracket's
-    left snapshot with one batched RK4 step.  Per row the rule is the scalar
-    one: stop once ``hi - lo <= refine_tol``, an exact zero of the crossing
-    function ends the row at that midpoint, and the branch is read from the
-    gap at ``t_star``.  A row whose bracket is two adjacent doubles stops
-    there too, where the scalar rule would loop forever.  Returns
-    ``(t_star, branch)``.
+    left snapshot with the phase half of one batched RK4 step.  The stage-1
+    acceleration is the same for every probe of a bracket, so it is computed
+    once per batch.  Per row the rule is the scalar one: stop once
+    ``hi - lo <= refine_tol``, an exact zero of the crossing function ends the
+    row at that midpoint, and the branch is read from the gap at ``t_star``.
+    A row whose bracket is two adjacent doubles stops there too, where the
+    scalar rule would loop forever.  Returns ``(t_star, branch)``.
     """
     t = record.t
     t_star = np.empty(k.size)
@@ -440,9 +451,13 @@ def _bisect(
         th0, om0, t_lo = record.theta[kb], record.omega[kb], t[kb]
         # Sign of the crossing function at the bracket's left end.
         pos = np.sin(0.5 * (record.theta[kb, ib] - record.theta[kb, jb])) > 0
+        b1 = _accel(params, coup, th0, om0)
 
         def gap_at(act, tau):
-            th, _ = _rk4_step(params, coup, th0[act], om0[act], (tau - t_lo[act])[:, None])
+            th, _ = _rk4_step(
+                params, coup, th0[act], om0[act], (tau - t_lo[act])[:, None],
+                b1=b1[act], phases_only=True,
+            )
             r = np.arange(act.size)
             return th[r, ib[act]] - th[r, jb[act]]
 
@@ -477,12 +492,12 @@ def collision_events_from_record(
     collision set and is smooth, so plain sign-change bracketing applies.
     Pairs are scanned in blocks of at most ``_BLOCK_ELEMENTS`` gap values;
     every bracketed crossing of the record is then bisected in one batched
-    sweep (batches of at most ``_BLOCK_ELEMENTS // N`` rows) that
-    re-integrates the bracketing step down to a time uncertainty of
-    ``config.refine_tol``.  A snapshot where the crossing function is exactly
-    zero is an event at that snapshot.  Double roots inside one step are a
-    known blind spot of the bracketing.  Events are sorted by
-    ``(t_star, i, j)``.
+    sweep (batches of at most ``_BLOCK_ELEMENTS // N`` rows) whose probes
+    re-integrate the phase half of the bracketing step down to a time
+    uncertainty of ``config.refine_tol``.  A snapshot where the crossing
+    function is exactly zero is an event at that snapshot.  Double roots
+    inside one step are a known blind spot of the bracketing.  Events are
+    sorted by ``(t_star, i, j)``.
     """
     coup = COUPLING_FORMS[config.coupling]
     t, theta = record.t, record.theta

@@ -155,6 +155,7 @@ def test_04_propagation_bounds():
     )
 
 
+@pytest.mark.slow
 def test_05_quasi_monotonicity():
     cc = CampaignConfig(which="simple", n_instances=20, seed=5050, n=15)
     worst = math.inf
@@ -270,6 +271,7 @@ def test_08_selection_constants():
     )
 
 
+@pytest.mark.slow
 def test_09_certified_implies_locked():
     t0 = time.perf_counter()
     cc = CampaignConfig(which="simple", n_instances=100, seed=9090, n=20,
@@ -303,6 +305,7 @@ def test_10_partial_locking_predictions():
     )
 
 
+@pytest.mark.slow
 def test_11_three_oscillator_certificate():
     threshold_ok = round(n3_threshold(), 6) == 0.123003
     cc = CampaignConfig(which="n3", n_instances=100, seed=1111, t_end=150.0, stride=50)

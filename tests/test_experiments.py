@@ -2,7 +2,9 @@
 collision censuses, and persistence."""
 
 import dataclasses
+import gc
 import json
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -282,6 +284,36 @@ def test_campaign_samples_each_attempt_once(monkeypatch, which):
     assert len(report.results) == 2
     assert sorted(calls) == list(range(max(calls) + 1))
     assert set(calls.values()) == {1}
+
+
+@pytest.mark.parametrize("kind", ["campaign", "sweep"])
+def test_one_batch_alive_at_a_time(monkeypatch, kind):
+    from kuramoto_lock import experiments
+
+    if kind == "campaign":
+        cc = CampaignConfig(which="simple", n_instances=3, seed=9, n=8, t_end=30.0, stride=25)
+        params = experiments._campaign_instance(cc, 0)[0]
+        config = experiments._campaign_scenario(cc, params)
+        run = lambda: certify_campaign(cc)
+    else:
+        config = small_config(n=6, t_end=12.0)
+        run = lambda: figure_sweep("m_kappa", [0.5, 1.0, 2.0], config)
+    cfg = experiments._integrator_config(config, sample_instance(config)[0])
+    # One instance per batch: three batches.
+    monkeypatch.setattr(experiments, "_BATCH_ELEMENTS", experiments._n_snapshots(cfg) * config.n)
+    earlier = []
+    record = experiments.record_trajectory
+
+    def checking(*args):
+        gc.collect()
+        assert all(ref() is None for ref in earlier)
+        rec = record(*args)
+        earlier.extend([weakref.ref(rec.theta), weakref.ref(rec.omega)])
+        return rec
+
+    monkeypatch.setattr(experiments, "record_trajectory", checking)
+    run()
+    assert len(earlier) >= 2 * 3
 
 
 # ---------------------------------------------------------------------------

@@ -402,6 +402,38 @@ def test_batched_collisions_match_reference_scan(case):
         assert len(events) > 100
 
 
+@pytest.mark.parametrize("coupling", sorted(COUPLING_FORMS))
+def test_phases_only_step_matches_full_step(rng, coupling):
+    # The refinement probes take the phase half of the step with a supplied
+    # stage-1 acceleration; their phases must be the full step's, bit for bit.
+    coup = COUPLING_FORMS[coupling]
+    n = 150
+    params, state = random_instance(rng, n=n)
+    b1 = integrate_module._accel(params, coup, state.theta, state.omega)
+    full = _rk4_step(params, coup, state.theta, state.omega, 0.013)
+    half = _rk4_step(params, coup, state.theta, state.omega, 0.013, b1=b1, phases_only=True)
+    assert half[1] is None and np.array_equal(half[0], full[0])
+
+    theta = rng.uniform(0, TWO_PI, (7, n))
+    omega = rng.uniform(-0.5, 0.5, (7, n))
+    h = np.array([[0.0], [0.01], [1e-13], [0.005], [0.0], [0.0099999], [3e-7]])
+    rows = integrate_module._coefficients([random_instance(rng, n=n)[0] for _ in range(7)])
+    for p in (params, rows):
+        b1 = integrate_module._accel(p, coup, theta, omega)
+        full = _rk4_step(p, coup, theta, omega, h)[0]
+        assert np.array_equal(_rk4_step(p, coup, theta, omega, h, b1=b1, phases_only=True)[0], full)
+
+    # As in the bisection: stage-1 accelerations of a whole batch, indexed by
+    # the active rows, are those of the active rows alone.
+    b1 = integrate_module._accel(params, coup, theta, omega)
+    act = np.array([1, 4, 5])
+    assert np.array_equal(b1[act], integrate_module._accel(params, coup, theta[act], omega[act]))
+    assert np.array_equal(
+        _rk4_step(params, coup, theta[act], omega[act], h[act], b1=b1[act], phases_only=True)[0],
+        _rk4_step(params, coup, theta, omega, h)[0][act],
+    )
+
+
 @pytest.mark.parametrize("t0", [0.0, 5000.0, 20000.0])
 def test_collision_refinement_stops_at_float_spacing(t0):
     # Past t = 8192 adjacent doubles lie further apart than refine_tol = 1e-12;
@@ -437,9 +469,10 @@ def test_refinement_coupling_calls_bounded_per_batch(monkeypatch):
     rows = max(1, integrate_module._BLOCK_ELEMENTS // record.n)
     batches = -(-len(events) // rows)
     rounds = math.ceil(math.log2(cfg.dt / cfg.refine_tol)) + 2
-    # A loop over events would make about 4 * rounds calls per event.
+    # A loop over events would make about 2 * rounds calls per event; a
+    # batch makes one stage-1 call plus two per probe round.
     assert len(events) > 100
-    assert calls <= 4 * rounds * batches
+    assert calls <= (2 * rounds + 1) * batches
 
 
 def test_first_order_observer_cadence():
