@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -150,8 +151,76 @@ def _scenario_validator():
     return validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# The type tests and bound comparisons jsonschema makes, restricted to plain
+# Python values; the keywords the fast acceptance check understands.
+_SCHEMA_TYPES = {
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": _is_number,
+    "boolean": lambda v: isinstance(v, bool),
+    "string": lambda v: isinstance(v, str),
+    "null": lambda v: v is None,
+}
+_SCHEMA_BOUNDS = {
+    "minimum": lambda v, b: not v < b,
+    "maximum": lambda v, b: not v > b,
+    "exclusiveMinimum": lambda v, b: not v <= b,
+    "exclusiveMaximum": lambda v, b: not v >= b,
+}
+_SCHEMA_TOP_KEYWORDS = {"$schema", "title", "type", "additionalProperties", "properties"}
+
+
+def _value_accepted(rules: dict, value) -> bool:
+    """True only if ``value`` meets every keyword in ``rules``.  Numbers
+    other than int and float (numpy ints, Decimal) and non-finite floats
+    are left to jsonschema."""
+    if isinstance(value, numbers.Number) and not isinstance(value, (int, float)):
+        return False
+    if isinstance(value, float) and not math.isfinite(value):
+        return False
+    for keyword, arg in rules.items():
+        if keyword == "type":
+            names = [arg] if isinstance(arg, str) else arg
+            if not any(name in _SCHEMA_TYPES and _SCHEMA_TYPES[name](value) for name in names):
+                return False
+        elif keyword == "enum":
+            if not any(type(each) is type(value) and each == value for each in arg):
+                return False
+        elif keyword in _SCHEMA_BOUNDS:
+            if _is_number(value) and not _SCHEMA_BOUNDS[keyword](value, arg):
+                return False
+        else:
+            return False
+    return True
+
+
+def _schema_accepts(doc) -> bool:
+    """Sufficient check of ``doc`` against ``SCENARIO_SCHEMA``: True only
+    when jsonschema would find no error.  False says nothing; the caller
+    then asks jsonschema, which words any rejection."""
+    schema = SCENARIO_SCHEMA
+    if (
+        type(doc) is not dict
+        or not schema.keys() <= _SCHEMA_TOP_KEYWORDS
+        or schema.get("type") != "object"
+        or schema.get("additionalProperties") is not False
+    ):
+        return False
+    properties = schema["properties"]
+    return all(
+        key in properties and _value_accepted(properties[key], value) for key, value in doc.items()
+    )
+
+
 def _validate_scenario(doc) -> None:
-    """Raise what ``jsonschema.validate`` would raise, as a ConfigError."""
+    """Raise what ``jsonschema.validate`` would raise, as a ConfigError.
+    jsonschema is imported only for a document the fast check does not
+    accept."""
+    if _schema_accepts(doc):
+        return
     try:
         from jsonschema.exceptions import best_match
 
@@ -190,7 +259,14 @@ class ScenarioConfig:
     cluster_ell: float = 1.5
 
     def __post_init__(self):
-        _validate_scenario(self.to_dict())
+        doc = self.to_dict()
+        _validate_scenario(doc)
+        # JSON's NaN and Infinity pass the schema's bounds (NaN < 0 is false).
+        for key, value in doc.items():
+            if isinstance(value, numbers.Integral) or not isinstance(value, numbers.Number):
+                continue
+            if not math.isfinite(value):
+                raise ConfigError(f"invalid scenario config: {key} must be finite, got {value!r}")
         if self.collisions and self.m == 0.0:
             raise ConfigError(
                 "collision detection needs inertia m > 0: its refinement steps "

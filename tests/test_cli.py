@@ -76,6 +76,15 @@ def test_simulate_numeric_abort(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("numeric abort: non-finite state at t=0.01")
 
 
+def test_simulate_rejects_nan_config(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"N": 5, "t_end": 20.0, "kappa": 2.0, "eps_omega": NaN}')
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "eps_omega must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_certify_pass_and_json(tmp_path, capsys):
     cfg = write(
         tmp_path / "cert.json",

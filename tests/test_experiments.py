@@ -4,12 +4,21 @@ collision censuses, and persistence."""
 import dataclasses
 import gc
 import json
+import math
+import os
+import subprocess
+import sys
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from jsonschema.exceptions import best_match
 
+import kuramoto_lock
 from kuramoto_lock import CampaignConfig, ScenarioConfig, certify_campaign, run_scenario
 from kuramoto_lock.integrate import IntegrationError, record_trajectory
 from kuramoto_lock.experiments import (
@@ -21,6 +30,12 @@ from kuramoto_lock.experiments import (
     sample_instance,
     save_run_record,
     _effective_dt,
+    _FIELD_TO_KEY,
+    _SCHEMA_BOUNDS,
+    _SCHEMA_TOP_KEYWORDS,
+    _SCHEMA_TYPES,
+    _schema_accepts,
+    _validate_scenario,
 )
 
 
@@ -71,6 +86,191 @@ def test_effective_dt_guard():
     assert _effective_dt(0.01, 1.0) == 0.01
     assert _effective_dt(0.01, 0.0) == 0.01  # zero inertia path
     assert _effective_dt(0.01, 1e-3) == 2.5e-3
+
+
+_PROPERTIES = SCENARIO_SCHEMA["properties"]
+
+
+def _type_names(rules):
+    return [rules["type"]] if isinstance(rules["type"], str) else rules["type"]
+
+
+_NUMBER_KEYS = [key for key, rules in _PROPERTIES.items() if "number" in _type_names(rules)]
+
+
+def _reference_validator():
+    from jsonschema import Draft202012Validator
+
+    return Draft202012Validator(SCENARIO_SCHEMA)
+
+
+class _DictSubclass(dict):
+    pass
+
+
+def test_fast_check_understands_every_schema_keyword():
+    assert SCENARIO_SCHEMA.keys() <= _SCHEMA_TOP_KEYWORDS
+    assert SCENARIO_SCHEMA["type"] == "object"
+    assert SCENARIO_SCHEMA["additionalProperties"] is False
+    for rules in _PROPERTIES.values():
+        assert rules.keys() <= {"type", "enum", *_SCHEMA_BOUNDS}
+        assert set(_type_names(rules)) <= _SCHEMA_TYPES.keys()
+    # The fast path is live: default and JSON-typed documents pass it.
+    assert _schema_accepts(ScenarioConfig().to_dict())
+    assert _schema_accepts({"N": 5, "m": 1, "eps_omega": 0.5, "seed": 2**64 - 1})
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"N": np.int64(5)},
+        {"N": 5.0},
+        {"m": True},
+        {"m": float("nan")},
+        {"t_end": np.float64("inf")},
+        {"distribution": "uniform "},
+        {"bogus": 1},
+        _DictSubclass(N=5),
+        [("N", 5)],
+    ],
+)
+def test_fast_check_leaves_other_documents_to_jsonschema(doc):
+    assert not _schema_accepts(doc)
+
+
+_NOISE = st.one_of(
+    st.integers(-2, 2**65),
+    st.floats(-1e3, 1e3),
+    st.sampled_from([float("nan"), math.inf, -math.inf, -0.0, 0, 2**64, 2 * math.pi, True, False]),
+    st.floats(-1e3, 1e3).map(np.float64),
+    st.integers(-5, 50).map(np.int64),
+    st.none(),
+    st.sampled_from(["uniform", "normal", ""]),
+)
+
+
+def _valid_values(rules):
+    """Values the schema accepts for one key, drawn from its own keywords."""
+    names = _type_names(rules)
+    options = []
+    if "null" in names:
+        options.append(st.none())
+    if "boolean" in names:
+        options.append(st.booleans())
+    if "string" in names:
+        options.append(st.sampled_from(rules["enum"]))
+    if "integer" in names or "number" in names:
+        open_low, open_high = "exclusiveMinimum" in rules, "exclusiveMaximum" in rules
+        low = rules.get("minimum", rules.get("exclusiveMinimum"))
+        high = rules.get("maximum", rules.get("exclusiveMaximum", 1e6))
+        options.append(st.integers(math.ceil(low) + open_low, math.floor(high) - open_high))
+        if "number" in names:
+            floats = st.floats(low, high, exclude_min=open_low, exclude_max=open_high)
+            options += [floats, floats.map(np.float64)]
+    return st.one_of(options)
+
+
+def _recast(value, to):
+    try:
+        return to(value)
+    except (TypeError, ValueError, OverflowError):
+        return value
+
+
+def _near_misses(rules):
+    """A valid value recast to another numeric type, or a value at, just
+    past or mirrored about one of the key's bounds."""
+    casts = st.sampled_from([np.int64, np.float64, float, int, bool])
+    recast = st.tuples(_valid_values(rules), casts)
+    bounds = [rules[keyword] for keyword in _SCHEMA_BOUNDS if keyword in rules] or [0]
+    edges = st.sampled_from(bounds).flatmap(
+        lambda b: st.sampled_from(
+            [b, -b, float(b), np.float64(b), math.nextafter(b, -math.inf),
+             math.nextafter(b, math.inf)]
+        )
+    )
+    return st.one_of(recast.map(lambda pair: _recast(*pair)), edges)
+
+
+_VALID_DOCUMENTS = st.fixed_dictionaries(
+    {}, optional={key: _valid_values(rules) for key, rules in _PROPERTIES.items()}
+)
+
+
+@st.composite
+def _documents(draw):
+    """A valid document with up to two keys replaced by a near miss or by
+    noise, as a dict or a dict subclass; or, one time in four, not a dict."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.one_of(_NOISE, st.lists(st.integers(), max_size=2)))
+    doc = draw(_VALID_DOCUMENTS)
+    for key in draw(st.lists(st.sampled_from([*_PROPERTIES, "bogus"]), max_size=2)):
+        near = key in _PROPERTIES and draw(st.booleans())
+        doc[key] = draw(_near_misses(_PROPERTIES[key]) if near else _NOISE)
+    return draw(st.sampled_from([doc, _DictSubclass(doc)]))
+
+
+@settings(max_examples=400)
+@given(doc=_documents())
+def test_fast_check_agrees_with_jsonschema(doc):
+    errors = list(_reference_validator().iter_errors(doc))
+    if _schema_accepts(doc):
+        assert errors == []
+    if errors:
+        with pytest.raises(ConfigError) as excinfo:
+            _validate_scenario(doc)
+        assert str(excinfo.value) == f"invalid scenario config: {best_match(errors)}"
+    else:
+        _validate_scenario(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"N": 4, "bogus": 1},
+        {"N": "ten"},
+        {"m": -0.5},
+        {"dt": 0.0},
+        {"distribution": "normal"},
+        [1, 2],
+        {"N": 0, "t_end": -1.0},
+        {"seed": np.int64(3)},
+    ],
+)
+def test_rejections_are_worded_by_jsonschema(doc):
+    expected = best_match(_reference_validator().iter_errors(doc))
+    with pytest.raises(ConfigError) as excinfo:
+        ScenarioConfig.from_dict(doc)
+    assert str(excinfo.value) == f"invalid scenario config: {expected}"
+
+
+@pytest.mark.parametrize("key", _NUMBER_KEYS)
+def test_non_finite_numbers_rejected(key):
+    with pytest.raises(ConfigError, match=f"{key} must be finite, got nan"):
+        ScenarioConfig.from_dict({key: float("nan")})
+    for value in (math.inf, -math.inf):
+        with pytest.raises(ConfigError):
+            ScenarioConfig.from_dict({key: value})
+    attr = next(attr for attr, k in _FIELD_TO_KEY.items() if k == key)
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        ScenarioConfig(**{attr: np.float64("nan")})
+
+
+def test_valid_configs_do_not_import_jsonschema():
+    src = Path(kuramoto_lock.__file__).resolve().parents[1]
+    code = """
+import dataclasses, sys
+import kuramoto_lock
+from kuramoto_lock import CampaignConfig, ScenarioConfig, certify_campaign
+ScenarioConfig()
+ScenarioConfig.from_dict({"N": 5, "m": 0.5, "kappa": 2.0, "t_end": 1.5, "eps_omega": 1e-4})
+certify_campaign(CampaignConfig(which="simple", n_instances=1, n=5, t_end=1.0, stride=10))
+dataclasses.replace(ScenarioConfig(n=10, t_end=1.0), collisions=True)
+assert "jsonschema" not in sys.modules, "a valid config imported jsonschema"
+"""
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 # ---------------------------------------------------------------------------
