@@ -596,9 +596,7 @@ def _sweep_config(base: ScenarioConfig, axis: str, value: float) -> ScenarioConf
         return dataclasses.replace(base, d_v=value * base.kappa)
     if axis == "m_kappa":
         return dataclasses.replace(base, m=value / base.kappa)
-    if axis == "DOmega_over_kappa":
-        return dataclasses.replace(base, d_omega0=value * base.kappa)
-    raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {_SWEEP_AXES}")
+    return dataclasses.replace(base, d_omega0=value * base.kappa)
 
 
 def _sweep_row(value: float, record: RunRecord) -> dict:
@@ -653,15 +651,25 @@ def figure_sweep(
     substreams instead.  The runs are integrated as batches in this process;
     ``workers`` has no effect.
     """
+    if axis not in _SWEEP_AXES:
+        raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {_SWEEP_AXES}")
+    if axis == "m_kappa" and not base_config.kappa > 0:
+        raise ConfigError(
+            f"sweep axis 'm_kappa' sets m = value / kappa, so kappa must be positive, "
+            f"got {base_config.kappa!r}"
+        )
     values = [float(v) for v in values]
     if any(not (math.isfinite(v) and v > 0) for v in values):
         raise ConfigError("sweep values must be positive and finite")
+    labels = [f"sweep value {value!r}" for value in values]
     jobs = []
     for k, value in enumerate(values):
-        config = _sweep_config(base_config, axis, value)
+        try:
+            config = _sweep_config(base_config, axis, value)
+        except ConfigError as exc:
+            raise ConfigError(f"{labels[k]}: {exc}") from None
         seed = base_config.seed + k if fresh_samples else base_config.seed
         jobs.append((config, *_instance_from_draws(config, _unit_draws(config.n, seed))))
-    labels = [f"sweep value {value!r}" for value in values]
     records: list = [None] * len(jobs)
 
     def run(k, trajectory):

@@ -402,9 +402,21 @@ class CollisionEvent:
 
 
 # Float64 elements in one block of the pair scan (snapshots x pairs) and in
-# one batch of bisection probes (rows x N).  Bounds the scratch memory of
-# :func:`collision_events_from_record` whatever N and the event count.
+# one call of bisection probes (probes x N).  A round probes at most three
+# points per row, so a batch holds ``_BLOCK_ELEMENTS // (3 N)`` rows.  This
+# bounds the scratch memory of :func:`collision_events_from_record` whatever
+# N and the event count.
 _BLOCK_ELEMENTS = 1 << 15
+
+# The rounding bound E on a probe's gap, in ulps of the phase magnitude.
+# Measured against 40-digit arithmetic, the error stays below E/25.
+_ROUNDING_ULPS = 24.0
+# Half-widths of the two verification pairs of a certified row: the wide
+# pair around the Hermite estimate, as a fraction of the bracket, and the
+# narrow pair around the wide pair's regula-falsi point, in units of E over
+# the slope.
+_WIDE_PAIR = 1e-6
+_NARROW_PAIR = 4.0
 
 
 def _distinguishable(params: SystemParams, theta0, omega0, i, j) -> np.ndarray:
@@ -420,6 +432,135 @@ def _distinguishable(params: SystemParams, theta0, omega0, i, j) -> np.ndarray:
     return ~same
 
 
+class _Certificate(NamedTuple):
+    """What the record alone tells about the probe gap of each bracket."""
+
+    ok: np.ndarray       # strictly monotone, crossing one multiple of 2*pi
+    branch: np.ndarray   # that multiple n, as a float
+    rising: np.ndarray   # whether the gap increases
+    eps: np.ndarray      # rounding bound E on a probe's gap
+
+
+def _certificate(params: SystemParams, record: TrajectoryRecord, k, i, j) -> _Certificate:
+    """Monotonicity certificate of the probe gap g(h) = theta_i - theta_j
+    after the phase half of one RK4 step of size h from snapshot ``k``.
+
+    That half is exactly theta + h*omega + (h^2/6)(b1 + b2 + b3), so
+    g'(h) = dw + (h/3) sum_k db_k + (h^2/6)(db2' + db3'), where dw is the
+    pair's frequency gap.  On a bracket of width H, with m > H/2, every stage
+    acceleration is at most B = (max|nu| + max|omega| + kappa)/(m - H/2) and
+    the stage derivatives at most B2' = (B/2 + kappa*max|omega|)/m and
+    B3' = (B/2 + (H/2)B2' + kappa*(max|omega| + H*B))/m, so g' stays within
+    D = 2HB + (H^2/3)(B2' + B3') of dw.  A row is certified when
+    |dw| > 2D and H(|dw| + D) < pi/2, and the record straddles the multiple
+    of 2*pi nearest the mean of its two gaps: then the exact gap is strictly
+    monotone and stays within pi/2 of that one multiple on the bracket.
+    """
+    t, theta, omega = record.t, record.theta, record.omega
+    h = t[k + 1] - t[k]
+    om_max = np.abs(omega[k]).max(axis=1)
+    dw = omega[k, i] - omega[k, j]
+    bounded = params.m > 0.5 * h
+    b = (np.abs(params.nu).max() + om_max + params.kappa) / np.where(
+        bounded, params.m - 0.5 * h, 1.0
+    )
+    b2 = (0.5 * b + params.kappa * om_max) / params.m
+    b3 = (0.5 * b + 0.5 * h * b2 + params.kappa * (om_max + h * b)) / params.m
+    d = 2.0 * h * b + (h * h / 3.0) * (b2 + b3)
+    g0 = theta[k, i] - theta[k, j]
+    g1 = theta[k + 1, i] - theta[k + 1, j]
+    n = np.rint((g0 + g1) / (2.0 * TWO_PI))
+    ok = bounded & (np.abs(dw) > 2.0 * d) & (h * (np.abs(dw) + d) < 0.5 * np.pi)
+    ok &= (g0 - n * TWO_PI) * (g1 - n * TWO_PI) < 0
+    mag = np.maximum(np.abs(theta[k, i]), np.abs(theta[k, j])) + h * (om_max + h * b)
+    return _Certificate(ok, n, dw > 0, _ROUNDING_ULPS * np.spacing(mag))
+
+
+def _crossing_guess(record: TrajectoryRecord, k, i, j, n) -> np.ndarray:
+    """Estimated time at which the gap theta_i - theta_j crosses 2*pi*n
+    between snapshots ``k`` and ``k + 1``, which must straddle it: Newton on
+    the cubic Hermite interpolant of the gap through both snapshots, in
+    s = (t - t[k]) / H, from the secant's root."""
+    t, theta, omega = record.t, record.theta, record.omega
+    h = t[k + 1] - t[k]
+    y0 = theta[k, i] - theta[k, j] - n * TWO_PI
+    y1 = theta[k + 1, i] - theta[k + 1, j] - n * TWO_PI
+    m0 = h * (omega[k, i] - omega[k, j])
+    m1 = h * (omega[k + 1, i] - omega[k + 1, j])
+    dy = y0 - y1
+    s = y0 / dy
+    for _ in range(3):
+        p = y0 * (1 - s) ** 2 * (1 + 2 * s) + m0 * s * (1 - s) ** 2 + y1 * s * s * (3 - 2 * s) \
+            + m1 * s * s * (s - 1)
+        dp = 6 * s * (s - 1) * dy + m0 * (1 - s) * (1 - 3 * s) + m1 * s * (3 * s - 2)
+        s = np.clip(s - p / dp, 0.0, 1.0)
+    return t[k] + s * h
+
+
+def _replay(gap_at, record: TrajectoryRecord, k, i, j, cert: _Certificate, pos, lo, hi, act,
+            refine_tol: float) -> None:
+    """The certified replay of :func:`_bisect` on the rows ``act`` of one
+    batch (snapshots ``k``, pairs ``(i, j)``), narrowing ``lo`` and ``hi``
+    in place.  ``gap_at(rows, tau)`` is the float probe gap and ``pos`` the
+    crossing function's sign at each bracket's left end."""
+    t_lo, t_hi = record.t[k], record.t[k + 1]
+    # The verified points nearest the crossing before (a) and after (b)
+    # it, and whether the bisection set lo = mid there.  The infinite
+    # sentinels only meet comparisons, which they never pass.
+    a, b = np.full(k.size, -np.inf), np.full(k.size, np.inf)
+    lo_a, lo_b = np.zeros(k.size, bool), np.zeros(k.size, bool)
+    # Rows with a pair in flight (pr) and its two probe times (pair).
+    pr = act[cert.ok[act]]
+    guess = _crossing_guess(record, k[pr], i[pr], j[pr], cert.branch[pr])
+    half = _WIDE_PAIR * (t_hi[pr] - t_lo[pr])
+    pair = np.clip([guess - half, guess + half], t_lo[pr], t_hi[pr])
+    wide = True
+    while act.size:
+        width = hi[act] - lo[act]
+        mid = 0.5 * (lo[act] + hi[act])
+        before, after = mid <= a[act], mid >= b[act]
+        stall = wide & cert.ok[act] & ~(before | after)
+        probe = ~(before | after | stall)
+        p_rows = act[probe]
+        g_mid = g_pair = np.empty(0)
+        if p_rows.size or pr.size:
+            g = gap_at(np.concatenate([p_rows, pr, pr]), np.concatenate([mid[probe], *pair]))
+            g_mid, g_pair = np.sin(0.5 * g[:p_rows.size]), g[p_rows.size:].reshape(2, -1)
+        zero = np.zeros(act.size, bool)
+        zero[probe] = g_mid == 0.0
+        same = np.where(before, lo_a[act], lo_b[act])
+        same[probe] = (g_mid > 0) == pos[p_rows]
+        lo[act] = np.where(~stall & (zero | same), mid, lo[act])
+        hi[act] = np.where(~stall & (zero | ~same), mid, hi[act])
+        # A row also stops when its bracket no longer shrinks: past
+        # t = 8192 adjacent doubles lie more than 1e-12 apart.
+        new_width = hi[act] - lo[act]
+        act = act[stall | ((new_width > refine_tol) & (new_width < width))]
+        if not pr.size:
+            continue
+        d = g_pair - cert.branch[pr] * TWO_PI
+        verified = np.abs(d) > 2.0 * cert.eps[pr]
+        past = (d > 0) == cert.rising[pr]
+        lo_side = (np.sin(0.5 * g_pair) > 0) == pos[pr]
+        for tau, ok, beyond, dec in zip(pair, verified, past, lo_side):
+            up = ok & ~beyond & (tau > a[pr])
+            a[pr[up]], lo_a[pr[up]] = tau[up], dec[up]
+            up = ok & beyond & (tau < b[pr])
+            b[pr[up]], lo_b[pr[up]] = tau[up], dec[up]
+        if not wide:
+            pr, pair = pr[:0], pair[:, :0]
+            continue
+        # Rows whose wide pair straddles the crossing probe a narrow pair
+        # about its regula-falsi point next round.
+        wide = False
+        keep = verified.all(axis=0) & (past[0] != past[1])
+        pr, d, pair = pr[keep], d[:, keep], pair[:, keep]
+        slope = (d[1] - d[0]) / (pair[1] - pair[0])
+        root = pair[0] - d[0] / slope
+        half = _NARROW_PAIR * cert.eps[pr] / np.abs(slope)
+        pair = np.clip([root - half, root + half], t_lo[pr], t_hi[pr])
+
+
 def _bisect(
     params: SystemParams,
     coup,
@@ -431,20 +572,35 @@ def _bisect(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Refine the crossings of pairs ``(i, j)`` bracketed by ``[t[k], t[k+1]]``.
 
-    Rows are bisected together, in batches of at most ``_BLOCK_ELEMENTS // N``
-    rows; each round re-integrates the still-active rows from their bracket's
-    left snapshot with the phase half of one batched RK4 step.  The stage-1
-    acceleration is the same for every probe of a bracket, so it is computed
-    once per batch.  Per row the rule is the scalar one: stop once
-    ``hi - lo <= refine_tol``, an exact zero of the crossing function ends the
-    row at that midpoint, and the branch is read from the gap at ``t_star``.
-    A row whose bracket is two adjacent doubles stops there too, where the
-    scalar rule would loop forever.  Returns ``(t_star, branch)``.
+    Every row replays the scalar bisection: stop once ``hi - lo <=
+    refine_tol``, an exact zero of the crossing function ends the row at that
+    midpoint, and a row whose bracket no longer shrinks (two adjacent
+    doubles, past t = 8192) stops there too.  A probe re-integrates the row
+    from its bracket's left snapshot with the phase half of one RK4 step,
+    reusing the stage-1 acceleration; all probes of a round go in one batched
+    call, in batches of at most ``_BLOCK_ELEMENTS // (3 N)`` rows.
+
+    Only midpoints whose computed sign is in doubt are probed.  A row that
+    :func:`_certificate` certifies has a strictly monotone exact gap, and a
+    probe's float gap lies within E of it.  A probed point whose gap is more
+    than 2E from the crossing multiple is *verified*: every midpoint on its
+    far side from the crossing gets the decision made there, so the replay
+    probes only the midpoints between the two verified points nearest the
+    crossing.  Certified rows probe a wide pair of points around the Hermite
+    estimate of the crossing in round 1 (their round-1 midpoint waits a
+    round), then a narrow pair ``_NARROW_PAIR * E / slope`` about the wide
+    pair's regula-falsi point in round 2.  A point that fails to verify
+    leaves the row's bracket as it was; a row never verified, or never
+    certified, probes every midpoint like the plain loop.  A batch where at
+    most half the rows certify is bisected plainly.  The branch of a
+    certified row is its crossing multiple; other rows read it from a probe
+    at ``t_star``.  Returns ``(t_star, branch)``, bit for bit those of the
+    plain bisection.
     """
     t = record.t
     t_star = np.empty(k.size)
     branch = np.empty(k.size, dtype=np.int64)
-    rows = max(1, _BLOCK_ELEMENTS // record.n)
+    rows = max(1, _BLOCK_ELEMENTS // (3 * record.n))
     for start in range(0, k.size, rows):
         batch = slice(start, start + rows)
         kb, ib, jb = k[batch], i[batch], j[batch]
@@ -452,6 +608,7 @@ def _bisect(
         # Sign of the crossing function at the bracket's left end.
         pos = np.sin(0.5 * (record.theta[kb, ib] - record.theta[kb, jb])) > 0
         b1 = _accel(params, coup, th0, om0)
+        cert = _certificate(params, record, kb, ib, jb)
 
         def gap_at(act, tau):
             th, _ = _rk4_step(
@@ -463,21 +620,27 @@ def _bisect(
 
         lo, hi = t_lo.copy(), t[kb + 1]
         act = np.flatnonzero(hi - lo > refine_tol)
-        while act.size:
-            width = hi[act] - lo[act]
-            mid = 0.5 * (lo[act] + hi[act])
-            g_mid = np.sin(0.5 * gap_at(act, mid))
-            zero = g_mid == 0.0
-            same = (g_mid > 0) == pos[act]
-            lo[act] = np.where(zero | same, mid, lo[act])
-            hi[act] = np.where(zero | ~same, mid, hi[act])
-            # A row also stops when its bracket no longer shrinks: past
-            # t = 8192 adjacent doubles lie more than 1e-12 apart.
-            new_width = hi[act] - lo[act]
-            act = act[(new_width > refine_tol) & (new_width < width)]
-        ts = 0.5 * (lo + hi)
-        t_star[batch] = ts
-        branch[batch] = np.rint(gap_at(np.arange(kb.size), ts) / TWO_PI)
+        # Where few rows certify, the replay's per-round bookkeeping costs
+        # more than the probes it saves: a batch where at most half do is
+        # bisected plainly, with the replay's stop rules.
+        if 2 * np.count_nonzero(cert.ok) > kb.size:
+            _replay(gap_at, record, kb, ib, jb, cert, pos, lo, hi, act, refine_tol)
+        else:
+            while act.size:
+                width = hi[act] - lo[act]
+                mid = 0.5 * (lo[act] + hi[act])
+                g_mid = np.sin(0.5 * gap_at(act, mid))
+                zero = g_mid == 0.0
+                same = (g_mid > 0) == pos[act]
+                lo[act] = np.where(zero | same, mid, lo[act])
+                hi[act] = np.where(zero | ~same, mid, hi[act])
+                new_width = hi[act] - lo[act]
+                act = act[(new_width > refine_tol) & (new_width < width)]
+        t_star[batch] = ts = 0.5 * (lo + hi)
+        branch[batch] = cert.branch
+        plain = np.flatnonzero(~cert.ok)
+        if plain.size:
+            branch[start + plain] = np.rint(gap_at(plain, ts[plain]) / TWO_PI)
     return t_star, branch
 
 
@@ -492,12 +655,13 @@ def collision_events_from_record(
     collision set and is smooth, so plain sign-change bracketing applies.
     Pairs are scanned in blocks of at most ``_BLOCK_ELEMENTS`` gap values;
     every bracketed crossing of the record is then bisected in one batched
-    sweep (batches of at most ``_BLOCK_ELEMENTS // N`` rows) whose probes
+    sweep (batches of at most ``_BLOCK_ELEMENTS // (3 N)`` rows) whose probes
     re-integrate the phase half of the bracketing step down to a time
-    uncertainty of ``config.refine_tol``.  A snapshot where the crossing
-    function is exactly zero is an event at that snapshot.  Double roots
-    inside one step are a known blind spot of the bracketing.  Events are
-    sorted by ``(t_star, i, j)``.
+    uncertainty of ``config.refine_tol``; times and branches equal plain
+    bisection's bit for bit (see :func:`_bisect`).  A snapshot where the
+    crossing function is exactly zero is an event at that snapshot.  Double
+    roots inside one step are a known blind spot of the bracketing.  Events
+    are sorted by ``(t_star, i, j)``.
     """
     coup = COUPLING_FORMS[config.coupling]
     t, theta = record.t, record.theta

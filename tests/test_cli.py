@@ -202,6 +202,19 @@ def test_sweep_numeric_abort_names_value(tmp_path, capsys):
     assert "numeric abort: sweep value 1e+308: non-finite state" in capsys.readouterr().err
 
 
+def test_sweep_rejects_zero_kappa_on_m_axis(tmp_path, capsys):
+    cfg = write(
+        tmp_path / "sweep.json",
+        {"axis": "m_kappa", "values": [0.5],
+         "base": {"N": 4, "t_end": 1.0, "kappa": 0, "certify": False}},
+    )
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "error: sweep axis 'm_kappa'" in err and "kappa must be positive" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_figures_command(tmp_path):
     cfg = write(
         tmp_path / "sweep.json",

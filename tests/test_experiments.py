@@ -367,6 +367,20 @@ def test_figure_sweep_rejects_bad_axis():
         figure_sweep("m_kappa", [-1.0], small_config())
 
 
+def test_figure_sweep_m_kappa_needs_positive_kappa():
+    with pytest.raises(ConfigError, match=r"sweep axis 'm_kappa' .* kappa must be positive, got 0\.0"):
+        figure_sweep("m_kappa", [0.5], small_config(kappa=0.0))
+
+
+def test_figure_sweep_config_error_names_value():
+    # kappa * 1e308 overflows to inf, which the scenario config rejects.
+    with pytest.raises(
+        ConfigError,
+        match=r"^sweep value 1e\+308: invalid scenario config: D_V must be finite, got inf$",
+    ):
+        figure_sweep("Dv_over_kappa", [0.5, 1e308], small_config(kappa=2.0))
+
+
 def test_sweep_csv(tmp_path):
     base = small_config(n=6, t_end=12.0)
     result = figure_sweep("Dv_over_kappa", [0.2], base)

@@ -4,6 +4,7 @@ bounds, collision detection, and determinism."""
 import dataclasses
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,12 @@ from kuramoto_lock.experiments import (
     _effective_dt,
     sample_instance,
 )
-from kuramoto_lock.integrate import CollisionEvent, collision_events_from_record, _rk4_step
+from kuramoto_lock.integrate import (
+    CollisionEvent,
+    _certificate,
+    _rk4_step,
+    collision_events_from_record,
+)
 from kuramoto_lock.model import COUPLING_FORMS
 
 # The package re-exports the ``integrate`` function under the module's name.
@@ -291,8 +297,10 @@ def _reference_refine_crossing(params, coup, record, k, i, j, refine_tol):
         return th[i] - th[j]
 
     lo, hi = t_lo, t_hi
+    mids = []
     while hi - lo > refine_tol:
         mid = 0.5 * (lo + hi)
+        mids.append(mid)
         g_mid = math.sin(0.5 * gap_at(mid))
         if g_mid == 0.0:
             lo = hi = mid
@@ -302,7 +310,7 @@ def _reference_refine_crossing(params, coup, record, k, i, j, refine_tol):
         else:
             hi = mid
     t_star = 0.5 * (lo + hi)
-    return t_star, int(round(gap_at(t_star) / TWO_PI))
+    return t_star, int(round(gap_at(t_star) / TWO_PI)), mids
 
 
 def reference_collision_events(params, record, config):
@@ -321,7 +329,7 @@ def reference_collision_events(params, record, config):
             crossings = np.nonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0)[0]
             exact = np.nonzero(g == 0.0)[0]
             for k in crossings:
-                t_star, branch = _reference_refine_crossing(
+                t_star, branch, _ = _reference_refine_crossing(
                     params, coup, record, int(k), i, j, config.refine_tol
                 )
                 events.append(CollisionEvent(i, j, t_star, branch))
@@ -340,9 +348,9 @@ def _dense(params, state0, cfg):
     return params, record_trajectory(params, state0, cfg), cfg
 
 
-def _census_case(seed):
+def _census_case(seed, n=40, m=1.0, kappa=1.0):
     config = ScenarioConfig(
-        n=40, m=1.0, kappa=1.0, d_v=2.0, d_omega0=1.0, t_end=2.5, window=2.0, seed=seed
+        n=n, m=m, kappa=kappa, d_v=2.0, d_omega0=1.0, t_end=2.5, window=2.0, seed=seed
     )
     params, state0 = sample_instance(config)
     return _dense(params, state0, IntegratorConfig(dt=0.01, t_end=2.5, coupling="mean_field"))
@@ -371,6 +379,15 @@ def _single_oscillator_case():
     return _dense(params, PhaseState(0.0, [0.5], [0.1]), IntegratorConfig(dt=0.01, t_end=2.0))
 
 
+def _grazing_case():
+    # Oscillators 0 and 1 drift together at a frequency gap of about 2e-4,
+    # far below the certificate's bound D on the gap's slope change, and
+    # cross near t = 3.4; oscillator 2 keeps every pair coupled.
+    params = SystemParams(1.0, 0.05, [0.3 + 2e-4, 0.3, -0.4])
+    state0 = PhaseState(0.0, [1.0 - 5e-4, 1.0, 2.5], [0.0, 0.0, 0.0])
+    return _dense(params, state0, IntegratorConfig(dt=0.01, t_end=6.0))
+
+
 def _no_crossing_case():
     params = SystemParams(1.0, 0.0, [0.2, 0.2])
     state0 = PhaseState(0.0, [0.0, 1.0], [0.0, 0.0])
@@ -380,6 +397,8 @@ def _no_crossing_case():
 COLLISION_CASES = {
     "census_101": lambda: _census_case(101),
     "census_202": lambda: _census_case(202),
+    "census_stiff": lambda: _census_case(505, n=30, m=0.1, kappa=2.0),
+    "grazing": _grazing_case,
     **{f"n3_{a}": (lambda a=a: _n3_case(a)) for a in range(4)},
     "nonsync_drift": _drift_case,
     "identical_pair": _identical_pair_case,
@@ -400,6 +419,175 @@ def test_batched_collisions_match_reference_scan(case):
         assert events == []
     if case.startswith("census"):
         assert len(events) > 100
+    if case in ("grazing", "census_stiff"):
+        # Both mix certified rows with rows the certificate leaves to plain
+        # bisection.  Most grazing rows certify, so its batch takes the
+        # replay; most census_stiff rows do not, so its batch is bisected
+        # plainly.
+        cert = _certificate(params, record, *_crossings(params, record))
+        assert cert.ok.any() and not cert.ok.all()
+
+
+def _crossings(params, record):
+    """Snapshot and pair ``(k, i, j)`` of every crossing the scan brackets."""
+    state0 = record.state(0)
+    rows = []
+    for i in range(record.n):
+        for j in range(i + 1, record.n):
+            if _reference_indistinguishable(params, state0, i, j):
+                continue
+            g = np.sign(np.sin(0.5 * (record.theta[:, i] - record.theta[:, j])))
+            rows += [(k, i, j) for k in np.nonzero(g[:-1] * g[1:] < 0)[0]]
+    return tuple(np.array(col, dtype=int) for col in zip(*rows))
+
+
+def _probe_gaps(params, record, cfg, k, i, j, tau):
+    """Float probe gaps of rows ``(k, i, j)`` at times ``tau`` (rows x
+    points), computed as the bisection computes them."""
+    coup = COUPLING_FORMS[cfg.coupling]
+    points = tau.shape[1]
+    kk, ii, jj = (np.repeat(x, points) for x in (k, i, j))
+    th0, om0 = record.theta[kk], record.omega[kk]
+    b1 = integrate_module._accel(params, coup, th0, om0)
+    h = (tau.ravel() - record.t[kk])[:, None]
+    th, _ = _rk4_step(params, coup, th0, om0, h, b1=b1, phases_only=True)
+    r = np.arange(kk.size)
+    return (th[r, ii] - th[r, jj]).reshape(tau.shape)
+
+
+CERTIFIED_CASES = ("census_101", "census_202", "census_stiff", "grazing")
+
+
+@pytest.mark.parametrize("case", CERTIFIED_CASES)
+def test_certified_gap_is_monotone(case):
+    # On a certified bracket the float gap, sampled at 257 points, is
+    # monotone in the certified direction to within 2E and crosses the
+    # certified multiple of 2*pi once.
+    params, record, cfg = COLLISION_CASES[case]()
+    k, i, j = _crossings(params, record)
+    cert = _certificate(params, record, k, i, j)
+    assert cert.ok.any()
+    ok = np.flatnonzero(cert.ok)[:200]
+    t = record.t
+    tau = t[k[ok], None] + np.linspace(0.0, 1.0, 257) * (t[k[ok] + 1] - t[k[ok]])[:, None]
+    y = _probe_gaps(params, record, cfg, k[ok], i[ok], j[ok], tau) - TWO_PI * cert.branch[ok, None]
+    slope = np.where(cert.rising[ok], 1.0, -1.0)[:, None] * np.diff(y, axis=1)
+    assert (slope >= -2.0 * cert.eps[ok, None]).all()
+    assert (np.abs(y) < 0.5 * np.pi).all()
+    assert (y[:, 0] * y[:, -1] < 0).all()
+    guess = integrate_module._crossing_guess(record, k[ok], i[ok], j[ok], cert.branch[ok])
+    assert (guess >= t[k[ok]]).all() and (guess <= t[k[ok] + 1]).all()
+
+
+def test_probe_rounding_within_bound():
+    # The float probe gap against the same phase-half step evaluated in
+    # 40-digit arithmetic from the same inputs: the difference stays below
+    # E/8, so E bounds the rounding with a wide margin.
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    params, record, cfg = COLLISION_CASES["census_101"]()
+    k, i, j = _crossings(params, record)
+    cert = _certificate(params, record, k, i, j)
+    rows = np.flatnonzero(cert.ok)[::8][:40]
+    frac = np.array([0.0, 0.3, 0.5, 0.7, 1.0])
+    t = record.t
+    tau = t[k[rows], None] + frac * (t[k[rows] + 1] - t[k[rows]])[:, None]
+    guess = integrate_module._crossing_guess(record, k[rows], i[rows], j[rows], cert.branch[rows])
+    tau = np.hstack([tau, guess[:, None]])
+    got = _probe_gaps(params, record, cfg, k[rows], i[rows], j[rows], tau)
+
+    def exact_gap(r, tau_r):
+        with mp.workprec(140):
+            theta = [mp.mpf(float(x)) for x in record.theta[k[r]]]
+            omega = [mp.mpf(float(x)) for x in record.omega[k[r]]]
+            nu = [mp.mpf(float(x)) for x in params.nu]
+            m, kappa, n = mp.mpf(params.m), mp.mpf(params.kappa), len(theta)
+
+            def accel(th, om):
+                s, c = mp.fsum(mp.sin(x) for x in th), mp.fsum(mp.cos(x) for x in th)
+                return [
+                    (nu[q] - om[q] + kappa * (mp.cos(th[q]) * s - mp.sin(th[q]) * c) / n) / m
+                    for q in range(n)
+                ]
+
+            h = mp.mpf(float(tau_r - t[k[r]]))
+            b1 = accel(theta, omega)
+            om2 = [w + h / 2 * a for w, a in zip(omega, b1)]
+            b2 = accel([x + h / 2 * w for x, w in zip(theta, omega)], om2)
+            om3 = [w + h / 2 * a for w, a in zip(omega, b2)]
+            b3 = accel([x + h / 2 * w for x, w in zip(theta, om2)], om3)
+            new = [x + h * w + h * h / 6 * (p + q + u)
+                   for x, w, p, q, u in zip(theta, omega, b1, b2, b3)]
+            return new[i[r]] - new[j[r]]
+
+    worst = 0.0
+    for row, r in enumerate(rows):
+        for col in range(tau.shape[1]):
+            err = abs(mp.mpf(float(got[row, col])) - exact_gap(r, tau[row, col]))
+            worst = max(worst, float(err / mp.mpf(float(cert.eps[r]))))
+    assert got.size >= 100
+    assert worst <= 1.0 / 8.0
+
+
+def test_refinement_probes_a_third_of_plain_bisection(monkeypatch):
+    # The coupling evaluates at most a third of the phase values that plain
+    # bisection probes: two coupling calls of N phases per probe round.
+    params, record, cfg = COLLISION_CASES["census_101"]()
+    coup = COUPLING_FORMS[cfg.coupling]
+    k, i, j = _crossings(params, record)
+    rounds = sum(
+        len(_reference_refine_crossing(params, coup, record, kk, ii, jj, cfg.refine_tol)[2])
+        for kk, ii, jj in zip(k.tolist(), i.tolist(), j.tolist())
+    )
+    values = 0
+
+    def counting(theta, kappa):
+        nonlocal values
+        values += theta.size
+        return coup(theta, kappa)
+
+    monkeypatch.setitem(COUPLING_FORMS, cfg.coupling, counting)
+    collision_events_from_record(params, record, cfg)
+    assert k.size > 100
+    assert values <= 2 * record.n * rounds / 3
+
+
+def test_pair_points_inside_the_margin_do_not_verify(monkeypatch):
+    # A certified row whose narrow pair lands about E from the crossing,
+    # inside the 2E verification margin: those points must fix no midpoint's
+    # sign, so every plain-bisection midpoint between the wide pair is still
+    # probed.  At the default width the narrow pair verifies and some of them
+    # are skipped.  Either way t_star is the plain bisection's.
+    params, record, cfg = COLLISION_CASES["census_101"]()
+    coup = COUPLING_FORMS[cfg.coupling]
+    k, i, j = _crossings(params, record)
+    r = np.flatnonzero(_certificate(params, record, k, i, j).ok)[:1]
+    t_ref, _, mids = _reference_refine_crossing(
+        params, coup, record, int(k[r[0]]), int(i[r[0]]), int(j[r[0]]), cfg.refine_tol
+    )
+    t_lo = record.t[k[r[0]]]
+    near = {mid - t_lo for mid in mids if abs(mid - t_ref) < 1e-7 * cfg.dt}
+    step, default_width = integrate_module._rk4_step, integrate_module._NARROW_PAIR
+
+    def probed(narrow_width):
+        seen = set()
+
+        def recording(*args, **kwargs):
+            if kwargs.get("phases_only"):
+                seen.update(np.ravel(args[4]).tolist())
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(integrate_module, "_NARROW_PAIR", narrow_width)
+        monkeypatch.setattr(integrate_module, "_rk4_step", recording)
+        t_star, _ = integrate_module._bisect(
+            params, coup, record, k[r], i[r], j[r], cfg.refine_tol
+        )
+        assert t_star[0] == t_ref
+        return near & seen
+
+    assert len(near) >= 5
+    assert probed(1.0) == near
+    assert probed(default_width) < near
 
 
 @pytest.mark.parametrize("coupling", sorted(COUPLING_FORMS))
@@ -473,6 +661,36 @@ def test_refinement_coupling_calls_bounded_per_batch(monkeypatch):
     # batch makes one stage-1 call plus two per probe round.
     assert len(events) > 100
     assert calls <= (2 * rounds + 1) * batches
+
+
+def test_refinement_probe_memory_bounded(monkeypatch):
+    # A round probes up to three points per row, so a batch holds a third of
+    # _BLOCK_ELEMENTS // N rows: with the direct coupling's (probes, N, N)
+    # temporaries, the whole refinement peaks below one phase-half step over
+    # _BLOCK_ELEMENTS // N rows.
+    config = ScenarioConfig(
+        n=40, m=1.0, kappa=1.0, d_v=2.0, d_omega0=1.0, t_end=2.5, window=2.0, seed=101
+    )
+    params, record, cfg = _dense(*sample_instance(config), IntegratorConfig(dt=0.01, t_end=2.5))
+    coup = COUPLING_FORMS[cfg.coupling]
+    rows = 100
+    monkeypatch.setattr(integrate_module, "_BLOCK_ELEMENTS", rows * record.n)
+    th0, om0 = record.theta[:rows], record.omega[:rows]
+    b1 = integrate_module._accel(params, coup, th0, om0)
+    h = np.full((rows, 1), 0.5 * cfg.dt)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _rk4_step(params, coup, th0, om0, h, b1=b1, phases_only=True)
+        one_step = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        events = collision_events_from_record(params, record, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert cfg.coupling == "direct" and len(events) > rows
+    assert peak <= one_step
 
 
 def test_first_order_observer_cadence():
