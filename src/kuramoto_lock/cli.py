@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -35,6 +34,7 @@ from .certify import (
 from .experiments import (
     ConfigError,
     ScenarioConfig,
+    SweepResult,
     collision_census,
     figure_sweep,
     run_scenario,
@@ -288,13 +288,20 @@ def _svg_chart(path: Path, t: np.ndarray, series: list[tuple[str, np.ndarray]], 
     path.write_text("\n".join(parts))
 
 
-def _sweep_from_doc(doc: dict, seed: Optional[int]):
+def _run_sweep(doc: dict, seed: Optional[int], out: Path) -> SweepResult:
+    """Run the sweep a config describes and write ``summary.csv`` and one
+    ``series_<value>.csv`` per value into ``out``."""
     axis = doc.get("axis")
     values = doc.get("values")
     if axis is None or not isinstance(values, list) or not values:
         raise CliInputError("sweep config needs 'axis' and a nonempty 'values' list")
     base = _scenario_from_doc(doc.get("base", {}), seed)
-    return axis, values, base, bool(doc.get("fresh_samples", False))
+    result = figure_sweep(axis, values, base, fresh_samples=bool(doc.get("fresh_samples", False)))
+    out.mkdir(parents=True, exist_ok=True)
+    result.to_csv(out / "summary.csv")
+    for value, record in zip(result.values, result.records):
+        record.series.to_csv(out / f"series_{value:g}.csv")
+    return result
 
 
 @cli.command()
@@ -306,18 +313,12 @@ def _sweep_from_doc(doc: dict, seed: Optional[int]):
 @_exit_codes
 def sweep(config_path, out_dir, as_json, seed, overrides) -> int:
     """Parameter sweep with a shared frozen sample; writes summary.csv."""
-    doc = _apply_overrides(_load_config(config_path), overrides)
-    axis, values, base, fresh = _sweep_from_doc(doc, seed)
-    result = figure_sweep(axis, values, base, fresh_samples=fresh)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    result.to_csv(out / "summary.csv")
-    for value, record in zip(result.values, result.records):
-        record.series.to_csv(out / f"series_{value:g}.csv")
+    result = _run_sweep(_apply_overrides(_load_config(config_path), overrides), seed, out)
     if as_json:
-        click.echo(json.dumps({"axis": axis, "rows": result.rows}))
+        click.echo(json.dumps({"axis": result.axis, "rows": result.rows}))
     else:
-        click.echo(f"sweep over {axis}: results in {out}")
+        click.echo(f"sweep over {result.axis}: results in {out}")
         for row in result.rows:
             click.echo(f"  {row}")
     return EXIT_OK
@@ -331,18 +332,11 @@ def sweep(config_path, out_dir, as_json, seed, overrides) -> int:
 @_exit_codes
 def figures(config_path, out_dir, seed, overrides) -> int:
     """Sweep and emit SVG line charts of R(t) and Delta(t) plus CSVs."""
-    doc = _apply_overrides(_load_config(config_path), overrides)
-    axis, values, base, fresh = _sweep_from_doc(doc, seed)
-    result = figure_sweep(axis, values, base, fresh_samples=fresh)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    result.to_csv(out / "summary.csv")
-    r_series = []
-    d_series = []
-    for value, record in zip(result.values, result.records):
-        record.series.to_csv(out / f"series_{value:g}.csv")
-        r_series.append((f"{axis}={value:g}", record.series.r))
-        d_series.append((f"{axis}={value:g}", record.series.delta))
+    result = _run_sweep(_apply_overrides(_load_config(config_path), overrides), seed, out)
+    labels = [f"{result.axis}={value:g}" for value in result.values]
+    r_series = [(label, record.series.r) for label, record in zip(labels, result.records)]
+    d_series = [(label, record.series.delta) for label, record in zip(labels, result.records)]
     t = result.records[0].series.t
     _svg_chart(out / "R.svg", t, r_series, "order parameter R(t)")
     _svg_chart(out / "Delta.svg", t, d_series, "mean-square deviation Delta(t)")
@@ -385,7 +379,6 @@ def collide(config_path, out_dir, as_json, seed, overrides) -> int:
 @click.option("--perturb", is_flag=True, default=False, hidden=True)
 def selftest(as_json, perturb) -> int:
     """Run the embedded invariant suite; exit 0 iff everything passes."""
-    perturb = perturb or os.environ.get("KURAMOTO_LOCK_SELFTEST_PERTURB") == "1"
     rows = run_selftest(perturb=perturb)
     ok = all(row.ok for row in rows)
     if as_json:

@@ -130,13 +130,18 @@ class EnergyBalance:
     residual: np.ndarray
 
 
+def _uniformly_spaced(t: np.ndarray) -> bool:
+    """Whether snapshot times ``t`` (at least two) are equally spaced."""
+    h = np.diff(t)
+    return bool(np.allclose(h, h[0], rtol=1e-9, atol=1e-12))
+
+
 def _check_uniform_spacing(t: np.ndarray) -> float:
     if t.size < 3:
         raise ValueError("need at least three snapshots")
-    h = np.diff(t)
-    if not np.allclose(h, h[0], rtol=1e-9, atol=1e-12):
+    if not _uniformly_spaced(t):
         raise ValueError("snapshots must be equally spaced")
-    return float(h[0])
+    return float(t[1] - t[0])
 
 
 def energy_dissipation_residual(

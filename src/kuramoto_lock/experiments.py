@@ -38,6 +38,7 @@ from .integrate import (
     _n_snapshots,
 )
 from .diagnostics import (
+    R_PHASE_THRESHOLD,
     LockReport,
     LockTolerances,
     arrangement_check,
@@ -48,6 +49,7 @@ from .diagnostics import (
     find_majority_cluster,
     order_state,
     potential,
+    _uniformly_spaced,
 )
 from .certify import (
     CertificateReport,
@@ -374,7 +376,7 @@ def compute_series(
     r = np.abs(z)
     phi = np.full(s, np.nan)
     delta = np.empty(s)
-    defined = r >= 1e-12
+    defined = r >= R_PHASE_THRESHOLD
     phi[defined] = np.angle(z[defined])
     prev = None
     for k in range(s):
@@ -418,23 +420,10 @@ class RunRecord:
     provenance: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        lock = None
-        if self.lock is not None:
-            lock = {
-                "locked": self.lock.locked,
-                "t_lock": self.lock.t_lock,
-                "omega_spread_final": self.lock.omega_spread_final,
-                "relative_phase_drift_final": self.lock.relative_phase_drift_final,
-                "eps_omega": self.lock.eps_omega,
-                "eps_theta": self.lock.eps_theta,
-                "window": self.lock.window,
-            }
+        lock = None if self.lock is None else dataclasses.asdict(self.lock)
         collisions = None
         if self.collisions is not None:
-            collisions = [
-                {"i": ev.i, "j": ev.j, "t_star": ev.t_star, "branch": ev.branch}
-                for ev in self.collisions
-            ]
+            collisions = [dataclasses.asdict(ev) for ev in self.collisions]
         return {
             "config": self.config.to_dict(),
             "instance": {
@@ -508,9 +497,7 @@ def run_instance(
     lock = None
     if record.t[-1] - record.t[0] >= config.window:
         uniform = record
-        if uniform.t.size >= 3 and not np.allclose(
-            np.diff(uniform.t), np.diff(uniform.t)[0], rtol=1e-9, atol=1e-12
-        ):
+        if record.t.size >= 3 and not _uniformly_spaced(record.t):
             uniform = TrajectoryRecord(record.t[:-1], record.theta[:-1], record.omega[:-1])
         lock = detect_locking(params, uniform, config.lock_tolerances(), config.window)
     final = record.state(record.n_snapshots - 1)
@@ -871,6 +858,17 @@ def _campaign_scenario(cc: CampaignConfig, params: SystemParams) -> ScenarioConf
     )
 
 
+def _lock_tail(record: RunRecord) -> tuple[Optional[float], tuple[CollisionEvent, ...]]:
+    """The no-late-collision rule: when the run locked and m*kappa <= 1/4,
+    the start of the lock tail (the midpoint of [t_lock, t_end]) and the
+    collisions at or after it; otherwise ``(None, ())``."""
+    lock, params = record.lock, record.params
+    if not (lock and lock.locked and params.m * params.kappa <= 0.25):
+        return None, ()
+    start = 0.5 * (lock.t_lock + record.config.t_end)
+    return start, tuple(ev for ev in record.collisions or () if ev.t_star >= start)
+
+
 def _campaign_result(
     cc: CampaignConfig,
     attempt: int,
@@ -905,16 +903,12 @@ def _campaign_result(
         }
     )
     if cc.which == "n3":
-        events = record.collisions or ()
-        tail_ok = True
-        tail_start = math.nan
-        if locked and params.m * params.kappa <= 0.25:
-            tail_start = 0.5 * (record.lock.t_lock + cc.t_end)
-            tail_ok = all(ev.t_star < tail_start for ev in events)
+        tail_start, late = _lock_tail(record)
+        tail_ok = not late
         result.update(
             {
-                "collisions": len(events),
-                "tail_start": tail_start,
+                "collisions": len(record.collisions or ()),
+                "tail_start": math.nan if tail_start is None else tail_start,
                 "tail_ok": tail_ok,
                 "ok": locked and tail_ok,
                 "reason": result["reason"] or ("" if tail_ok else "collision in lock tail"),
@@ -987,13 +981,7 @@ class CampaignReport:
     all_ok: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "which": self.which,
-            "n_instances": self.n_instances,
-            "results": self.results,
-            "defects": self.defects,
-            "all_ok": self.all_ok,
-        }
+        return dataclasses.asdict(self)
 
 
 def certify_campaign(
@@ -1066,10 +1054,7 @@ class CensusReport:
             "locked": self.locked,
             "t_lock": self.t_lock,
             "tail_start": self.tail_start,
-            "tail_violations": [
-                {"i": ev.i, "j": ev.j, "t_star": ev.t_star, "branch": ev.branch}
-                for ev in self.tail_violations
-            ],
+            "tail_violations": [dataclasses.asdict(ev) for ev in self.tail_violations],
             "tail_ok": self.tail_ok,
         }
 
@@ -1085,25 +1070,17 @@ def collision_census(config: ScenarioConfig) -> CensusReport:
     counts: dict[tuple[int, int], int] = {}
     for ev in events:
         counts[(ev.i, ev.j)] = counts.get((ev.i, ev.j), 0) + 1
-    locked = bool(record.lock and record.lock.locked)
-    t_lock = record.lock.t_lock if record.lock else None
-    tail_start = None
-    violations: tuple[CollisionEvent, ...] = ()
-    tail_ok = True
-    if locked and record.params.m * record.params.kappa <= 0.25:
-        tail_start = 0.5 * (t_lock + config.t_end)
-        violations = tuple(ev for ev in events if ev.t_star >= tail_start)
-        tail_ok = not violations
+    tail_start, violations = _lock_tail(record)
     return CensusReport(
         counts=counts,
         events=events,
         total=len(events),
         m_kappa=record.params.m * record.params.kappa,
-        locked=locked,
-        t_lock=t_lock,
+        locked=bool(record.lock and record.lock.locked),
+        t_lock=record.lock.t_lock if record.lock else None,
         tail_start=tail_start,
         tail_violations=violations,
-        tail_ok=tail_ok,
+        tail_ok=not violations,
     )
 
 

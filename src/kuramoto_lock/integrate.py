@@ -497,70 +497,6 @@ def _crossing_guess(record: TrajectoryRecord, k, i, j, n) -> np.ndarray:
     return t[k] + s * h
 
 
-def _replay(gap_at, record: TrajectoryRecord, k, i, j, cert: _Certificate, pos, lo, hi, act,
-            refine_tol: float) -> None:
-    """The certified replay of :func:`_bisect` on the rows ``act`` of one
-    batch (snapshots ``k``, pairs ``(i, j)``), narrowing ``lo`` and ``hi``
-    in place.  ``gap_at(rows, tau)`` is the float probe gap and ``pos`` the
-    crossing function's sign at each bracket's left end."""
-    t_lo, t_hi = record.t[k], record.t[k + 1]
-    # The verified points nearest the crossing before (a) and after (b)
-    # it, and whether the bisection set lo = mid there.  The infinite
-    # sentinels only meet comparisons, which they never pass.
-    a, b = np.full(k.size, -np.inf), np.full(k.size, np.inf)
-    lo_a, lo_b = np.zeros(k.size, bool), np.zeros(k.size, bool)
-    # Rows with a pair in flight (pr) and its two probe times (pair).
-    pr = act[cert.ok[act]]
-    guess = _crossing_guess(record, k[pr], i[pr], j[pr], cert.branch[pr])
-    half = _WIDE_PAIR * (t_hi[pr] - t_lo[pr])
-    pair = np.clip([guess - half, guess + half], t_lo[pr], t_hi[pr])
-    wide = True
-    while act.size:
-        width = hi[act] - lo[act]
-        mid = 0.5 * (lo[act] + hi[act])
-        before, after = mid <= a[act], mid >= b[act]
-        stall = wide & cert.ok[act] & ~(before | after)
-        probe = ~(before | after | stall)
-        p_rows = act[probe]
-        g_mid = g_pair = np.empty(0)
-        if p_rows.size or pr.size:
-            g = gap_at(np.concatenate([p_rows, pr, pr]), np.concatenate([mid[probe], *pair]))
-            g_mid, g_pair = np.sin(0.5 * g[:p_rows.size]), g[p_rows.size:].reshape(2, -1)
-        zero = np.zeros(act.size, bool)
-        zero[probe] = g_mid == 0.0
-        same = np.where(before, lo_a[act], lo_b[act])
-        same[probe] = (g_mid > 0) == pos[p_rows]
-        lo[act] = np.where(~stall & (zero | same), mid, lo[act])
-        hi[act] = np.where(~stall & (zero | ~same), mid, hi[act])
-        # A row also stops when its bracket no longer shrinks: past
-        # t = 8192 adjacent doubles lie more than 1e-12 apart.
-        new_width = hi[act] - lo[act]
-        act = act[stall | ((new_width > refine_tol) & (new_width < width))]
-        if not pr.size:
-            continue
-        d = g_pair - cert.branch[pr] * TWO_PI
-        verified = np.abs(d) > 2.0 * cert.eps[pr]
-        past = (d > 0) == cert.rising[pr]
-        lo_side = (np.sin(0.5 * g_pair) > 0) == pos[pr]
-        for tau, ok, beyond, dec in zip(pair, verified, past, lo_side):
-            up = ok & ~beyond & (tau > a[pr])
-            a[pr[up]], lo_a[pr[up]] = tau[up], dec[up]
-            up = ok & beyond & (tau < b[pr])
-            b[pr[up]], lo_b[pr[up]] = tau[up], dec[up]
-        if not wide:
-            pr, pair = pr[:0], pair[:, :0]
-            continue
-        # Rows whose wide pair straddles the crossing probe a narrow pair
-        # about its regula-falsi point next round.
-        wide = False
-        keep = verified.all(axis=0) & (past[0] != past[1])
-        pr, d, pair = pr[keep], d[:, keep], pair[:, keep]
-        slope = (d[1] - d[0]) / (pair[1] - pair[0])
-        root = pair[0] - d[0] / slope
-        half = _NARROW_PAIR * cert.eps[pr] / np.abs(slope)
-        pair = np.clip([root - half, root + half], t_lo[pr], t_hi[pr])
-
-
 def _bisect(
     params: SystemParams,
     coup,
@@ -584,18 +520,17 @@ def _bisect(
     :func:`_certificate` certifies has a strictly monotone exact gap, and a
     probe's float gap lies within E of it.  A probed point whose gap is more
     than 2E from the crossing multiple is *verified*: every midpoint on its
-    far side from the crossing gets the decision made there, so the replay
-    probes only the midpoints between the two verified points nearest the
-    crossing.  Certified rows probe a wide pair of points around the Hermite
-    estimate of the crossing in round 1 (their round-1 midpoint waits a
-    round), then a narrow pair ``_NARROW_PAIR * E / slope`` about the wide
-    pair's regula-falsi point in round 2.  A point that fails to verify
-    leaves the row's bracket as it was; a row never verified, or never
-    certified, probes every midpoint like the plain loop.  A batch where at
-    most half the rows certify is bisected plainly.  The branch of a
-    certified row is its crossing multiple; other rows read it from a probe
-    at ``t_star``.  Returns ``(t_star, branch)``, bit for bit those of the
-    plain bisection.
+    far side from the crossing gets the decision made there, so a row probes
+    only the midpoints between the two verified points nearest the crossing.
+    Before the first round, certified rows probe a wide pair of points around
+    the Hermite estimate of the crossing; in round 1, beside their midpoint,
+    a narrow pair ``_NARROW_PAIR * E / slope`` about the wide pair's
+    regula-falsi point.  A point that fails to verify fixes no midpoint; a
+    row never verified, or never certified, probes every midpoint as plain
+    bisection does, and a batch with no certified row skips the pairs and
+    the verified-point bookkeeping.  The branch of a certified row is its
+    crossing multiple; other rows read it from a probe at ``t_star``.
+    Returns ``(t_star, branch)``, bit for bit those of plain bisection.
     """
     t = record.t
     t_star = np.empty(k.size)
@@ -604,9 +539,9 @@ def _bisect(
     for start in range(0, k.size, rows):
         batch = slice(start, start + rows)
         kb, ib, jb = k[batch], i[batch], j[batch]
-        th0, om0, t_lo = record.theta[kb], record.omega[kb], t[kb]
+        th0, om0, t_lo, t_hi = record.theta[kb], record.omega[kb], t[kb], t[kb + 1]
         # Sign of the crossing function at the bracket's left end.
-        pos = np.sin(0.5 * (record.theta[kb, ib] - record.theta[kb, jb])) > 0
+        sgn = np.sign(np.sin(0.5 * (record.theta[kb, ib] - record.theta[kb, jb])))
         b1 = _accel(params, coup, th0, om0)
         cert = _certificate(params, record, kb, ib, jb)
 
@@ -618,29 +553,75 @@ def _bisect(
             r = np.arange(act.size)
             return th[r, ib[act]] - th[r, jb[act]]
 
-        lo, hi = t_lo.copy(), t[kb + 1]
+        lo, hi = t_lo.copy(), t_hi.copy()
         act = np.flatnonzero(hi - lo > refine_tol)
-        # Where few rows certify, the replay's per-round bookkeeping costs
-        # more than the probes it saves: a batch where at most half do is
-        # bisected plainly, with the replay's stop rules.
-        if 2 * np.count_nonzero(cert.ok) > kb.size:
-            _replay(gap_at, record, kb, ib, jb, cert, pos, lo, hi, act, refine_tol)
-        else:
-            while act.size:
-                width = hi[act] - lo[act]
-                mid = 0.5 * (lo[act] + hi[act])
-                g_mid = np.sin(0.5 * gap_at(act, mid))
-                zero = g_mid == 0.0
-                same = (g_mid > 0) == pos[act]
-                lo[act] = np.where(zero | same, mid, lo[act])
-                hi[act] = np.where(zero | ~same, mid, hi[act])
-                new_width = hi[act] - lo[act]
-                act = act[(new_width > refine_tol) & (new_width < width)]
+        # The verified points nearest the crossing before (a) and after (b)
+        # it, and the crossing function's side there.  The infinite
+        # sentinels only meet comparisons, which they never pass.
+        a, b = np.full(kb.size, -np.inf), np.full(kb.size, np.inf)
+        side_a, side_b = np.zeros(kb.size), np.zeros(kb.size)
+
+        def verify(rows, pair, g):
+            """Keep the verified points of a pair probed on ``rows``; return
+            the pair's offsets from the crossing and whether both points
+            verify on either side of it."""
+            d = g - cert.branch[rows] * TWO_PI
+            verified = np.abs(d) > 2.0 * cert.eps[rows]
+            past = (d > 0) == cert.rising[rows]
+            side = np.sin(0.5 * g) * sgn[rows]
+            for tau, ok, beyond, dec in zip(pair, verified, past, side):
+                up = ok & ~beyond & (tau > a[rows])
+                a[rows[up]], side_a[rows[up]] = tau[up], dec[up]
+                up = ok & beyond & (tau < b[rows])
+                b[rows[up]], side_b[rows[up]] = tau[up], dec[up]
+            return d, verified.all(axis=0) & (past[0] != past[1])
+
+        # Certified rows probe a wide pair now.  Those whose wide pair
+        # straddles the crossing probe a narrow pair about its regula-falsi
+        # point beside their first midpoint: rows ``pr`` at times ``pair``.
+        pr = act[cert.ok[act]]
+        certified = pr.size > 0
+        pair = np.empty((2, 0))
+        if certified:
+            guess = _crossing_guess(record, kb[pr], ib[pr], jb[pr], cert.branch[pr])
+            half = _WIDE_PAIR * (t_hi[pr] - t_lo[pr])
+            pair = np.clip([guess - half, guess + half], t_lo[pr], t_hi[pr])
+            g = gap_at(np.concatenate([pr, pr]), pair.ravel()).reshape(2, -1)
+            d, keep = verify(pr, pair, g)
+            pr, d, pair = pr[keep], d[:, keep], pair[:, keep]
+            slope = (d[1] - d[0]) / (pair[1] - pair[0])
+            root = pair[0] - d[0] / slope
+            half = _NARROW_PAIR * cert.eps[pr] / np.abs(slope)
+            pair = np.clip([root - half, root + half], t_lo[pr], t_hi[pr])
+        while act.size:
+            width = hi[act] - lo[act]
+            mid = 0.5 * (lo[act] + hi[act])
+            # The crossing function's side of each midpoint, relative to the
+            # left end's: positive sets lo = mid, negative sets hi = mid, and
+            # an exact zero sets both.  A midpoint beyond a verified point
+            # takes the side found there unprobed; only certified rows verify.
+            probe, side = slice(None), np.empty(act.size)
+            if certified:
+                before, after = mid <= a[act], mid >= b[act]
+                probe, side = ~(before | after), np.where(before, side_a[act], side_b[act])
+            p_rows = act[probe]
+            if p_rows.size or pr.size:
+                g = gap_at(np.concatenate([p_rows, pr, pr]), np.concatenate([mid[probe], *pair]))
+                side[probe] = np.sin(0.5 * g[:p_rows.size]) * sgn[p_rows]
+            lo[act] = np.where(side >= 0.0, mid, lo[act])
+            hi[act] = np.where(side <= 0.0, mid, hi[act])
+            # A row also stops when its bracket no longer shrinks: past
+            # t = 8192 adjacent doubles lie more than 1e-12 apart.
+            new_width = hi[act] - lo[act]
+            act = act[(new_width > refine_tol) & (new_width < width)]
+            if pr.size:
+                verify(pr, pair, g[p_rows.size:].reshape(2, -1))
+                pr, pair = pr[:0], pair[:, :0]
         t_star[batch] = ts = 0.5 * (lo + hi)
         branch[batch] = cert.branch
-        plain = np.flatnonzero(~cert.ok)
-        if plain.size:
-            branch[start + plain] = np.rint(gap_at(plain, ts[plain]) / TWO_PI)
+        loose = np.flatnonzero(~cert.ok)
+        if loose.size:
+            branch[start + loose] = np.rint(gap_at(loose, ts[loose]) / TWO_PI)
     return t_star, branch
 
 

@@ -421,9 +421,8 @@ def test_batched_collisions_match_reference_scan(case):
         assert len(events) > 100
     if case in ("grazing", "census_stiff"):
         # Both mix certified rows with rows the certificate leaves to plain
-        # bisection.  Most grazing rows certify, so its batch takes the
-        # replay; most census_stiff rows do not, so its batch is bisected
-        # plainly.
+        # bisection in the same batch: most grazing rows certify, and most
+        # census_stiff rows do not.
         cert = _certificate(params, record, *_crossings(params, record))
         assert cert.ok.any() and not cert.ok.all()
 
@@ -550,6 +549,35 @@ def test_refinement_probes_a_third_of_plain_bisection(monkeypatch):
     collision_events_from_record(params, record, cfg)
     assert k.size > 100
     assert values <= 2 * record.n * rounds / 3
+
+
+@pytest.mark.parametrize(
+    "case", ["census_stiff", "nonsync_drift", "n3_0", "n3_1", "n3_2", "n3_3"]
+)
+def test_refinement_never_probes_more_than_plain_bisection(monkeypatch, case):
+    # Where few or no rows certify, the refinement evaluates no more phase
+    # values than plain bisection: 2N per midpoint, N per row for the
+    # stage-1 acceleration, and 2N per uncertified row for its branch.
+    params, record, cfg = COLLISION_CASES[case]()
+    coup = COUPLING_FORMS[cfg.coupling]
+    k, i, j = _crossings(params, record)
+    mids = sum(
+        len(_reference_refine_crossing(params, coup, record, kk, ii, jj, cfg.refine_tol)[2])
+        for kk, ii, jj in zip(k.tolist(), i.tolist(), j.tolist())
+    )
+    loose = np.count_nonzero(~_certificate(params, record, k, i, j).ok)
+    values = 0
+
+    def counting(theta, kappa):
+        nonlocal values
+        values += theta.size
+        return coup(theta, kappa)
+
+    monkeypatch.setitem(COUPLING_FORMS, cfg.coupling, counting)
+    collision_events_from_record(params, record, cfg)
+    n = record.n
+    assert k.size > 0
+    assert values <= 2 * n * mids + n * k.size + 2 * n * loose
 
 
 def test_pair_points_inside_the_margin_do_not_verify(monkeypatch):
