@@ -22,9 +22,7 @@ from .integrate import (  # noqa: F401
     TrajectoryRecord,
     CollisionEvent,
     integrate,
-    integrate_first_order,
     record_trajectory,
-    record_trajectory_first_order,
     detect_collisions,
 )
 from .diagnostics import (  # noqa: F401

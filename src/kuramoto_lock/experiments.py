@@ -34,7 +34,6 @@ from .integrate import (
     CollisionEvent,
     collision_events_from_record,
     record_trajectory,
-    record_trajectory_first_order,
     _n_snapshots,
 )
 from .diagnostics import (
@@ -484,10 +483,7 @@ def run_instance(
 
     cfg = _integrator_config(config, params)
     if record is None:
-        if params.m > 0.0:
-            record = record_trajectory(params, state0, cfg)
-        else:
-            record = record_trajectory_first_order(params, state0.theta, cfg)
+        record = record_trajectory(params, state0, cfg)
     collisions: Optional[tuple[CollisionEvent, ...]] = None
     if config.collisions:
         collisions = tuple(collision_events_from_record(params, record, cfg))
@@ -542,28 +538,25 @@ def _recorded(
     """Call ``run(k, record)`` with the trajectory ``run_instance`` would
     record for every job ``k``.
 
-    Jobs that share a step plan (effective dt, t_end, stride, inertial or
-    first-order) and N are integrated together, in consecutive batches of at
-    most ``_BATCH_ELEMENTS`` phase values; a batch's records are handed out,
-    and the batch dropped, before the next batch is integrated, so ``run``
-    must not keep its record.  A blow-up is re-raised naming the job by its
-    label.
+    Jobs that share a step plan (effective dt, t_end, stride), N and the
+    model (inertial or zero-inertia, which a batch cannot mix) are integrated
+    together, in consecutive batches of at most ``_BATCH_ELEMENTS`` phase
+    values; a batch's records are handed out, and the batch dropped, before
+    the next batch is integrated, so ``run`` must not keep its record.  A
+    blow-up is re-raised naming the job by its label.
     """
     groups: dict[tuple, list[int]] = {}
     for k, (config, params, state0) in enumerate(jobs):
         key = (_integrator_config(config, params), params.m > 0.0, params.n)
         groups.setdefault(key, []).append(k)
-    for (cfg, inertial, n), members in groups.items():
+    for (cfg, _, n), members in groups.items():
         rows = max(1, _BATCH_ELEMENTS // (_n_snapshots(cfg) * n))
         for start in range(0, len(members), rows):
             batch = members[start:start + rows]
-            params = [jobs[k][1] for k in batch]
             try:
-                if inertial:
-                    record = record_trajectory(params, [jobs[k][2] for k in batch], cfg)
-                else:
-                    theta0 = [jobs[k][2].theta for k in batch]
-                    record = record_trajectory_first_order(params, theta0, cfg)
+                record = record_trajectory(
+                    [jobs[k][1] for k in batch], [jobs[k][2] for k in batch], cfg
+                )
             except IntegrationError as exc:
                 raise IntegrationError(f"{labels[batch[exc.row]]}: {exc.reason}") from None
             for b, k in enumerate(batch):

@@ -1,6 +1,10 @@
 """Fixed-step fourth-order Runge-Kutta integration with snapshot observers,
 trajectory recording, and pairwise collision detection with bisection
-refinement on the dense trajectory."""
+refinement on the dense trajectory.
+
+One entry point serves both models: inertia m > 0 integrates the inertial
+system, and m = 0 the zero-inertia system, its m -> 0 limit, whose state is
+the phases alone.  Collision refinement needs m > 0."""
 
 from __future__ import annotations
 
@@ -24,9 +28,7 @@ __all__ = [
     "TrajectoryRecord",
     "CollisionEvent",
     "integrate",
-    "integrate_first_order",
     "record_trajectory",
-    "record_trajectory_first_order",
     "detect_collisions",
     "collision_events_from_record",
 ]
@@ -152,7 +154,7 @@ def _rk4_step(
 
 def _rk4_step_first_order(params, coup, theta: np.ndarray, h) -> np.ndarray:
     """One classic RK4 step of the zero-inertia system, with the shapes of
-    :func:`_rk4_step`; inertia in ``params`` is ignored."""
+    :func:`_rk4_step`."""
     nu, kappa = params.nu, params.kappa
 
     def vel(th):
@@ -201,60 +203,49 @@ def _march(
     return t_last, y
 
 
+def _model(coef, coup, theta: np.ndarray, omega: np.ndarray):
+    """``(step, y, omega_of)`` of the model that the inertia selects, for
+    :func:`_march` and :func:`_record`.  Every m > 0 steps the inertial state
+    ``(theta, omega)``; every m = 0 steps the zero-inertia phases alone,
+    ignores ``omega``, and gives the phase velocities as frequency rows.  A
+    batch that mixes the two raises ``ValueError``."""
+    inertial = np.asarray(coef.m) > 0.0
+    if inertial.all():
+        return lambda y, h: _rk4_step(coef, coup, *y, h), (theta, omega), lambda y: y[1]
+    if inertial.any():
+        raise ValueError("a batch cannot mix inertial (m > 0) and zero-inertia (m = 0) instances")
+    return (
+        lambda y, h: (_rk4_step_first_order(coef, coup, y[0], h),),
+        (theta,),
+        lambda y: coef.nu + coup(y[0], coef.kappa),
+    )
+
+
 def integrate(
     params: SystemParams,
     state0: PhaseState,
     config: IntegratorConfig,
     observer: Optional[Callable[[float, PhaseState], None]] = None,
 ) -> PhaseState:
-    """Classic RK4 on the 2N-dimensional system.
+    """Classic RK4 on the inertial system (m > 0) or the zero-inertia system
+    (m = 0, where ``state0.omega`` is ignored and a state's frequencies are
+    its phase velocities).
 
     The observer, when given, is invoked with ``(t, state)`` at step 0, every
     ``observer_stride`` steps thereafter, and at the final step.  The run is
     deterministic given its inputs.
     """
-    if params.m <= 0.0:
-        raise ValueError("integrate requires m > 0; use integrate_first_order")
     if params.n != state0.n:
         raise ValueError("state/params size mismatch")
     coup = COUPLING_FORMS[config.coupling]
+    step, y, omega_of = _model(params, coup, state0.theta, state0.omega)
 
     def observe(t, y):
         if observer is not None:
-            observer(t, PhaseState(t, *y))
+            observer(t, PhaseState(t, y[0], omega_of(y)))
 
-    t, (th, om) = _march(
-        lambda y, h: _rk4_step(params, coup, *y, h),
-        (state0.theta, state0.omega), state0.t, config, observe,
-    )
-    return PhaseState(t, th, om)
-
-
-def integrate_first_order(
-    params: SystemParams,
-    theta0: np.ndarray,
-    config: IntegratorConfig,
-    observer: Optional[Callable[[float, np.ndarray], None]] = None,
-) -> np.ndarray:
-    """Classic RK4 on the N-dimensional zero-inertia system.
-
-    The observer receives ``(t, theta)`` with the same cadence as
-    :func:`integrate`.  Inertia in ``params`` is ignored.
-    """
-    th = np.array(theta0, dtype=float)
-    if params.n != th.size:
-        raise ValueError("state/params size mismatch")
-    coup = COUPLING_FORMS[config.coupling]
-
-    def observe(t, y):
-        if observer is not None:
-            observer(t, y[0].copy())
-
-    _, (th,) = _march(
-        lambda y, h: (_rk4_step_first_order(params, coup, y[0], h),),
-        (th,), 0.0, config, observe,
-    )
-    return th
+    t, y = _march(step, y, state0.t, config, observe)
+    return PhaseState(t, y[0], omega_of(y))
 
 
 @dataclass(frozen=True)
@@ -262,8 +253,8 @@ class TrajectoryRecord:
     """Equally indexed snapshots of a run: times ``t`` (S,) plus phase and
     frequency arrays of shape (S, N).  A batch of B instances recorded
     together holds (B, S, N) arrays; :meth:`instance` gives one instance's
-    record.  For first-order runs the frequency rows hold the instantaneous
-    phase velocities."""
+    record.  For zero-inertia runs (m = 0) the frequency rows hold the
+    instantaneous phase velocities."""
 
     t: np.ndarray
     theta: np.ndarray
@@ -316,7 +307,7 @@ def _coefficients(params):
     )
 
 
-def _record(step, y, t0: float, config: IntegratorConfig, omega_of) -> TrajectoryRecord:
+def _record(step, y, omega_of, t0: float, config: IntegratorConfig) -> TrajectoryRecord:
     """Run :func:`_march` into a record allocated up front: ``(S, N)``
     arrays, or ``(B, S, N)`` for a batch.  ``omega_of(y)`` gives the
     frequency rows of a snapshot."""
@@ -338,12 +329,13 @@ def _record(step, y, t0: float, config: IntegratorConfig, omega_of) -> Trajector
 
 
 def record_trajectory(params, state0, config: IntegratorConfig) -> TrajectoryRecord:
-    """Integrate the inertial system and collect observer snapshots.
+    """Integrate and collect observer snapshots, of the inertial system for
+    m > 0 and of the zero-inertia system for m = 0 (see :func:`integrate`).
 
     ``params`` and ``state0`` are one :class:`SystemParams` and
-    :class:`PhaseState`, or equal-length sequences of them sharing N and the
-    start time.  A batch is stepped as one ``(B, N)`` array and recorded with
-    a leading instance axis; every instance's record equals its
+    :class:`PhaseState`, or equal-length sequences of them sharing N, the
+    start time and the model.  A batch is stepped as one ``(B, N)`` array and
+    recorded with a leading instance axis; every instance's record equals its
     single-instance record bit for bit.  A blow-up raises
     :class:`IntegrationError` naming the first non-finite row of a batch.
     """
@@ -359,30 +351,8 @@ def record_trajectory(params, state0, config: IntegratorConfig) -> TrajectoryRec
         t0 = states[0].t
     if coef.nu.shape != theta.shape:
         raise ValueError("state/params size mismatch")
-    if np.any(np.asarray(coef.m) <= 0.0):
-        raise ValueError("integrate requires m > 0; use integrate_first_order")
     coup = COUPLING_FORMS[config.coupling]
-    return _record(
-        lambda y, h: _rk4_step(coef, coup, *y, h), (theta, omega), t0, config, lambda y: y[1]
-    )
-
-
-def record_trajectory_first_order(params, theta0, config: IntegratorConfig) -> TrajectoryRecord:
-    """Integrate the zero-inertia system; frequency rows are the phase
-    velocities evaluated on each snapshot.
-
-    A batch is given as a sequence of params and one ``theta0`` row per
-    instance, and recorded like a batch of :func:`record_trajectory`.
-    """
-    coef = _coefficients(params)
-    theta = np.asarray(theta0, dtype=float)
-    if coef.nu.shape != theta.shape:
-        raise ValueError("state/params size mismatch")
-    coup = COUPLING_FORMS[config.coupling]
-    return _record(
-        lambda y, h: (_rk4_step_first_order(coef, coup, y[0], h),), (theta,), 0.0, config,
-        lambda y: coef.nu + coup(y[0], coef.kappa),
-    )
+    return _record(*_model(coef, coup, theta, omega), t0, config)
 
 
 @dataclass(frozen=True)
@@ -642,8 +612,11 @@ def collision_events_from_record(
     bisection's bit for bit (see :func:`_bisect`).  A snapshot where the
     crossing function is exactly zero is an event at that snapshot.  Double
     roots inside one step are a known blind spot of the bracketing.  Events
-    are sorted by ``(t_star, i, j)``.
+    are sorted by ``(t_star, i, j)``.  Zero inertia (m = 0) raises
+    ``ValueError``: the refinement steps the inertial system.
     """
+    if params.m == 0.0:
+        raise ValueError("collision refinement needs inertia m > 0")
     coup = COUPLING_FORMS[config.coupling]
     t, theta = record.t, record.theta
     iu, ju = np.triu_indices(record.n, 1)
@@ -688,7 +661,8 @@ def detect_collisions(
     params: SystemParams, state0: PhaseState, config: IntegratorConfig
 ) -> list[CollisionEvent]:
     """Integrate densely (one snapshot per step) and report every refined
-    collision event; indistinguishable pairs are excluded."""
+    collision event; indistinguishable pairs are excluded.  Zero inertia
+    raises ``ValueError``, as in :func:`collision_events_from_record`."""
     dense = dataclasses.replace(config, observer_stride=1)
     record = record_trajectory(params, state0, dense)
     return collision_events_from_record(params, record, config)

@@ -27,7 +27,6 @@ from kuramoto_lock import (
     order_state,
     potential,
     record_trajectory,
-    record_trajectory_first_order,
     rhs_first_order,
 )
 from kuramoto_lock.diagnostics import (
@@ -44,7 +43,8 @@ from kuramoto_lock.experiments import (
     CampaignConfig,
     ScenarioConfig,
     _campaign_instance,
-    _effective_dt,
+    _campaign_scenario,
+    _integrator_config,
     run_scenario,
     sample_instance,
 )
@@ -636,17 +636,10 @@ def _campaign_records():
         cc = CampaignConfig(which, n=12, t_end=40.0, stride=50)
         for attempt in range(3):
             params, state0, _, _ = _campaign_instance(cc, attempt)
-            cfg = IntegratorConfig(
-                dt=_effective_dt(cc.dt, params.m),
-                t_end=cc.t_end,
-                observer_stride=cc.stride,
-                coupling="mean_field",
-            )
-            if params.m > 0.0:
-                rec = record_trajectory(params, state0, cfg)
-            else:
-                rec = record_trajectory_first_order(params, state0.theta, cfg)
-            out.append((params, rec))
+            # The step plan without the dense stride of the n3 collision scan.
+            scenario = dataclasses.replace(_campaign_scenario(cc, params), collisions=False)
+            cfg = _integrator_config(scenario, params)
+            out.append((params, record_trajectory(params, state0, cfg)))
     return tuple(out)
 
 

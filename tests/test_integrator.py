@@ -16,11 +16,10 @@ from kuramoto_lock import (
     SystemParams,
     detect_collisions,
     integrate,
-    integrate_first_order,
     mean_closed_form,
     nonsync_exact,
     record_trajectory,
-    record_trajectory_first_order,
+    rhs_first_order,
 )
 from kuramoto_lock.experiments import (
     CampaignConfig,
@@ -95,7 +94,8 @@ def test_first_order_identical_half_circle_monotone_r(rng):
     n = 12
     p = SystemParams(0.0, 1.0, np.zeros(n))
     theta0 = rng.uniform(-0.75 * np.pi / 2, 0.75 * np.pi / 2, n)
-    rec = record_trajectory_first_order(p, theta0, IntegratorConfig(dt=0.01, t_end=15.0, observer_stride=10))
+    s = PhaseState(0.0, theta0, np.zeros(n))
+    rec = record_trajectory(p, s, IntegratorConfig(dt=0.01, t_end=15.0, observer_stride=10))
     r = np.abs(np.exp(1j * rec.theta).mean(axis=1))
     assert np.all(np.diff(r) > -1e-12)
 
@@ -105,7 +105,8 @@ def test_first_order_zero_coupling_linear_drift(rng):
     nu = rng.uniform(-1, 1, n)
     p = SystemParams(0.0, 0.0, nu)
     theta0 = rng.uniform(0, TWO_PI, n)
-    rec = record_trajectory_first_order(p, theta0, IntegratorConfig(dt=0.01, t_end=7.0, observer_stride=100))
+    s = PhaseState(0.0, theta0, np.zeros(n))
+    rec = record_trajectory(p, s, IntegratorConfig(dt=0.01, t_end=7.0, observer_stride=100))
     expected = theta0[None, :] + nu[None, :] * rec.t[:, None]
     assert np.abs(rec.theta - expected).max() < 1e-12
 
@@ -116,7 +117,7 @@ def test_small_inertia_tracks_first_order(rng):
     m = 1e-4  # m*kappa = 1e-4
     pm = SystemParams(m, p0.kappa, p0.nu)
     cfg1 = IntegratorConfig(dt=0.01, t_end=10.0, observer_stride=10)
-    base = record_trajectory_first_order(p0, s0.theta, cfg1)
+    base = record_trajectory(p0, s0, cfg1)
     cfgm = IntegratorConfig(dt=2e-4, t_end=10.0, observer_stride=500)
     rec = record_trajectory(pm, s0, cfgm)
     gaps = []
@@ -154,16 +155,27 @@ def test_batched_records_match_single_instances(rng, coupling):
                  ((0.3, 1.0), (1.0, 0.5), (2.5, 2.0))]
     params = [p for p, _ in instances]
     states = [s for _, s in instances]
+    # The zero-inertia rows are the same instances with m = 0.
+    zero = [dataclasses.replace(p, m=0.0) for p in params]
     cfg = IntegratorConfig(dt=0.01, t_end=1.005, observer_stride=7, coupling=coupling)
     batch = record_trajectory(params, states, cfg)
-    first = record_trajectory_first_order(params, [s.theta for s in states], cfg)
+    first = record_trajectory(zero, states, cfg)
     assert batch.theta.shape == first.omega.shape == (3, 16, 6)
-    for b, (p, s) in enumerate(instances):
+    for b, (p, p0, s) in enumerate(zip(params, zero, states)):
         pairs = ((batch.instance(b), record_trajectory(p, s, cfg)),
-                 (first.instance(b), record_trajectory_first_order(p, s.theta, cfg)))
+                 (first.instance(b), record_trajectory(p0, s, cfg)))
         for got, want in pairs:
             for x, y in ((got.t, want.t), (got.theta, want.theta), (got.omega, want.omega)):
                 assert x.shape == y.shape and np.array_equal(x, y)
+
+
+def test_batch_mixing_models_raises(rng):
+    inertial, s = random_instance(rng, n=4, m=0.5)
+    zero = dataclasses.replace(inertial, m=0.0)
+    cfg = IntegratorConfig(dt=0.01, t_end=0.1)
+    for params in ([inertial, zero], [zero, inertial]):
+        with pytest.raises(ValueError, match="cannot mix"):
+            record_trajectory(params, [s, s], cfg)
 
 
 def test_mean_matches_closed_form_along_run(rng):
@@ -272,6 +284,17 @@ def test_collisions_identical_pair_excluded():
     state0 = PhaseState(0.0, np.array([1.0, 1.0 + TWO_PI, 3.0]), np.array([0.2, 0.2, 0.0]))
     events = detect_collisions(params, state0, IntegratorConfig(dt=0.01, t_end=10.0))
     assert not any((ev.i, ev.j) == (0, 1) for ev in events)
+
+
+def test_collisions_need_inertia(rng):
+    # Refinement steps the inertial system, which divides by m.
+    params, state0 = random_instance(rng, n=8, m=0.0, d_v=2.0)
+    cfg = IntegratorConfig(dt=0.01, t_end=3.0)
+    record = record_trajectory(params, state0, cfg)
+    with pytest.raises(ValueError, match="m > 0"):
+        collision_events_from_record(params, record, cfg)
+    with pytest.raises(ValueError, match="m > 0"):
+        detect_collisions(params, state0, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -682,7 +705,8 @@ def test_refinement_coupling_calls_bounded_per_batch(monkeypatch):
 
     monkeypatch.setitem(COUPLING_FORMS, cfg.coupling, counting)
     events = collision_events_from_record(params, record, cfg)
-    rows = max(1, integrate_module._BLOCK_ELEMENTS // record.n)
+    # Batches as ``_bisect`` forms them: up to three probes per row.
+    rows = max(1, integrate_module._BLOCK_ELEMENTS // (3 * record.n))
     batches = -(-len(events) // rows)
     rounds = math.ceil(math.log2(cfg.dt / cfg.refine_tol)) + 2
     # A loop over events would make about 2 * rounds calls per event; a
@@ -722,10 +746,17 @@ def test_refinement_probe_memory_bounded(monkeypatch):
 
 
 def test_first_order_observer_cadence():
-    p = SystemParams(0.0, 1.0, [0.1, -0.1])
-    seen = []
-    integrate_first_order(
-        p, np.array([0.0, 1.0]), IntegratorConfig(dt=0.1, t_end=1.0, observer_stride=3),
-        lambda t, th: seen.append(t),
-    )
-    assert seen[0] == 0.0 and abs(seen[-1] - 1.0) < 1e-12
+    # Zero inertia ignores the initial frequencies; the observed frequencies
+    # are the phase velocities.
+    p = SystemParams(0.0, 0.7, [0.1, -0.1])
+    for coupling in COUPLING_FORMS:
+        seen = []
+        final = integrate(
+            p, PhaseState(0.0, [0.0, 1.0], [7.0, -7.0]),
+            IntegratorConfig(dt=0.1, t_end=1.0, observer_stride=3, coupling=coupling),
+            lambda t, state: seen.append(state),
+        )
+        assert [s.t for s in seen] == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0], abs=1e-12)
+        assert seen[-1].t == final.t and np.array_equal(seen[-1].theta, final.theta)
+        for state in seen + [final]:
+            assert np.array_equal(state.omega, rhs_first_order(p, state.theta, coupling))
