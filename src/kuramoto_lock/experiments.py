@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import functools
 import json
 import math
 import numbers
+import operator
+import pprint
+import textwrap
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -121,115 +123,94 @@ SCENARIO_SCHEMA: dict = {
     },
 }
 
-_FIELD_TO_KEY = {
-    "n": "N",
-    "m": "m",
-    "kappa": "kappa",
-    "d_v": "D_V",
-    "d_omega0": "D_Omega0",
-    "seed": "seed",
-    "t_end": "t_end",
-    "dt": "dt",
-    "stride": "stride",
-    "window": "window",
-    "eps_omega": "eps_omega",
-    "eps_theta": "eps_theta",
-    "distribution": "distribution",
-    "certify": "certify",
-    "collisions": "collisions",
-    "cluster_lambda": "cluster_lambda",
-    "cluster_ell": "cluster_ell",
-}
+# Config field names are the schema's keys in lower case, in the schema's order.
+_FIELD_TO_KEY = {key.lower(): key for key in SCENARIO_SCHEMA["properties"]}
 
 
-@functools.cache
-def _scenario_validator():
-    """Validator of ``SCENARIO_SCHEMA``, built on first use.  The schema is a
-    constant, so it is not re-checked on every call as ``jsonschema.validate``
-    would."""
-    from jsonschema.validators import validator_for
-
-    return validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-# The type tests and bound comparisons jsonschema makes, restricted to plain
-# Python values; the keywords the fast acceptance check understands.
+# jsonschema's Draft 2020-12 type rules for the types the schema names: a
+# bool is no number, an integral float is an integer, and any numbers.Number
+# (numpy scalars, Decimal, Fraction, complex) is a number.
 _SCHEMA_TYPES = {
-    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "number": _is_number,
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
+    or (isinstance(v, float) and v.is_integer()),
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
     "boolean": lambda v: isinstance(v, bool),
     "string": lambda v: isinstance(v, str),
     "null": lambda v: v is None,
+    "object": lambda v: isinstance(v, dict),
 }
+# Each bound keyword: the comparison that fails a number, and jsonschema's words.
 _SCHEMA_BOUNDS = {
-    "minimum": lambda v, b: not v < b,
-    "maximum": lambda v, b: not v > b,
-    "exclusiveMinimum": lambda v, b: not v <= b,
-    "exclusiveMaximum": lambda v, b: not v >= b,
+    "minimum": (operator.lt, "is less than the minimum of"),
+    "maximum": (operator.gt, "is greater than the maximum of"),
+    "exclusiveMinimum": (operator.le, "is less than or equal to the minimum of"),
+    "exclusiveMaximum": (operator.ge, "is greater than or equal to the maximum of"),
 }
-_SCHEMA_TOP_KEYWORDS = {"$schema", "title", "type", "additionalProperties", "properties"}
 
 
-def _value_accepted(rules: dict, value) -> bool:
-    """True only if ``value`` meets every keyword in ``rules``.  Numbers
-    other than int and float (numpy ints, Decimal) and non-finite floats
-    are left to jsonschema."""
-    if isinstance(value, numbers.Number) and not isinstance(value, (int, float)):
-        return False
-    if isinstance(value, float) and not math.isfinite(value):
-        return False
+def _schema_errors(doc, rules: dict = SCENARIO_SCHEMA, path: tuple = ()) -> list[tuple]:
+    """Every error jsonschema's validator yields for ``doc`` against
+    ``rules``, in its order, as (path, keyword, message, rules, doc).  Every
+    bound is compared, so one that raises does so here."""
+    names = [rules["type"]] if isinstance(rules["type"], str) else rules["type"]
+    mismatch = not any(_SCHEMA_TYPES[name](doc) for name in names)
+    is_object, is_number = isinstance(doc, dict), _SCHEMA_TYPES["number"](doc)
+    errors = []
     for keyword, arg in rules.items():
-        if keyword == "type":
-            names = [arg] if isinstance(arg, str) else arg
-            if not any(name in _SCHEMA_TYPES and _SCHEMA_TYPES[name](value) for name in names):
-                return False
-        elif keyword == "enum":
-            if not any(type(each) is type(value) and each == value for each in arg):
-                return False
-        elif keyword in _SCHEMA_BOUNDS:
-            if _is_number(value) and not _SCHEMA_BOUNDS[keyword](value, arg):
-                return False
-        else:
-            return False
-    return True
+        message = None
+        if keyword == "type" and mismatch:
+            message = f"{doc!r} is not of type {', '.join(map(repr, names))}"
+        elif keyword == "enum" and not any(each == doc for each in arg):
+            message = f"{doc!r} is not one of {arg!r}"  # string enums: jsonschema uses ==
+        elif keyword in _SCHEMA_BOUNDS and is_number and _SCHEMA_BOUNDS[keyword][0](doc, arg):
+            message = f"{doc!r} {_SCHEMA_BOUNDS[keyword][1]} {arg!r}"
+        elif keyword == "additionalProperties" and is_object:
+            extras = sorted({key for key in doc if key not in rules["properties"]}, key=str)
+            if extras:
+                listed, verb = ", ".join(map(repr, extras)), "was" if len(extras) == 1 else "were"
+                message = f"Additional properties are not allowed ({listed} {verb} unexpected)"
+        elif keyword == "properties" and is_object:
+            for key, subschema in arg.items():
+                if key in doc:
+                    errors += _schema_errors(doc[key], subschema, (*path, key))
+        if message is not None:
+            errors.append((path, keyword, message, rules, doc))
+    return errors
 
 
-def _schema_accepts(doc) -> bool:
-    """Sufficient check of ``doc`` against ``SCENARIO_SCHEMA``: True only
-    when jsonschema would find no error.  False says nothing; the caller
-    then asks jsonschema, which words any rejection."""
-    schema = SCENARIO_SCHEMA
-    if (
-        type(doc) is not dict
-        or not schema.keys() <= _SCHEMA_TOP_KEYWORDS
-        or schema.get("type") != "object"
-        or schema.get("additionalProperties") is not False
-    ):
-        return False
-    properties = schema["properties"]
-    return all(
-        key in properties and _value_accepted(properties[key], value) for key, value in doc.items()
-    )
+def _pretty(thing) -> str:
+    return textwrap.indent(pprint.pformat(thing, width=72, sort_dicts=False), 16 * " ").lstrip()
 
 
 def _validate_scenario(doc) -> None:
-    """Raise what ``jsonschema.validate`` would raise, as a ConfigError.
-    jsonschema is imported only for a document the fast check does not
-    accept."""
-    if _schema_accepts(doc):
-        return
+    """Reject ``doc`` as ``jsonschema.validate`` would against
+    ``SCENARIO_SCHEMA``, worded as its ``best_match`` error prints; then
+    reject non-finite numbers, which pass the bounds (NaN < 0 is false)."""
     try:
-        from jsonschema.exceptions import best_match
-
-        error = best_match(_scenario_validator().iter_errors(doc))
-    except Exception as exc:  # noqa: BLE001 - rewrap with context
+        errors = _schema_errors(doc)
+    except Exception as exc:  # noqa: BLE001 - e.g. a complex value against a bound
         raise ConfigError(f"invalid scenario config: {exc}") from None
-    if error is not None:
-        raise ConfigError(f"invalid scenario config: {error}") from None
+    if errors:
+        # best_match: the shallowest error, then the greatest path, then the
+        # first; its type-mismatch rank is one per path in this flat schema.
+        path, keyword, message, rules, value = max(errors, key=lambda e: (-len(e[0]), e[0]))
+        schema_at = "".join(f"['properties'][{key!r}]" for key in path)
+        instance_at = "".join(f"[{key!r}]" for key in path)
+        # The layout of ValidationError.__str__, dedent included: it shifts
+        # every line when a repr spans lines.
+        raise ConfigError("invalid scenario config: " + textwrap.dedent(f"""\
+            {message}
+
+            Failed validating {keyword!r} in schema{schema_at}:
+                {_pretty(rules)}
+
+            On instance{instance_at}:
+                {_pretty(value)}
+            """.rstrip()))
+    for key, value in doc.items():
+        if isinstance(value, numbers.Number) and not isinstance(value, numbers.Integral):
+            if not math.isfinite(value):
+                raise ConfigError(f"invalid scenario config: {key} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -260,14 +241,9 @@ class ScenarioConfig:
     cluster_ell: float = 1.5
 
     def __post_init__(self):
-        doc = self.to_dict()
-        _validate_scenario(doc)
-        # JSON's NaN and Infinity pass the schema's bounds (NaN < 0 is false).
-        for key, value in doc.items():
-            if isinstance(value, numbers.Integral) or not isinstance(value, numbers.Number):
-                continue
-            if not math.isfinite(value):
-                raise ConfigError(f"invalid scenario config: {key} must be finite, got {value!r}")
+        _validate_scenario(self.to_dict())
+        for attr in ("n", "seed", "stride"):  # the schema's integers include 5.0
+            object.__setattr__(self, attr, int(getattr(self, attr)))
         if self.collisions and self.m == 0.0:
             raise ConfigError(
                 "collision detection needs inertia m > 0: its refinement steps "
@@ -698,8 +674,17 @@ class CampaignConfig:
     def __post_init__(self):
         if self.which not in CAMPAIGN_KINDS:
             raise ConfigError(f"unknown campaign kind {self.which!r}")
-        if self.n_instances < 1 or self.n < 1:
-            raise ConfigError("n_instances and n must be >= 1")
+        # The fields every instance's ScenarioConfig receives, read by its rules.
+        _validate_scenario({_FIELD_TO_KEY[attr]: getattr(self, attr) for attr in (
+            "n", "kappa", "t_end", "dt", "stride", "window", "eps_omega", "eps_theta")})
+        if self.n_instances < 1:
+            raise ConfigError("n_instances must be >= 1")
+        for attr in ("n", "stride"):
+            object.__setattr__(self, attr, int(getattr(self, attr)))
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ConfigError(f"campaign seed must be a non-negative integer, got {self.seed!r}")
+        if not self.kappa > 0:
+            raise ConfigError(f"campaign kappa must be > 0 to certify, got {self.kappa!r}")
 
 
 @dataclass(frozen=True)

@@ -85,6 +85,15 @@ def test_simulate_rejects_nan_config(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_integral_float_config(tmp_path):
+    """An integral float on an integer key runs as the int config does."""
+    for name, n in (("int", 5), ("float", 5.0)):
+        cfg = write(tmp_path / f"{name}.json", {"N": n, "t_end": 1.0})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+    for file in ("run.json", "run_series.csv"):
+        assert (tmp_path / "float" / file).read_bytes() == (tmp_path / "int" / file).read_bytes()
+
+
 def test_certify_pass_and_json(tmp_path, capsys):
     cfg = write(
         tmp_path / "cert.json",

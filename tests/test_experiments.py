@@ -5,11 +5,14 @@ import dataclasses
 import gc
 import json
 import math
+import numbers
 import os
 import subprocess
 import sys
 import weakref
 from collections import Counter
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -32,9 +35,7 @@ from kuramoto_lock.experiments import (
     _effective_dt,
     _FIELD_TO_KEY,
     _SCHEMA_BOUNDS,
-    _SCHEMA_TOP_KEYWORDS,
     _SCHEMA_TYPES,
-    _schema_accepts,
     _validate_scenario,
 )
 
@@ -80,6 +81,7 @@ def test_zero_inertia_collisions_rejected():
 def test_config_roundtrip():
     cfg = small_config()
     assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
+    assert list(_FIELD_TO_KEY) == [f.name for f in dataclasses.fields(ScenarioConfig)]
 
 
 def test_effective_dt_guard():
@@ -108,18 +110,51 @@ class _DictSubclass(dict):
     pass
 
 
+def _oracle(doc):
+    """What the config boundary says of ``doc`` by jsonschema's reading:
+    None to accept, else the ConfigError text.  ``best_match`` words a
+    rejection, an exception raised while validating is wrapped, and only an
+    accepted document is checked for non-finite numbers."""
+    try:
+        error = best_match(_reference_validator().iter_errors(doc))
+    except Exception as exc:  # noqa: BLE001
+        return f"invalid scenario config: {exc}"
+    if error is not None:
+        return f"invalid scenario config: {error}"
+    for key, value in doc.items():
+        if isinstance(value, numbers.Number) and not isinstance(value, numbers.Integral):
+            if not math.isfinite(value):
+                return f"invalid scenario config: {key} must be finite, got {value!r}"
+    return None
+
+
+def _verdict(doc):
+    """None when the package's reader accepts ``doc``, else its message."""
+    try:
+        _validate_scenario(doc)
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
 def test_fast_check_understands_every_schema_keyword():
-    assert SCENARIO_SCHEMA.keys() <= _SCHEMA_TOP_KEYWORDS
+    assert SCENARIO_SCHEMA.keys() <= {"$schema", "title", "type", "additionalProperties", "properties"}
     assert SCENARIO_SCHEMA["type"] == "object"
     assert SCENARIO_SCHEMA["additionalProperties"] is False
     for rules in _PROPERTIES.values():
         assert rules.keys() <= {"type", "enum", *_SCHEMA_BOUNDS}
         assert set(_type_names(rules)) <= _SCHEMA_TYPES.keys()
-    # The fast path is live: default and JSON-typed documents pass it.
-    assert _schema_accepts(ScenarioConfig().to_dict())
-    assert _schema_accepts({"N": 5, "m": 1, "eps_omega": 0.5, "seed": 2**64 - 1})
+        # jsonschema compares enum members with == only when they are strings.
+        assert all(isinstance(each, str) for each in rules.get("enum", []))
+    # Default and JSON-typed documents are accepted.
+    assert _verdict(ScenarioConfig().to_dict()) is None
+    assert _verdict({"N": 5, "m": 1, "eps_omega": 0.5, "seed": 2**64 - 1}) is None
 
 
+# One document per class the reader must word as jsonschema does: numpy
+# ints, floats, bools and complex; integral floats; Decimal (NaN, overflow);
+# Fraction; complex; an array against the enum; multi-line reprs; several
+# and non-string unknown keys; dict subclasses; non-dict top levels.
 @pytest.mark.parametrize(
     "doc",
     [
@@ -132,10 +167,35 @@ def test_fast_check_understands_every_schema_keyword():
         {"bogus": 1},
         _DictSubclass(N=5),
         [("N", 5)],
+        {"m": np.int64(-3), "seed": np.uint8(2)},
+        {"N": 5.0, "seed": 2.0**70},
+        {"N": np.float64(0.0)},
+        {"m": np.float32(-0.5)},
+        {"certify": np.bool_(True)},
+        {"m": Decimal("-1.5"), "D_V": Decimal("2")},
+        {"m": Decimal("NaN")},
+        {"t_end": Decimal("1e400")},
+        {"m": Fraction(-1, 3)},
+        {"kappa": Fraction(1, 3)},
+        {"m": 1j},
+        {"eps_omega": np.complex128(-1)},
+        {"distribution": np.arange(4)},
+        {"N": np.arange(30.0).reshape(3, 10)},
+        {"zeta": 1, "alpha": 2, "N": 0.5, 3: 1},
+        {1: 2, (0, "x"): 3, None: 4},
+        {"m": 1j, "bogus": 1},
+        {"N": 0, "t_end": -1.0, "dt": "x"},
+        {"eps_omega": "x"},
+        _DictSubclass(N=0, extra=1),
+        None,
+        "N=5",
+        np.arange(30.0).reshape(3, 10),
     ],
 )
 def test_fast_check_leaves_other_documents_to_jsonschema(doc):
-    assert not _schema_accepts(doc)
+    """The classes jsonschema once read for the package are read by the
+    package itself, to the same verdict and the same words."""
+    assert _verdict(doc) == _oracle(doc)
 
 
 _NOISE = st.one_of(
@@ -143,9 +203,19 @@ _NOISE = st.one_of(
     st.floats(-1e3, 1e3),
     st.sampled_from([float("nan"), math.inf, -math.inf, -0.0, 0, 2**64, 2 * math.pi, True, False]),
     st.floats(-1e3, 1e3).map(np.float64),
+    st.floats(-1e3, 1e3, width=32).map(np.float32),
     st.integers(-5, 50).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.decimals(allow_nan=True, allow_infinity=True, places=3),
+    st.fractions(-10, 10, max_denominator=7),
+    st.complex_numbers(max_magnitude=10, allow_nan=False),
     st.none(),
     st.sampled_from(["uniform", "normal", ""]),
+)
+# Keys the schema does not know, strings and others.
+_UNKNOWN_KEYS = st.one_of(
+    st.sampled_from(["bogus", "n", "Seed", ""]), st.integers(-2, 2), st.none(),
+    st.tuples(st.integers(0, 2)),
 )
 
 
@@ -200,28 +270,24 @@ _VALID_DOCUMENTS = st.fixed_dictionaries(
 @st.composite
 def _documents(draw):
     """A valid document with up to two keys replaced by a near miss or by
-    noise, as a dict or a dict subclass; or, one time in four, not a dict."""
+    noise and up to three unknown keys added, as a dict or a dict subclass;
+    or, one time in four, not a dict."""
     if draw(st.integers(0, 3)) == 0:
-        return draw(st.one_of(_NOISE, st.lists(st.integers(), max_size=2)))
+        return draw(st.one_of(_NOISE, st.lists(st.integers(), max_size=2),
+                              st.tuples(st.sampled_from([*_PROPERTIES]), _NOISE)))
     doc = draw(_VALID_DOCUMENTS)
-    for key in draw(st.lists(st.sampled_from([*_PROPERTIES, "bogus"]), max_size=2)):
-        near = key in _PROPERTIES and draw(st.booleans())
+    for key in draw(st.lists(st.sampled_from([*_PROPERTIES]), max_size=2)):
+        near = draw(st.booleans())
         doc[key] = draw(_near_misses(_PROPERTIES[key]) if near else _NOISE)
+    for key in draw(st.lists(_UNKNOWN_KEYS, max_size=3)):
+        doc[key] = draw(_NOISE)
     return draw(st.sampled_from([doc, _DictSubclass(doc)]))
 
 
 @settings(max_examples=400)
 @given(doc=_documents())
 def test_fast_check_agrees_with_jsonschema(doc):
-    errors = list(_reference_validator().iter_errors(doc))
-    if _schema_accepts(doc):
-        assert errors == []
-    if errors:
-        with pytest.raises(ConfigError) as excinfo:
-            _validate_scenario(doc)
-        assert str(excinfo.value) == f"invalid scenario config: {best_match(errors)}"
-    else:
-        _validate_scenario(doc)
+    assert _verdict(doc) == _oracle(doc)
 
 
 @pytest.mark.parametrize(
@@ -256,21 +322,114 @@ def test_non_finite_numbers_rejected(key):
         ScenarioConfig(**{attr: np.float64("nan")})
 
 
-def test_valid_configs_do_not_import_jsonschema():
+def _package_env():
     src = Path(kuramoto_lock.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_valid_configs_do_not_import_jsonschema():
     code = """
 import dataclasses, sys
 import kuramoto_lock
 from kuramoto_lock import CampaignConfig, ScenarioConfig, certify_campaign
+from kuramoto_lock.experiments import ConfigError
 ScenarioConfig()
 ScenarioConfig.from_dict({"N": 5, "m": 0.5, "kappa": 2.0, "t_end": 1.5, "eps_omega": 1e-4})
 certify_campaign(CampaignConfig(which="simple", n_instances=1, n=5, t_end=1.0, stride=10))
 dataclasses.replace(ScenarioConfig(n=10, t_end=1.0), collisions=True)
-assert "jsonschema" not in sys.modules, "a valid config imported jsonschema"
+for doc in ({"N": 0}, {"m": 1j}, {"bogus": 1}, [1], {"m": float("nan")}):
+    try:
+        ScenarioConfig.from_dict(doc)
+    except ConfigError:
+        pass
+    else:
+        raise AssertionError(f"accepted {doc!r}")
+assert "jsonschema" not in sys.modules, "validating a config imported jsonschema"
 """
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    subprocess.run([sys.executable, "-c", code], env=_package_env(), check=True)
+
+
+# One document per rejection class, as source that this process and a
+# subprocess without jsonschema both evaluate.
+_REJECTED_SOURCE = """[
+    {"N": 4, "bogus": 1},
+    {"zeta": 1, 3: 2, "N": 0},
+    {"N": "ten"},
+    {"m": -0.5},
+    {"dt": 0.0},
+    {"cluster_ell": 7},
+    {"distribution": "normal"},
+    {"eps_omega": "x"},
+    [1, 2],
+    {"N": 0, "t_end": -1.0},
+    {"seed": np.int64(3)},
+    {"N": 0.5},
+    {"m": np.bool_(True)},
+    {"m": Decimal("-1")},
+    {"m": Decimal("NaN")},
+    {"m": Fraction(-1, 2)},
+    {"m": 1j},
+    {"eps_omega": float("nan")},
+    {"t_end": np.float64("inf")},
+    {"N": np.arange(30.0).reshape(3, 10)},
+    Sub(N=0),
+]"""
+_REJECTED_CLI_DOC = {"N": 0, "t_end": -1.0}
+
+
+def test_runtime_without_jsonschema(tmp_path):
+    """With jsonschema blocked, valid configs construct, every rejection
+    class reads as jsonschema words it, and the CLI exits 1 with it."""
+    namespace = {"np": np, "Decimal": Decimal, "Fraction": Fraction, "Sub": _DictSubclass}
+    expected = [_oracle(doc) for doc in eval(_REJECTED_SOURCE, namespace)]
+    assert None not in expected
+    code = f"""
+import json, sys
+sys.modules["jsonschema"] = None
+from decimal import Decimal
+from fractions import Fraction
+import numpy as np
+from kuramoto_lock import CampaignConfig, ScenarioConfig, certify_campaign
+from kuramoto_lock.cli import main
+from kuramoto_lock.experiments import ConfigError
+
+class Sub(dict):
+    pass
+
+ScenarioConfig()
+ScenarioConfig.from_dict({{"N": 5.0, "m": 0.5, "kappa": 2.0, "t_end": 1.5, "eps_omega": 1e-4}})
+certify_campaign(CampaignConfig(which="simple", n_instances=1, n=5, t_end=1.0, stride=10))
+for doc, message in zip({_REJECTED_SOURCE}, json.loads(sys.stdin.read())):
+    try:
+        ScenarioConfig.from_dict(doc)
+    except ConfigError as exc:
+        assert str(exc) == message, (str(exc), message)
+    else:
+        raise AssertionError(f"accepted {{doc!r}}")
+sys.exit(main(["simulate", "--config", sys.argv[1]]))
+"""
+    config = tmp_path / "rejected.json"
+    config.write_text(json.dumps(_REJECTED_CLI_DOC))
+    run = subprocess.run(
+        [sys.executable, "-c", code, str(config)], env=_package_env(),
+        input=json.dumps(expected), capture_output=True, text=True,
+    )
+    assert run.returncode == 1, run.stderr
+    assert run.stderr == f"error: {_oracle(_REJECTED_CLI_DOC)}\n"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"N": 5.0}, {"seed": 3.0}, {"stride": 2.0}, {"N": np.float64(5.0), "seed": np.float64(3.0)}],
+)
+def test_integral_floats_on_integer_keys_run_as_ints(doc):
+    base = {"N": 5, "seed": 3, "stride": 2, "t_end": 1.0}
+    config = ScenarioConfig.from_dict({**base, **doc})
+    assert all(type(value) is int for value in (config.n, config.seed, config.stride))
+    assert config == ScenarioConfig.from_dict(base)
+    as_json = json.dumps(run_scenario(config).to_json_dict())
+    assert as_json == json.dumps(run_scenario(ScenarioConfig.from_dict(base)).to_json_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +553,48 @@ def test_sweep_csv(tmp_path):
 # ---------------------------------------------------------------------------
 # Campaigns
 # ---------------------------------------------------------------------------
+
+def _scenario_message(**fields):
+    with pytest.raises(ConfigError) as excinfo:
+        ScenarioConfig(**fields)
+    return str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "fields, expected",
+    [
+        ({"seed": -1}, "campaign seed must be a non-negative integer, got -1"),
+        ({"seed": 2.5}, "campaign seed must be a non-negative integer, got 2.5"),
+        ({"kappa": 0.0}, "campaign kappa must be > 0 to certify, got 0.0"),
+        ({"kappa": -1.0}, None),
+        ({"t_end": -1.0}, None),
+        ({"dt": 0.0}, None),
+        ({"n": 5.5}, None),
+        ({"n": 0}, None),
+        ({"n": "five"}, None),
+        ({"n_instances": 0}, "n_instances must be >= 1"),
+        ({"stride": 0}, None),
+        ({"window": math.inf}, None),
+        ({"eps_omega": -1e-4}, None),
+        ({"eps_theta": "tight"}, None),
+    ],
+)
+def test_campaign_config_rejects_bad_fields(fields, expected):
+    """Construction rejects each field by name; a field forwarded to every
+    instance's ScenarioConfig is worded as the scenario words it."""
+    if expected is None:
+        expected = _scenario_message(**fields)
+    with pytest.raises(ConfigError) as excinfo:
+        CampaignConfig(**{"which": "simple", "n_instances": 100, **fields})
+    assert str(excinfo.value) == expected
+
+
+def test_campaign_config_integral_floats_run_as_ints():
+    floats = CampaignConfig(which="simple", n_instances=1, n=5.0, t_end=1.0, stride=10.0)
+    ints = CampaignConfig(which="simple", n_instances=1, n=5, t_end=1.0, stride=10)
+    assert type(floats.n) is int and type(floats.stride) is int
+    assert certify_campaign(floats).to_json_dict() == certify_campaign(ints).to_json_dict()
+
 
 def test_simple_campaign_small():
     cc = CampaignConfig(which="simple", n_instances=3, seed=42, n=12,
