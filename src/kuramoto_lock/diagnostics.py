@@ -391,20 +391,6 @@ def _rolling_max(a: np.ndarray, length: int) -> np.ndarray:
     return np.maximum(suffix[: s - length + 1], prefix[length - 1 : s])
 
 
-def _pair_oscillation(theta: np.ndarray, length: int, windows: np.ndarray) -> np.ndarray:
-    """Largest pairwise phase-gap oscillation over each window in ``windows``
-    (sorted starts), one oscillator i at a time (pairs (i, j > i)) and only
-    over the snapshots those windows cover."""
-    sub = theta[windows[0] : windows[-1] + length]
-    rows = windows - windows[0]
-    osc = np.full(windows.size, -np.inf)
-    for i in range(theta.shape[1] - 1):
-        gaps = sub[:, i : i + 1] - sub[:, i + 1 :]
-        block = _rolling_max(gaps, length)[rows] + _rolling_max(-gaps, length)[rows]
-        np.maximum(osc, block.max(axis=1), out=osc)
-    return osc
-
-
 def detect_locking(
     params: SystemParams,
     record: TrajectoryRecord,
@@ -413,13 +399,21 @@ def detect_locking(
 ) -> LockReport:
     """Numeric surrogate for asymptotic phase-locking on a snapshot record.
 
-    Snapshots must be equally spaced and span at least ``window``.
+    Snapshots must be equally spaced and span at least ``window``; a window
+    holds L snapshots.
 
-    Memory stays O(S*N) for S snapshots.  The gaps theta_0 - theta_j are a
-    subset of all pair gaps, so their oscillation is an exact lower bound of a
-    window's pairwise oscillation and rejects most unlocked windows.  The
-    remaining windows, and always the last one, are evaluated exactly, one
-    row of pairs (i, j > i) at a time.
+    A window's largest pairwise phase-gap oscillation,
+    max_ij (max_t - min_s)(theta_i - theta_j), equals the largest phase
+    diameter of theta(t) - theta(s) over its snapshot pairs (t, s).  One pass
+    over the lags 1 .. L-1 takes the diameters of theta(t + lag) - theta(t)
+    and folds them into every window: O(S*L*N) time and O(S*N) memory for S
+    snapshots, with no pair gap ever formed.
+
+    The all-pairs pass rounds differently: both evaluate each (pair, t, s)
+    term as the rounded difference of two rounded differences of phases
+    bounded by M = max|theta| over the window, so each lies within
+    4*spacing(M) of the exact value, and the two passes' window oscillations
+    (``relative_phase_drift_final`` among them) agree to 8*spacing(M).
     """
     tol = tolerances or default_lock_tolerances(params.kappa)
     h = _check_uniform_spacing(record.t)
@@ -429,20 +423,20 @@ def detect_locking(
         raise ValueError("snapshots must cover at least one lock window")
     freq_dev = np.abs(record.omega - params.nu_c).max(axis=1)
     roll_freq = _rolling_max(freq_dev[:, None], length)[:, 0]
-    ok = roll_freq < tol.eps_omega
-    if record.n > 1:
-        g0 = record.theta[:, :1] - record.theta[:, 1:]
-        bound = (_rolling_max(g0, length) + _rolling_max(-g0, length)).max(axis=1)
-        ok &= bound < tol.eps_theta
-        need = ok.copy()
-        need[-1] = True
-        windows = np.flatnonzero(need)
-        osc = _pair_oscillation(record.theta, length, windows)
-        ok[windows] &= osc < tol.eps_theta
-        drift_final = float(osc[-1])
-    else:
-        ok &= 0.0 < tol.eps_theta
-        drift_final = 0.0
+    # Oscillators along axis 0: a row diameter is then elementwise maxima and
+    # minima over N vectors of snapshots, fast also for small N.  Every lag's
+    # differences share one buffer.
+    n = record.n
+    theta = np.ascontiguousarray(record.theta.T)
+    buf = np.empty(n * s)
+    # After lag k, osc[w] is the largest diameter over the snapshot pairs in
+    # w .. w+k: the pairs in w .. w+k-1, in w+1 .. w+k, and (w, w+k).
+    osc = np.zeros(s)
+    for lag in range(1, length):
+        d = buf[: n * (s - lag)].reshape(n, s - lag)
+        np.subtract(theta[:, lag:], theta[:, :-lag], out=d)
+        osc = np.maximum(np.maximum(osc[:-1], osc[1:]), d.max(axis=0) - d.min(axis=0))
+    ok = (roll_freq < tol.eps_omega) & (osc < tol.eps_theta)
     locked = bool(ok[-1])
     t_lock = None
     if locked:
@@ -453,7 +447,7 @@ def detect_locking(
         locked=locked,
         t_lock=t_lock,
         omega_spread_final=float(roll_freq[-1]),
-        relative_phase_drift_final=drift_final,
+        relative_phase_drift_final=float(osc[-1]),
         eps_omega=tol.eps_omega,
         eps_theta=tol.eps_theta,
         window=window,

@@ -125,6 +125,9 @@ SCENARIO_SCHEMA: dict = {
 
 # Config field names are the schema's keys in lower case, in the schema's order.
 _FIELD_TO_KEY = {key.lower(): key for key in SCENARIO_SCHEMA["properties"]}
+_INTEGER_KEYS = {
+    key for key, rules in SCENARIO_SCHEMA["properties"].items() if rules["type"] == "integer"
+}
 
 
 # jsonschema's Draft 2020-12 type rules for the types the schema names: a
@@ -185,7 +188,9 @@ def _pretty(thing) -> str:
 def _validate_scenario(doc) -> None:
     """Reject ``doc`` as ``jsonschema.validate`` would against
     ``SCENARIO_SCHEMA``, worded as its ``best_match`` error prints; then
-    reject non-finite numbers, which pass the bounds (NaN < 0 is false)."""
+    reject complex numbers that pass the bounds (numpy orders them by their
+    real part) and non-finite numbers, which pass them too (NaN < 0 is
+    false)."""
     try:
         errors = _schema_errors(doc)
     except Exception as exc:  # noqa: BLE001 - e.g. a complex value against a bound
@@ -208,6 +213,8 @@ def _validate_scenario(doc) -> None:
                 {_pretty(value)}
             """.rstrip()))
     for key, value in doc.items():
+        if isinstance(value, numbers.Complex) and not isinstance(value, numbers.Real):
+            raise ConfigError(f"invalid scenario config: {key} must be real, got {value!r}")
         if isinstance(value, numbers.Number) and not isinstance(value, numbers.Integral):
             if not math.isfinite(value):
                 raise ConfigError(f"invalid scenario config: {key} must be finite, got {value!r}")
@@ -242,8 +249,13 @@ class ScenarioConfig:
 
     def __post_init__(self):
         _validate_scenario(self.to_dict())
-        for attr in ("n", "seed", "stride"):  # the schema's integers include 5.0
-            object.__setattr__(self, attr, int(getattr(self, attr)))
+        # Plain numbers, as JSON holds them: the schema's integers include
+        # 5.0, and its numbers numpy scalars, Fraction and Decimal.
+        for attr, key in _FIELD_TO_KEY.items():
+            value = getattr(self, attr)
+            if isinstance(value, numbers.Number) and not isinstance(value, bool):
+                integral = key in _INTEGER_KEYS or isinstance(value, numbers.Integral)
+                object.__setattr__(self, attr, int(value) if integral else float(value))
         if self.collisions and self.m == 0.0:
             raise ConfigError(
                 "collision detection needs inertia m > 0: its refinement steps "
@@ -677,8 +689,13 @@ class CampaignConfig:
         # The fields every instance's ScenarioConfig receives, read by its rules.
         _validate_scenario({_FIELD_TO_KEY[attr]: getattr(self, attr) for attr in (
             "n", "kappa", "t_end", "dt", "stride", "window", "eps_omega", "eps_theta")})
-        if self.n_instances < 1:
-            raise ConfigError("n_instances must be >= 1")
+        for attr in ("n_instances", "max_attempts_factor"):
+            value = getattr(self, attr)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{attr} must be an integer, got {value!r}")
+            if value < 1:
+                raise ConfigError(f"{attr} must be >= 1")
+            object.__setattr__(self, attr, int(value))
         for attr in ("n", "stride"):
             object.__setattr__(self, attr, int(getattr(self, attr)))
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):

@@ -114,7 +114,7 @@ def _oracle(doc):
     """What the config boundary says of ``doc`` by jsonschema's reading:
     None to accept, else the ConfigError text.  ``best_match`` words a
     rejection, an exception raised while validating is wrapped, and only an
-    accepted document is checked for non-finite numbers."""
+    accepted document is checked for complex and non-finite numbers."""
     try:
         error = best_match(_reference_validator().iter_errors(doc))
     except Exception as exc:  # noqa: BLE001
@@ -122,6 +122,8 @@ def _oracle(doc):
     if error is not None:
         return f"invalid scenario config: {error}"
     for key, value in doc.items():
+        if isinstance(value, numbers.Complex) and not isinstance(value, numbers.Real):
+            return f"invalid scenario config: {key} must be real, got {value!r}"
         if isinstance(value, numbers.Number) and not isinstance(value, numbers.Integral):
             if not math.isfinite(value):
                 return f"invalid scenario config: {key} must be finite, got {value!r}"
@@ -190,6 +192,8 @@ def test_fast_check_understands_every_schema_keyword():
         None,
         "N=5",
         np.arange(30.0).reshape(3, 10),
+        {"m": np.complex128(0.5 + 1j)},
+        {"eps_omega": np.complex64(1e-4 + 0j), "window": np.complex128(5)},
     ],
 )
 def test_fast_check_leaves_other_documents_to_jsonschema(doc):
@@ -209,6 +213,7 @@ _NOISE = st.one_of(
     st.decimals(allow_nan=True, allow_infinity=True, places=3),
     st.fractions(-10, 10, max_denominator=7),
     st.complex_numbers(max_magnitude=10, allow_nan=False),
+    st.complex_numbers(max_magnitude=10, allow_nan=False).map(np.complex128),
     st.none(),
     st.sampled_from(["uniform", "normal", ""]),
 )
@@ -322,6 +327,14 @@ def test_non_finite_numbers_rejected(key):
         ScenarioConfig(**{attr: np.float64("nan")})
 
 
+@pytest.mark.parametrize("key", _NUMBER_KEYS)
+def test_complex_numbers_rejected(key):
+    # numpy orders complex scalars by their real part, so 0.5 + 1j passes
+    # every bound of the schema.
+    with pytest.raises(ConfigError, match=rf"^invalid scenario config: {key} must be real, got "):
+        ScenarioConfig.from_dict({key: np.complex128(0.5 + 1j)})
+
+
 def _package_env():
     src = Path(kuramoto_lock.__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
@@ -370,6 +383,7 @@ _REJECTED_SOURCE = """[
     {"m": Decimal("NaN")},
     {"m": Fraction(-1, 2)},
     {"m": 1j},
+    {"m": np.complex128(0.5 + 1j)},
     {"eps_omega": float("nan")},
     {"t_end": np.float64("inf")},
     {"N": np.arange(30.0).reshape(3, 10)},
@@ -430,6 +444,26 @@ def test_integral_floats_on_integer_keys_run_as_ints(doc):
     assert config == ScenarioConfig.from_dict(base)
     as_json = json.dumps(run_scenario(config).to_json_dict())
     assert as_json == json.dumps(run_scenario(ScenarioConfig.from_dict(base)).to_json_dict())
+
+
+@pytest.mark.parametrize(
+    "doc, plain",
+    [
+        ({"m": Fraction(1, 2)}, {"m": 0.5}),
+        ({"m": Decimal("0.5")}, {"m": 0.5}),
+        ({"m": np.float32(0.5)}, {"m": 0.5}),
+        ({"kappa": np.int64(2), "D_V": np.uint8(1)}, {"kappa": 2, "D_V": 1}),
+        ({"t_end": Fraction(3, 2), "window": np.float64(1.0)}, {"t_end": 1.5, "window": 1.0}),
+    ],
+)
+def test_numbers_run_as_plain_json_numbers(doc, plain):
+    base = {"N": 4, "t_end": 1.0, "window": 0.5, "certify": False}
+    config = ScenarioConfig.from_dict({**base, **doc})
+    assert config == ScenarioConfig.from_dict({**base, **plain})
+    assert all(type(value) in (int, float) for value in config.to_dict().values()
+               if isinstance(value, numbers.Number) and not isinstance(value, bool))
+    as_json = json.dumps(run_scenario(config).to_json_dict())
+    assert as_json == json.dumps(run_scenario(ScenarioConfig.from_dict({**base, **plain})).to_json_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +611,12 @@ def _scenario_message(**fields):
         ({"window": math.inf}, None),
         ({"eps_omega": -1e-4}, None),
         ({"eps_theta": "tight"}, None),
+        ({"n_instances": "2"}, "n_instances must be an integer, got '2'"),
+        ({"n_instances": 2.5}, "n_instances must be an integer, got 2.5"),
+        ({"n_instances": True}, "n_instances must be an integer, got True"),
+        ({"max_attempts_factor": 0}, "max_attempts_factor must be >= 1"),
+        ({"max_attempts_factor": 1.5}, "max_attempts_factor must be an integer, got 1.5"),
+        ({"max_attempts_factor": "3"}, "max_attempts_factor must be an integer, got '3'"),
     ],
 )
 def test_campaign_config_rejects_bad_fields(fields, expected):
@@ -590,9 +630,11 @@ def test_campaign_config_rejects_bad_fields(fields, expected):
 
 
 def test_campaign_config_integral_floats_run_as_ints():
-    floats = CampaignConfig(which="simple", n_instances=1, n=5.0, t_end=1.0, stride=10.0)
+    floats = CampaignConfig(which="simple", n_instances=np.int64(1), n=5.0, t_end=1.0,
+                            stride=10.0, max_attempts_factor=np.uint16(200))
     ints = CampaignConfig(which="simple", n_instances=1, n=5, t_end=1.0, stride=10)
-    assert type(floats.n) is int and type(floats.stride) is int
+    assert all(type(getattr(floats, attr)) is int
+               for attr in ("n", "stride", "n_instances", "max_attempts_factor"))
     assert certify_campaign(floats).to_json_dict() == certify_campaign(ints).to_json_dict()
 
 
