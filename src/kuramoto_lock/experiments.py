@@ -125,8 +125,9 @@ SCENARIO_SCHEMA: dict = {
 
 # Config field names are the schema's keys in lower case, in the schema's order.
 _FIELD_TO_KEY = {key.lower(): key for key in SCENARIO_SCHEMA["properties"]}
-_INTEGER_KEYS = {
-    key for key, rules in SCENARIO_SCHEMA["properties"].items() if rules["type"] == "integer"
+_INTEGER_FIELDS = {
+    key.lower() for key, rules in SCENARIO_SCHEMA["properties"].items()
+    if rules["type"] == "integer"
 }
 
 
@@ -220,6 +221,17 @@ def _validate_scenario(doc) -> None:
                 raise ConfigError(f"invalid scenario config: {key} must be finite, got {value!r}")
 
 
+def _store_plain_numbers(config, integer_fields) -> None:
+    """Store every number field of the frozen dataclass ``config`` as a plain
+    ``int`` (Integral values and ``integer_fields``) or ``float``, as JSON
+    holds numbers: numpy scalars, Fraction and Decimal become int or float."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, numbers.Number) and not isinstance(value, bool):
+            integral = f.name in integer_fields or isinstance(value, numbers.Integral)
+            object.__setattr__(config, f.name, int(value) if integral else float(value))
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One seeded scenario: the seed fully determines the instance.
@@ -249,13 +261,8 @@ class ScenarioConfig:
 
     def __post_init__(self):
         _validate_scenario(self.to_dict())
-        # Plain numbers, as JSON holds them: the schema's integers include
-        # 5.0, and its numbers numpy scalars, Fraction and Decimal.
-        for attr, key in _FIELD_TO_KEY.items():
-            value = getattr(self, attr)
-            if isinstance(value, numbers.Number) and not isinstance(value, bool):
-                integral = key in _INTEGER_KEYS or isinstance(value, numbers.Integral)
-                object.__setattr__(self, attr, int(value) if integral else float(value))
+        # The schema's integers include 5.0.
+        _store_plain_numbers(self, _INTEGER_FIELDS)
         if self.collisions and self.m == 0.0:
             raise ConfigError(
                 "collision detection needs inertia m > 0: its refinement steps "
@@ -695,13 +702,17 @@ class CampaignConfig:
                 raise ConfigError(f"{attr} must be an integer, got {value!r}")
             if value < 1:
                 raise ConfigError(f"{attr} must be >= 1")
-            object.__setattr__(self, attr, int(value))
-        for attr in ("n", "stride"):
-            object.__setattr__(self, attr, int(getattr(self, attr)))
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ConfigError(f"campaign seed must be a non-negative integer, got {self.seed!r}")
         if not self.kappa > 0:
             raise ConfigError(f"campaign kappa must be > 0 to certify, got {self.kappa!r}")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, numbers.Complex) and not isinstance(value, numbers.Real):
+                raise ConfigError(f"invalid campaign config: {f.name} must be real, got {value!r}")
+        # Plain numbers, as ScenarioConfig stores them, so that save_campaign
+        # can write config.json.
+        _store_plain_numbers(self, {"n", "stride"})
 
 
 @dataclass(frozen=True)

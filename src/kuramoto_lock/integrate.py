@@ -87,14 +87,14 @@ def _n_snapshots(config: IntegratorConfig) -> int:
     return -(-steps // config.observer_stride) + 1
 
 
-def _check_finite(y: tuple[np.ndarray, ...], t: float) -> None:
-    for a in y:
-        if not np.isfinite(a).all():
-            row = None
-            if a.ndim == 2:
-                bad = np.logical_or.reduce([~np.isfinite(b).all(axis=1) for b in y])
-                row = int(np.argmax(bad))
-            raise IntegrationError(f"non-finite state at t={t:.6g}; check dt against 1/m", row)
+def _check_finite(y: np.ndarray, t: float) -> None:
+    """Raise :class:`IntegrationError` unless the stacked state ``y`` is
+    finite; for a batch ``(d, B, N)`` it names the first row that is not."""
+    if not np.isfinite(y).all():
+        row = None
+        if y.ndim == 3:
+            row = int(np.argmin(np.isfinite(y).all(axis=(0, 2))))
+        raise IntegrationError(f"non-finite state at t={t:.6g}; check dt against 1/m", row)
 
 
 class _Rows(NamedTuple):
@@ -106,76 +106,81 @@ class _Rows(NamedTuple):
     nu: np.ndarray
 
 
-def _accel(params, coup, theta: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """Accelerations of the inertial system at ``(theta, omega)``, with the
-    shapes of :func:`_rk4_step`."""
-    return (params.nu - omega + coup(theta, params.kappa)) / params.m
+def _rate(params, coup, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the rate of the stacked state ``u`` into ``out`` and return it:
+    the acceleration (nu - omega + coupling)/m of an inertial state
+    ``(theta, omega)``, or the phase velocity nu + coupling of zero-inertia
+    phases ``(theta,)``."""
+    if len(u) == 2:
+        np.subtract(params.nu, u[1], out=out)
+        out += coup(u[0], params.kappa)
+        out /= params.m
+    else:
+        np.add(params.nu, coup(u[0], params.kappa), out=out)
+    return out
 
 
 def _rk4_step(
     params,
     coup: Callable[[np.ndarray, float], np.ndarray],
-    theta: np.ndarray,
-    omega: np.ndarray,
+    y: np.ndarray,
     h,
     *,
     b1: Optional[np.ndarray] = None,
     phases_only: bool = False,
-) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """One classic RK4 step of the inertial system.
+) -> np.ndarray:
+    """One classic RK4 step of either model.
 
-    ``theta`` and ``omega`` hold one state ``(N,)`` or a batch ``(B, N)`` of
+    ``y`` stacks the state on a leading axis of length d: ``(theta, omega)``
+    (d = 2) steps the inertial system, ``(theta,)`` (d = 1) the zero-inertia
+    phases.  Each row holds one state ``(N,)`` or a batch ``(B, N)`` of
     states; ``params`` is one :class:`SystemParams` shared by every row, or
     per-row :class:`_Rows`; ``h`` is a scalar or a ``(B, 1)`` column of
     per-row step sizes.  Every row gets exactly the arithmetic of the
     one-dimensional call.
 
-    ``b1``, when given, is the stage-1 acceleration at ``(theta, omega)``,
-    which does not depend on ``h``.  ``phases_only`` skips the stage-4
-    acceleration, which only the new frequencies read, and returns
-    ``(theta_new, None)``.  Neither changes an operation on the values still
+    Stage ``s`` fills one block ``w[s]`` with its state (stage 1's is ``y``
+    itself), then its rate, so the stage derivative is the view
+    ``w[s, 1:]``: (omega, acceleration) for the inertial model, the phase
+    velocity for zero inertia.
+
+    ``b1``, when given, is the stage-1 rate at ``y``, which does not depend
+    on ``h``.  ``phases_only`` (inertial states only) returns the new phases
+    alone and skips the stage-4 phases and rate, which only the new
+    frequencies read.  Neither changes an operation on the values still
     computed, so the new phases equal those of the full step bit for bit.
     """
+    d = len(y)
+    w = np.empty((4, d + 1) + y.shape[1:])
+    w[0, 1:d] = y[1:]  # stage 1's derivative: the frequencies (d = 2), then the rate
     if b1 is None:
-        b1 = _accel(params, coup, theta, omega)
-    th2 = theta + (0.5 * h) * omega
-    om2 = omega + (0.5 * h) * b1
-    b2 = _accel(params, coup, th2, om2)
-    th3 = theta + (0.5 * h) * om2
-    om3 = omega + (0.5 * h) * b2
-    b3 = _accel(params, coup, th3, om3)
-    om4 = omega + h * b3
-    theta_new = theta + (h / 6.0) * (omega + 2.0 * om2 + 2.0 * om3 + om4)
+        _rate(params, coup, y, w[0, d])
+    else:
+        w[0, d] = b1
+    half = 0.5 * h
+    for s in (1, 2):
+        np.add(y, half * w[s - 1, 1:], out=w[s, :d])
+        _rate(params, coup, w[s, :d], w[s, d])
     if phases_only:
-        return theta_new, None
-    b4 = _accel(params, coup, theta + h * om3, om4)
-    return theta_new, omega + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-
-
-def _rk4_step_first_order(params, coup, theta: np.ndarray, h) -> np.ndarray:
-    """One classic RK4 step of the zero-inertia system, with the shapes of
-    :func:`_rk4_step`."""
-    nu, kappa = params.nu, params.kappa
-
-    def vel(th):
-        return nu + coup(th, kappa)
-
-    k1 = vel(theta)
-    k2 = vel(theta + (0.5 * h) * k1)
-    k3 = vel(theta + (0.5 * h) * k2)
-    k4 = vel(theta + h * k3)
-    return theta + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        np.add(y[1], h * w[2, 2], out=w[3, 1])
+        y, k = y[0], w[:, 1]
+    else:
+        np.add(y, h * w[2, 1:], out=w[3, :d])
+        _rate(params, coup, w[3, :d], w[3, d])
+        k = w[:, 1:]
+    return y + (h / 6.0) * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3])
 
 
 def _march(
-    step: Callable[[tuple, float], tuple],
-    y: tuple[np.ndarray, ...],
+    params,
+    coup,
+    y: np.ndarray,
     t0: float,
     config: IntegratorConfig,
-    observe: Callable[[float, tuple], None],
-) -> tuple[float, tuple[np.ndarray, ...]]:
-    """Advance the state ``y`` by ``step(y, h)`` over the step plan of
-    ``config`` and return the final ``(t, y)``.
+    observe: Callable[[float, np.ndarray], None],
+) -> tuple[float, np.ndarray]:
+    """Advance the stacked state ``y`` by :func:`_rk4_step` over the step
+    plan of ``config`` and return the final ``(t, y)``.
 
     ``observe(t, y)`` is called before step 0, before every
     ``observer_stride``-th step thereafter, and after the last step.  The
@@ -190,13 +195,13 @@ def _march(
         for k in range(n_full):
             if k % stride == 0:
                 observe(t0 + k * dt, y)
-            y = step(y, dt)
+            y = _rk4_step(params, coup, y, dt)
             _check_finite(y, t0 + (k + 1) * dt)
         t_last = t0 + n_full * dt
         if rem > 0.0:
             if n_full % stride == 0:
                 observe(t_last, y)
-            y = step(y, rem)
+            y = _rk4_step(params, coup, y, rem)
             t_last = t0 + config.t_end
             _check_finite(y, t_last)
     observe(t_last, y)
@@ -204,21 +209,20 @@ def _march(
 
 
 def _model(coef, coup, theta: np.ndarray, omega: np.ndarray):
-    """``(step, y, omega_of)`` of the model that the inertia selects, for
-    :func:`_march` and :func:`_record`.  Every m > 0 steps the inertial state
-    ``(theta, omega)``; every m = 0 steps the zero-inertia phases alone,
-    ignores ``omega``, and gives the phase velocities as frequency rows.  A
-    batch that mixes the two raises ``ValueError``."""
+    """Stacked state ``y`` and ``omega_of`` of the model that the inertia
+    selects, for :func:`_march` and :func:`_record`.  Every m > 0 steps the
+    inertial state ``y = (theta, omega)``; every m = 0 steps the zero-inertia
+    phases ``y = (theta,)`` alone, ignores ``omega``, and gives the phase
+    velocities as frequency rows.  A batch that mixes the two raises
+    ``ValueError``."""
     inertial = np.asarray(coef.m) > 0.0
     if inertial.all():
-        return lambda y, h: _rk4_step(coef, coup, *y, h), (theta, omega), lambda y: y[1]
-    if inertial.any():
+        y, omega_of = np.stack((theta, omega)), lambda y: y[1]
+    elif inertial.any():
         raise ValueError("a batch cannot mix inertial (m > 0) and zero-inertia (m = 0) instances")
-    return (
-        lambda y, h: (_rk4_step_first_order(coef, coup, y[0], h),),
-        (theta,),
-        lambda y: coef.nu + coup(y[0], coef.kappa),
-    )
+    else:
+        y, omega_of = theta[None], lambda y: coef.nu + coup(y[0], coef.kappa)
+    return y, omega_of
 
 
 def integrate(
@@ -238,13 +242,13 @@ def integrate(
     if params.n != state0.n:
         raise ValueError("state/params size mismatch")
     coup = COUPLING_FORMS[config.coupling]
-    step, y, omega_of = _model(params, coup, state0.theta, state0.omega)
+    y, omega_of = _model(params, coup, state0.theta, state0.omega)
 
     def observe(t, y):
         if observer is not None:
             observer(t, PhaseState(t, y[0], omega_of(y)))
 
-    t, y = _march(step, y, state0.t, config, observe)
+    t, y = _march(params, coup, y, state0.t, config, observe)
     return PhaseState(t, y[0], omega_of(y))
 
 
@@ -307,7 +311,7 @@ def _coefficients(params):
     )
 
 
-def _record(step, y, omega_of, t0: float, config: IntegratorConfig) -> TrajectoryRecord:
+def _record(params, coup, y, omega_of, t0: float, config: IntegratorConfig) -> TrajectoryRecord:
     """Run :func:`_march` into a record allocated up front: ``(S, N)``
     arrays, or ``(B, S, N)`` for a batch.  ``omega_of(y)`` gives the
     frequency rows of a snapshot."""
@@ -324,7 +328,7 @@ def _record(step, y, omega_of, t0: float, config: IntegratorConfig) -> Trajector
         omega[..., k, :] = omega_of(yk)
         k += 1
 
-    _march(step, y, t0, config, observe)
+    _march(params, coup, y, t0, config, observe)
     return TrajectoryRecord(t, theta, omega)
 
 
@@ -352,7 +356,7 @@ def record_trajectory(params, state0, config: IntegratorConfig) -> TrajectoryRec
     if coef.nu.shape != theta.shape:
         raise ValueError("state/params size mismatch")
     coup = COUPLING_FORMS[config.coupling]
-    return _record(*_model(coef, coup, theta, omega), t0, config)
+    return _record(coef, coup, *_model(coef, coup, theta, omega), t0, config)
 
 
 @dataclass(frozen=True)
@@ -509,16 +513,19 @@ def _bisect(
     for start in range(0, k.size, rows):
         batch = slice(start, start + rows)
         kb, ib, jb = k[batch], i[batch], j[batch]
-        th0, om0, t_lo, t_hi = record.theta[kb], record.omega[kb], t[kb], t[kb + 1]
+        t_lo, t_hi = t[kb], t[kb + 1]
+        # Each row's state at its bracket's left end, then its stage-1 rate.
+        w0 = np.empty((3, kb.size, record.n))
+        w0[0], w0[1] = record.theta[kb], record.omega[kb]
+        _rate(params, coup, w0[:2], w0[2])
         # Sign of the crossing function at the bracket's left end.
         sgn = np.sign(np.sin(0.5 * (record.theta[kb, ib] - record.theta[kb, jb])))
-        b1 = _accel(params, coup, th0, om0)
         cert = _certificate(params, record, kb, ib, jb)
 
         def gap_at(act, tau):
-            th, _ = _rk4_step(
-                params, coup, th0[act], om0[act], (tau - t_lo[act])[:, None],
-                b1=b1[act], phases_only=True,
+            w = np.take(w0, act, axis=1)
+            th = _rk4_step(
+                params, coup, w[:2], (tau - t_lo[act])[:, None], b1=w[2], phases_only=True
             )
             r = np.arange(act.size)
             return th[r, ib[act]] - th[r, jb[act]]
@@ -629,10 +636,12 @@ def collision_events_from_record(
     for start in range(0, iu.size, width):
         g = np.sin(0.5 * (theta[:, iu[start:start + width]] - theta[:, ju[start:start + width]]))
         sg = np.sign(g)
-        k, p = np.nonzero(sg[:-1] * sg[1:] < 0)
+        # Flat indices of the (snapshot, pair) block, in the row-major order
+        # of a two-dimensional nonzero.
+        k, p = np.divmod(np.flatnonzero(sg[:-1] * sg[1:] < 0), g.shape[1])
         cross_p.append(p + start)
         cross_k.append(k)
-        k, p = np.nonzero(g == 0.0)
+        k, p = np.divmod(np.flatnonzero(g == 0.0), g.shape[1])
         zero_p.append(p + start)
         zero_k.append(k)
     cp, ck = np.concatenate(cross_p), np.concatenate(cross_k)

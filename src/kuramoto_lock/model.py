@@ -177,7 +177,7 @@ def coupling_mean_field(theta: np.ndarray, kappa: float) -> np.ndarray:
     like :func:`coupling_direct`."""
     th = np.asarray(theta, dtype=float)
     z = np.exp(1j * th)
-    return kappa * (z.sum(axis=-1, keepdims=True) / th.shape[-1] * np.conj(z)).imag
+    return kappa * (np.add.reduce(z, axis=-1, keepdims=True) / th.shape[-1] * np.conj(z)).imag
 
 
 COUPLING_FORMS: dict[str, Callable[[np.ndarray, float], np.ndarray]] = {

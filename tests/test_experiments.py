@@ -617,6 +617,10 @@ def _scenario_message(**fields):
         ({"max_attempts_factor": 0}, "max_attempts_factor must be >= 1"),
         ({"max_attempts_factor": 1.5}, "max_attempts_factor must be an integer, got 1.5"),
         ({"max_attempts_factor": "3"}, "max_attempts_factor must be an integer, got '3'"),
+        ({"lam": 0.7 + 0j}, "invalid campaign config: lam must be real, got (0.7+0j)"),
+        ({"eta": np.complex128(2)}, "invalid campaign config: eta must be real, got "
+                                    f"{np.complex128(2)!r}"),
+        ({"kappa": 1 + 0j}, None),
     ],
 )
 def test_campaign_config_rejects_bad_fields(fields, expected):
@@ -636,6 +640,30 @@ def test_campaign_config_integral_floats_run_as_ints():
     assert all(type(getattr(floats, attr)) is int
                for attr in ("n", "stride", "n_instances", "max_attempts_factor"))
     assert certify_campaign(floats).to_json_dict() == certify_campaign(ints).to_json_dict()
+
+
+@pytest.mark.parametrize(
+    "fields, plain",
+    [
+        ({"kappa": Fraction(1)}, {"kappa": 1.0}),
+        ({"seed": np.int64(3)}, {"seed": 3}),
+        ({"lam": np.float32(0.7)}, {"lam": float(np.float32(0.7))}),
+        ({"ell": Decimal("1.25"), "t_end": np.float64(1.0)}, {"ell": 1.25, "t_end": 1.0}),
+    ],
+    ids=["fraction", "int64", "float32", "decimal"],
+)
+def test_campaign_config_numbers_are_json_plain(tmp_path, fields, plain):
+    """Numeric fields are stored as plain int or float, as ScenarioConfig
+    stores them, so save_campaign writes config.json; the campaign's files
+    equal those of the config written with plain numbers."""
+    base = {"which": "simple", "n_instances": 1, "n": 5, "t_end": 1.0, "stride": 10}
+    cc = CampaignConfig(**{**base, **fields})
+    assert {key: getattr(cc, key) for key in plain} == plain
+    assert all(type(getattr(cc, key)) is type(value) for key, value in plain.items())
+    certify_campaign(cc, outdir=tmp_path / "given")
+    certify_campaign(CampaignConfig(**{**base, **plain}), outdir=tmp_path / "plain")
+    files = _persisted(tmp_path / "given")
+    assert "config.json" in files and files == _persisted(tmp_path / "plain")
 
 
 def test_simple_campaign_small():

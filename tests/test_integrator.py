@@ -48,6 +48,52 @@ def random_instance(rng, n=5, m=1.0, kappa=1.0, d_v=0.8, d_om=1.0):
     return params, state
 
 
+# ---------------------------------------------------------------------------
+# Reference steppers: RK4 on the phases and frequencies as two arrays, and a
+# separate copy for zero inertia, in the operation order the stacked
+# stepper must reproduce bit for bit.
+# ---------------------------------------------------------------------------
+
+def _reference_accel(params, coup, theta, omega):
+    return (params.nu - omega + coup(theta, params.kappa)) / params.m
+
+
+def _reference_rk4_step(params, coup, theta, omega, h, *, b1=None, phases_only=False):
+    """``(theta_new, omega_new)``; with ``phases_only``, ``(theta_new, None)``."""
+    if b1 is None:
+        b1 = _reference_accel(params, coup, theta, omega)
+    th2 = theta + (0.5 * h) * omega
+    om2 = omega + (0.5 * h) * b1
+    b2 = _reference_accel(params, coup, th2, om2)
+    th3 = theta + (0.5 * h) * om2
+    om3 = omega + (0.5 * h) * b2
+    b3 = _reference_accel(params, coup, th3, om3)
+    om4 = omega + h * b3
+    theta_new = theta + (h / 6.0) * (omega + 2.0 * om2 + 2.0 * om3 + om4)
+    if phases_only:
+        return theta_new, None
+    b4 = _reference_accel(params, coup, theta + h * om3, om4)
+    return theta_new, omega + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+
+
+def _reference_rk4_step_first_order(params, coup, theta, h):
+    nu, kappa = params.nu, params.kappa
+
+    def vel(th):
+        return nu + coup(th, kappa)
+
+    k1 = vel(theta)
+    k2 = vel(theta + (0.5 * h) * k1)
+    k3 = vel(theta + (0.5 * h) * k2)
+    k4 = vel(theta + h * k3)
+    return theta + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _stage1_rate(params, coup, y):
+    """Stage-1 rate of the stacked state ``y``, as the bisection computes it."""
+    return integrate_module._rate(params, coup, y, np.empty_like(y[0]))
+
+
 def test_zero_coupling_zero_data_is_constant():
     p = SystemParams(1.0, 0.0, [0.0, 0.0, 0.0])
     s = PhaseState(0.0, [0.2, 1.0, 4.0], [0.0, 0.0, 0.0])
@@ -144,6 +190,26 @@ def test_blowup_guard_names_batch_row():
     s = PhaseState(0.0, [0.0, 1.0], [5.0, -5.0])
     with pytest.raises(IntegrationError, match="batch row 1: non-finite state") as info:
         record_trajectory([ok, stiff, ok], [s, s, s], IntegratorConfig(dt=0.05, t_end=10.0))
+    assert info.value.row == 1
+
+
+def test_blowup_guard_names_row_of_stacked_state():
+    # Only the frequency half of batch row 2 is non-finite.
+    y = np.zeros((2, 4, 3))
+    y[1, 2, 1] = np.inf
+    with pytest.raises(IntegrationError, match="batch row 2: non-finite state") as info:
+        integrate_module._check_finite(y, 0.5)
+    assert info.value.row == 2
+    with pytest.raises(IntegrationError) as info:
+        integrate_module._check_finite(y[:, 2], 0.5)
+    assert info.value.row is None
+    # Zero inertia: a natural frequency near the float limit overflows the
+    # phases of batch row 1 in the first step.
+    ok = SystemParams(0.0, 1.0, [0.1, -0.1])
+    huge = SystemParams(0.0, 1.0, [1.5e308, -0.1])
+    s = PhaseState(0.0, [0.0, 1.0], [0.0, 0.0])
+    with pytest.raises(IntegrationError, match="batch row 1: non-finite state at t=0.01") as info:
+        record_trajectory([ok, huge, ok], [s, s, s], IntegratorConfig(dt=0.01, t_end=1.0))
     assert info.value.row == 1
 
 
@@ -274,7 +340,7 @@ def test_collision_refinement_tolerance():
     coup = COUPLING_FORMS[cfg.coupling]
     for ev in events:
         k = int(np.searchsorted(rec.t, ev.t_star, side="right")) - 1
-        th, _ = _rk4_step(params, coup, rec.theta[k], rec.omega[k], ev.t_star - rec.t[k])
+        th, _ = _reference_rk4_step(params, coup, rec.theta[k], rec.omega[k], ev.t_star - rec.t[k])
         gap = th[ev.i] - th[ev.j] - TWO_PI * ev.branch
         assert abs(gap) < 1e-9
 
@@ -316,7 +382,7 @@ def _reference_refine_crossing(params, coup, record, k, i, j, refine_tol):
     g_lo = math.sin(0.5 * (record.theta[k, i] - record.theta[k, j]))
 
     def gap_at(tau):
-        th, _ = _rk4_step(params, coup, th0, om0, tau - t_lo)
+        th, _ = _reference_rk4_step(params, coup, th0, om0, tau - t_lo)
         return th[i] - th[j]
 
     lo, hi = t_lo, t_hi
@@ -469,10 +535,9 @@ def _probe_gaps(params, record, cfg, k, i, j, tau):
     coup = COUPLING_FORMS[cfg.coupling]
     points = tau.shape[1]
     kk, ii, jj = (np.repeat(x, points) for x in (k, i, j))
-    th0, om0 = record.theta[kk], record.omega[kk]
-    b1 = integrate_module._accel(params, coup, th0, om0)
+    y = np.stack((record.theta[kk], record.omega[kk]))
     h = (tau.ravel() - record.t[kk])[:, None]
-    th, _ = _rk4_step(params, coup, th0, om0, h, b1=b1, phases_only=True)
+    th = _rk4_step(params, coup, y, h, b1=_stage1_rate(params, coup, y), phases_only=True)
     r = np.arange(kk.size)
     return (th[r, ii] - th[r, jj]).reshape(tau.shape)
 
@@ -618,15 +683,16 @@ def test_pair_points_inside_the_margin_do_not_verify(monkeypatch):
     )
     t_lo = record.t[k[r[0]]]
     near = {mid - t_lo for mid in mids if abs(mid - t_ref) < 1e-7 * cfg.dt}
-    step, default_width = integrate_module._rk4_step, integrate_module._NARROW_PAIR
+    default_width = integrate_module._NARROW_PAIR
 
     def probed(narrow_width):
         seen = set()
 
-        def recording(*args, **kwargs):
-            if kwargs.get("phases_only"):
-                seen.update(np.ravel(args[4]).tolist())
-            return step(*args, **kwargs)
+        def recording(params, coup, y, h, *, b1, phases_only):
+            # Every probe is a phase half-step; take it with the reference.
+            assert phases_only
+            seen.update(np.ravel(h).tolist())
+            return _reference_rk4_step(params, coup, *y, h, b1=b1, phases_only=True)[0]
 
         monkeypatch.setattr(integrate_module, "_NARROW_PAIR", narrow_width)
         monkeypatch.setattr(integrate_module, "_rk4_step", recording)
@@ -648,29 +714,74 @@ def test_phases_only_step_matches_full_step(rng, coupling):
     coup = COUPLING_FORMS[coupling]
     n = 150
     params, state = random_instance(rng, n=n)
-    b1 = integrate_module._accel(params, coup, state.theta, state.omega)
-    full = _rk4_step(params, coup, state.theta, state.omega, 0.013)
-    half = _rk4_step(params, coup, state.theta, state.omega, 0.013, b1=b1, phases_only=True)
-    assert half[1] is None and np.array_equal(half[0], full[0])
+    y = np.stack((state.theta, state.omega))
+    full = _rk4_step(params, coup, y, 0.013)
+    half = _rk4_step(params, coup, y, 0.013, b1=_stage1_rate(params, coup, y), phases_only=True)
+    assert full.shape == (2, n) and half.shape == (n,) and np.array_equal(half, full[0])
 
-    theta = rng.uniform(0, TWO_PI, (7, n))
-    omega = rng.uniform(-0.5, 0.5, (7, n))
+    y = np.stack((rng.uniform(0, TWO_PI, (7, n)), rng.uniform(-0.5, 0.5, (7, n))))
     h = np.array([[0.0], [0.01], [1e-13], [0.005], [0.0], [0.0099999], [3e-7]])
     rows = integrate_module._coefficients([random_instance(rng, n=n)[0] for _ in range(7)])
     for p in (params, rows):
-        b1 = integrate_module._accel(p, coup, theta, omega)
-        full = _rk4_step(p, coup, theta, omega, h)[0]
-        assert np.array_equal(_rk4_step(p, coup, theta, omega, h, b1=b1, phases_only=True)[0], full)
+        b1 = _stage1_rate(p, coup, y)
+        full = _rk4_step(p, coup, y, h)[0]
+        assert np.array_equal(_rk4_step(p, coup, y, h, b1=b1, phases_only=True), full)
 
     # As in the bisection: stage-1 accelerations of a whole batch, indexed by
     # the active rows, are those of the active rows alone.
-    b1 = integrate_module._accel(params, coup, theta, omega)
+    b1 = _stage1_rate(params, coup, y)
     act = np.array([1, 4, 5])
-    assert np.array_equal(b1[act], integrate_module._accel(params, coup, theta[act], omega[act]))
+    assert np.array_equal(b1[act], _stage1_rate(params, coup, y[:, act]))
     assert np.array_equal(
-        _rk4_step(params, coup, theta[act], omega[act], h[act], b1=b1[act], phases_only=True)[0],
-        _rk4_step(params, coup, theta, omega, h)[0][act],
+        _rk4_step(params, coup, y[:, act], h[act], b1=b1[act], phases_only=True),
+        _rk4_step(params, coup, y, h)[0][act],
     )
+
+
+def _oracle_step(params, coup, y, h):
+    """The reference steppers' step of the stacked state ``y``."""
+    if len(y) == 1:
+        return _reference_rk4_step_first_order(params, coup, y[0], h)[None]
+    return np.stack(_reference_rk4_step(params, coup, y[0], y[1], h))
+
+
+@pytest.mark.parametrize("coupling", sorted(COUPLING_FORMS))
+@pytest.mark.parametrize("inertial", [True, False], ids=["m>0", "m=0"])
+def test_stacked_step_matches_reference_steppers(rng, coupling, inertial):
+    # One stacked stepper for both models equals the two-array reference
+    # steppers bit for bit: one state and a batch, shared and per-row
+    # parameters, per-row step sizes holding zeros, and a 200-step march.
+    coup = COUPLING_FORMS[coupling]
+    n, b = 30, 6
+    d = 2 if inertial else 1
+    instances = [random_instance(rng, n=n, m=float(rng.uniform(0.2, 2.0)) if inertial else 0.0)
+                 for _ in range(b)]
+    params, state = instances[0]
+    rows = integrate_module._coefficients([p for p, _ in instances])
+    one = np.stack((state.theta, state.omega))[:d]
+    batch = np.stack((rng.uniform(0, TWO_PI, (b, n)), rng.uniform(-0.5, 0.5, (b, n))))[:d]
+    h = np.array([[0.0], [0.01], [1e-13], [0.0], [0.0099999], [3e-7]])
+    cases = [(params, one, 0.013), (params, batch, 0.01), (params, batch, h), (rows, batch, h)]
+    for p, y, step in cases:
+        got = _rk4_step(p, coup, y, step)
+        assert got.shape == y.shape and np.array_equal(got, _oracle_step(p, coup, y, step))
+        if inertial:
+            want = _reference_rk4_step(p, coup, y[0], y[1], step)[0]
+            half = _rk4_step(p, coup, y, step, b1=_stage1_rate(p, coup, y), phases_only=True)
+            assert np.array_equal(half, want)
+
+    # Stage-1 rates of a whole batch, indexed by the active rows, give the
+    # step of those rows alone.
+    act = np.array([0, 2, 5])
+    b1 = _stage1_rate(params, coup, batch)[act]
+    got = _rk4_step(params, coup, batch[:, act], h[act], b1=b1, phases_only=inertial)
+    alone = _oracle_step(params, coup, batch[:, act], h[act])
+    assert np.array_equal(got, alone[0] if inertial else alone)
+
+    y = want = batch
+    for _ in range(200):
+        y, want = _rk4_step(rows, coup, y, 0.01), _oracle_step(rows, coup, want, 0.01)
+    assert np.isfinite(y).all() and np.array_equal(y, want)
 
 
 @pytest.mark.parametrize("t0", [0.0, 5000.0, 20000.0])
@@ -727,13 +838,13 @@ def test_refinement_probe_memory_bounded(monkeypatch):
     coup = COUPLING_FORMS[cfg.coupling]
     rows = 100
     monkeypatch.setattr(integrate_module, "_BLOCK_ELEMENTS", rows * record.n)
-    th0, om0 = record.theta[:rows], record.omega[:rows]
-    b1 = integrate_module._accel(params, coup, th0, om0)
+    y0 = np.stack((record.theta[:rows], record.omega[:rows]))
+    b1 = _stage1_rate(params, coup, y0)
     h = np.full((rows, 1), 0.5 * cfg.dt)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        _rk4_step(params, coup, th0, om0, h, b1=b1, phases_only=True)
+        _rk4_step(params, coup, y0, h, b1=b1, phases_only=True)
         one_step = tracemalloc.get_traced_memory()[1] - base
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
