@@ -686,17 +686,13 @@ def check_n3(params: SystemParams) -> CertificateReport:
     if params.n != 3:
         raise ValueError("check_n3 requires exactly three oscillators")
     _require(params.kappa > 0.0, "check_n3 requires kappa > 0")
-    lhs = (
-        params.m * params.nu_diameter
-        + 2.0 * params.m * params.kappa
-        + params.nu_diameter / (2.0 * params.kappa)
-    )
-    cond = _cond_le("inertia_frequency_budget", lhs, n3_threshold(), strict=True)
+    threshold = n3_threshold()
+    cond = _cond_le("inertia_frequency_budget", xi_inf(params), threshold, strict=True)
     return CertificateReport(
         which="n3",
         passed=cond.satisfied,
         conditions=(cond,),
-        details={"threshold": n3_threshold(), "m_kappa": params.m * params.kappa},
+        details={"threshold": threshold, "m_kappa": params.m * params.kappa},
     )
 
 

@@ -52,16 +52,23 @@ class CliInputError(Exception):
     pass
 
 
+def _require_object(doc, what: str) -> dict:
+    if not isinstance(doc, dict):
+        raise CliInputError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    return doc
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as exc:
         raise CliInputError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise CliInputError(
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    return _require_object(doc, f"config {path}")
 
 
 def _parse_override(item: str) -> tuple[list[str], object]:
@@ -145,38 +152,44 @@ def simulate(config_path, out_dir, as_json, seed, overrides) -> int:
     return EXIT_OK
 
 
-def _instance_from_cert_doc(doc: dict) -> tuple[SystemParams, float, float]:
+def _params_from_cert_doc(doc: dict) -> SystemParams:
     try:
         p = doc["params"]
-        params = SystemParams(float(p["m"]), float(p["kappa"]), np.asarray(p["nu"], dtype=float))
+        return SystemParams(float(p["m"]), float(p["kappa"]), np.asarray(p["nu"], dtype=float))
     except (KeyError, TypeError) as exc:
         raise CliInputError(f"certify config needs params.m/.kappa/.nu: {exc}") from None
-    if "theta0" in doc:
-        theta0 = np.asarray(doc["theta0"], dtype=float)
-        if theta0.size != params.n:
-            raise CliInputError("theta0 length does not match nu")
-        r0 = order_state(theta0).r
-    elif "R0" in doc:
-        r0 = float(doc["R0"])
-    else:
-        raise CliInputError("certify config needs either theta0 or R0")
-    if "omega0" in doc:
-        omega0 = np.asarray(doc["omega0"], dtype=float)
-        if omega0.size != params.n:
-            raise CliInputError("omega0 length does not match nu")
-        d_om = diameter(omega0)
-    elif "D_omega0" in doc:
-        d_om = float(doc["D_omega0"])
-    else:
-        raise CliInputError("certify config needs either omega0 or D_omega0")
+
+
+def _instance_from_cert_doc(doc: dict) -> tuple[SystemParams, float, float]:
+    params = _params_from_cert_doc(doc)
+    try:
+        if "theta0" in doc:
+            theta0 = np.asarray(doc["theta0"], dtype=float)
+            if theta0.size != params.n:
+                raise CliInputError("theta0 length does not match nu")
+            r0 = order_state(theta0).r
+        elif "R0" in doc:
+            r0 = float(doc["R0"])
+        else:
+            raise CliInputError("certify config needs either theta0 or R0")
+        if "omega0" in doc:
+            omega0 = np.asarray(doc["omega0"], dtype=float)
+            if omega0.size != params.n:
+                raise CliInputError("omega0 length does not match nu")
+            d_om = diameter(omega0)
+        elif "D_omega0" in doc:
+            d_om = float(doc["D_omega0"])
+        else:
+            raise CliInputError("certify config needs either omega0 or D_omega0")
+    except TypeError as exc:
+        raise CliInputError(f"certify config initial data invalid: {exc}") from None
     return params, r0, d_om
 
 
 def _run_certifier(doc: dict) -> CertificateReport:
     which = doc.get("which", "simple")
     if which == "n3":
-        p = doc["params"]
-        params = SystemParams(float(p["m"]), float(p["kappa"]), np.asarray(p["nu"], dtype=float))
+        params = _params_from_cert_doc(doc)
         if params.n != 3:
             raise CliInputError("the n3 certificate requires exactly 3 oscillators")
         return check_n3(params)
@@ -295,7 +308,7 @@ def _run_sweep(doc: dict, seed: Optional[int], out: Path) -> SweepResult:
     values = doc.get("values")
     if axis is None or not isinstance(values, list) or not values:
         raise CliInputError("sweep config needs 'axis' and a nonempty 'values' list")
-    base = _scenario_from_doc(doc.get("base", {}), seed)
+    base = _scenario_from_doc(_require_object(doc.get("base", {}), "sweep 'base'"), seed)
     result = figure_sweep(axis, values, base, fresh_samples=bool(doc.get("fresh_samples", False)))
     out.mkdir(parents=True, exist_ok=True)
     result.to_csv(out / "summary.csv")

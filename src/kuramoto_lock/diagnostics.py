@@ -369,26 +369,25 @@ class LockReport:
     window: float
 
 
-def _rolling_max(a: np.ndarray, length: int) -> np.ndarray:
-    """Sliding-window maximum along axis 0 (window ``length``), via the
-    two-pass block prefix/suffix scan; O(S*P) total."""
-    s = a.shape[0]
-    if length == 1:
-        return a.copy()
-    if length == s:
-        return a.max(axis=0, keepdims=True)
-    nb = -(-s // length)
-    pad = nb * length - s
-    if pad:
-        fill = np.full((pad,) + a.shape[1:], -np.inf)
-        ap = np.concatenate([a, fill], axis=0)
-    else:
-        ap = a
-    blocks = ap.reshape((nb, length) + a.shape[1:])
-    prefix = np.maximum.accumulate(blocks, axis=1).reshape((nb * length,) + a.shape[1:])
-    suffix = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1]
-    suffix = suffix.reshape((nb * length,) + a.shape[1:])
-    return np.maximum(suffix[: s - length + 1], prefix[length - 1 : s])
+def _lock_window(t: np.ndarray, window: float) -> Optional[tuple[int, int]]:
+    """Which snapshots at times ``t`` a lock window of duration ``window``
+    reads: ``(s, length)``, where the first ``s`` snapshots are equally
+    spaced at h and a window holds ``length = round(window / h) + 1`` of
+    them, or ``None`` when no window fits (``length > s``).
+
+    ``s`` counts every snapshot, or all but the last when only the final step
+    is shorter, as a record whose ``t_end`` is not a multiple of the snapshot
+    spacing ends.  Any other unequal spacing raises ``ValueError``.
+    """
+    if t.size < 2:
+        raise ValueError("need at least two snapshots")
+    s = t.size
+    if not _uniformly_spaced(t):
+        if not (s > 2 and _uniformly_spaced(t[:-1]) and t[-1] - t[-2] < t[1] - t[0]):
+            raise ValueError("snapshots must be equally spaced")
+        s -= 1
+    length = int(round(window / float(t[1] - t[0]))) + 1
+    return None if length > s else (s, length)
 
 
 def detect_locking(
@@ -399,15 +398,16 @@ def detect_locking(
 ) -> LockReport:
     """Numeric surrogate for asymptotic phase-locking on a snapshot record.
 
-    Snapshots must be equally spaced and span at least ``window``; a window
-    holds L snapshots.
+    The window reads the equally spaced snapshots (a shorter final step is
+    left out) and holds L of them; ``ValueError`` when they hold no window.
 
     A window's largest pairwise phase-gap oscillation,
     max_ij (max_t - min_s)(theta_i - theta_j), equals the largest phase
     diameter of theta(t) - theta(s) over its snapshot pairs (t, s).  One pass
     over the lags 1 .. L-1 takes the diameters of theta(t + lag) - theta(t)
-    and folds them into every window: O(S*L*N) time and O(S*N) memory for S
-    snapshots, with no pair gap ever formed.
+    and folds them, with the frequency deviations, into every window:
+    O(S*L*N) time and O(S*N) memory for S snapshots, with no pair gap ever
+    formed.
 
     The all-pairs pass rounds differently: both evaluate each (pair, t, s)
     term as the rounded difference of two rounded differences of phases
@@ -416,27 +416,27 @@ def detect_locking(
     (``relative_phase_drift_final`` among them) agree to 8*spacing(M).
     """
     tol = tolerances or default_lock_tolerances(params.kappa)
-    h = _check_uniform_spacing(record.t)
-    length = int(round(window / h)) + 1
-    s = record.n_snapshots
-    if length > s:
+    fit = _lock_window(record.t, window)
+    if fit is None:
         raise ValueError("snapshots must cover at least one lock window")
-    freq_dev = np.abs(record.omega - params.nu_c).max(axis=1)
-    roll_freq = _rolling_max(freq_dev[:, None], length)[:, 0]
+    s, length = fit
+    freq = np.abs(record.omega[:s] - params.nu_c).max(axis=1)
     # Oscillators along axis 0: a row diameter is then elementwise maxima and
     # minima over N vectors of snapshots, fast also for small N.  Every lag's
     # differences share one buffer.
     n = record.n
-    theta = np.ascontiguousarray(record.theta.T)
+    theta = np.ascontiguousarray(record.theta[:s].T)
     buf = np.empty(n * s)
-    # After lag k, osc[w] is the largest diameter over the snapshot pairs in
-    # w .. w+k: the pairs in w .. w+k-1, in w+1 .. w+k, and (w, w+k).
+    # After lag k, freq[w] is the largest deviation in w .. w+k and osc[w] the
+    # largest diameter over the snapshot pairs in w .. w+k: the pairs in
+    # w .. w+k-1, in w+1 .. w+k, and (w, w+k).
     osc = np.zeros(s)
     for lag in range(1, length):
+        freq = np.maximum(freq[:-1], freq[1:])
         d = buf[: n * (s - lag)].reshape(n, s - lag)
         np.subtract(theta[:, lag:], theta[:, :-lag], out=d)
         osc = np.maximum(np.maximum(osc[:-1], osc[1:]), d.max(axis=0) - d.min(axis=0))
-    ok = (roll_freq < tol.eps_omega) & (osc < tol.eps_theta)
+    ok = (freq < tol.eps_omega) & (osc < tol.eps_theta)
     locked = bool(ok[-1])
     t_lock = None
     if locked:
@@ -446,7 +446,7 @@ def detect_locking(
     return LockReport(
         locked=locked,
         t_lock=t_lock,
-        omega_spread_final=float(roll_freq[-1]),
+        omega_spread_final=float(freq[-1]),
         relative_phase_drift_final=float(osc[-1]),
         eps_omega=tol.eps_omega,
         eps_theta=tol.eps_theta,

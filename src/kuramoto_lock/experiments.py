@@ -50,7 +50,7 @@ from .diagnostics import (
     find_majority_cluster,
     order_state,
     potential,
-    _uniformly_spaced,
+    _lock_window,
 )
 from .certify import (
     CertificateReport,
@@ -59,6 +59,8 @@ from .certify import (
     check_partial_locking,  # unused here, but perfbench's tracer patches this name
     check_partial_locking_initial,
     check_simple,
+    n3_threshold,
+    _xi_from_diameters,
 )
 
 __all__ = [
@@ -369,18 +371,14 @@ def compute_series(
     z = np.exp(1j * record.theta).mean(axis=1)
     r = np.abs(z)
     phi = np.full(s, np.nan)
-    delta = np.empty(s)
     defined = r >= R_PHASE_THRESHOLD
     phi[defined] = np.angle(z[defined])
-    prev = None
-    for k in range(s):
-        if defined[k]:
-            if prev is not None:
-                phi[k] += TWO_PI * round((prev - phi[k]) / TWO_PI)
-            prev = phi[k]
-            delta[k] = np.mean(np.sin(record.theta[k] - phi[k]) ** 2)
-        else:
-            delta[k] = order_state(record.theta[k]).delta
+    rows = np.flatnonzero(defined)
+    for prev, k in zip(rows[:-1], rows[1:]):
+        phi[k] += TWO_PI * round((phi[prev] - phi[k]) / TWO_PI)
+    delta = np.mean(np.sin(record.theta - phi[:, None]) ** 2, axis=1)
+    for k in np.flatnonzero(~defined):
+        delta[k] = order_state(record.theta[k]).delta
     d_theta = record.theta.max(axis=1) - record.theta.min(axis=1)
     d_omega = record.omega.max(axis=1) - record.omega.min(axis=1)
     p = potential(params, record.theta)
@@ -486,11 +484,8 @@ def run_instance(
 
     series = compute_series(params, record, config.cluster_lambda, config.cluster_ell)
     lock = None
-    if record.t[-1] - record.t[0] >= config.window:
-        uniform = record
-        if record.t.size >= 3 and not _uniformly_spaced(record.t):
-            uniform = TrajectoryRecord(record.t[:-1], record.theta[:-1], record.omega[:-1])
-        lock = detect_locking(params, uniform, config.lock_tolerances(), config.window)
+    if _lock_window(record.t, config.window) is not None:
+        lock = detect_locking(params, record, config.lock_tolerances(), config.window)
     final = record.state(record.n_snapshots - 1)
     return RunRecord(
         config=config,
@@ -617,14 +612,12 @@ def figure_sweep(
     values: Sequence[float],
     base_config: ScenarioConfig,
     fresh_samples: bool = False,
-    workers: Optional[int] = None,
 ) -> SweepResult:
     """One run per axis value with a shared frozen sample.
 
     By default the unit draws behind phases/frequencies are made once from the
     base seed and rescaled per value; ``fresh_samples`` draws per-value
-    substreams instead.  The runs are integrated as batches in this process;
-    ``workers`` has no effect.
+    substreams instead.  The runs are integrated as batches in this process.
     """
     if axis not in _SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {_SWEEP_AXES}")
@@ -756,8 +749,6 @@ def _sample_n3(cc: CampaignConfig, rng: np.random.Generator):
     """N=3 instance inside the all-initial-data certificate, with adversarial
     initial phases (uniform, near-bipolar, near-splay) and large initial
     frequency spreads."""
-    from .certify import n3_threshold
-
     kappa = cc.kappa
     threshold = n3_threshold()
     while True:
@@ -765,8 +756,7 @@ def _sample_n3(cc: CampaignConfig, rng: np.random.Generator):
         dv_over_k = rng.uniform(0.0, 0.2)
         m = mk / kappa
         d_v = dv_over_k * kappa
-        lhs = m * d_v + 2.0 * m * kappa + d_v / (2.0 * kappa)
-        if lhs < 0.97 * threshold:
+        if _xi_from_diameters(m, kappa, d_v, 0.0, None) < 0.97 * threshold:
             break
     mode = rng.integers(0, 3)
     if mode == 0:

@@ -395,6 +395,18 @@ def test_n3_pass_and_fail_arithmetic():
     assert abs(report.conditions[0].value - 0.23) < 1e-15
 
 
+def test_n3_value_is_xi_inf(rng):
+    # The budget is m*D(nu) + 2*m*kappa + D(nu)/(2*kappa), the large-eta drift
+    # budget, with the same operands in the same order: equal bit for bit.
+    for _ in range(200):
+        m, kappa = rng.uniform(0.0, 0.2), rng.uniform(0.05, 5.0)
+        p = SystemParams(m, kappa, rng.uniform(-1.0, 1.0, 3) * rng.uniform(0.0, 0.5))
+        value = check_n3(p).conditions[0].value
+        dv = p.nu_diameter
+        written = m * dv + 2.0 * m * kappa + dv / (2.0 * kappa)
+        assert value.hex() == xi_inf(p).hex() == written.hex()
+
+
 def test_n3_requires_three():
     with pytest.raises(ValueError):
         check_n3(SystemParams(0.01, 1.0, np.zeros(5)))

@@ -274,3 +274,52 @@ def test_selftest_json(capsys):
 
 def test_unknown_flag_is_input_error():
     assert main(["simulate", "--nope"]) == 1
+
+
+@pytest.mark.parametrize(
+    "doc, has_lock",
+    [
+        ({"N": 5, "t_end": 9.95, "stride": 100, "window": 9.9}, False),
+        ({"N": 5, "t_end": 0.05, "window": 0.01}, True),
+        ({"N": 5, "t_end": 0.15, "window": 0.12}, True),
+    ],
+)
+def test_simulate_lock_window_configs(tmp_path, capsys, doc, has_lock):
+    # A window that fits no equally spaced snapshots reports no verdict.
+    cfg = write(tmp_path / "c.json", doc)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out"), "--json"]) == 0
+    assert (json.loads(capsys.readouterr().out)["locked"] is not None) == has_lock
+
+
+_N3 = {"which": "n3"}
+_SIMPLE = {"which": "simple", "params": {"m": 0.01, "kappa": 1.0, "nu": [0.0, 0.0, 0.0]}}
+_SWEEP_LIST_BASE = {"axis": "Dv_over_kappa", "values": [0.2], "base": [1]}
+
+
+@pytest.mark.parametrize(
+    "command, doc, extra",
+    [
+        ("certify", _N3, []),
+        ("certify", {**_N3, "params": {"m": 0.01, "kappa": 1.0}}, []),
+        ("certify", {**_N3, "params": [0.01, 1.0, [0, 0, 0]]}, []),
+        ("certify", [], []),
+        ("certify", {**_SIMPLE, "theta0": {"0": 1.0}, "D_omega0": 0.1}, []),
+        ("certify", {**_SIMPLE, "R0": [0.5], "omega0": [0.0, 0.0, 0.0]}, []),
+        ("sweep", [1, 2], []),
+        ("figures", [1, 2], []),
+        ("collide", [1, 2], []),
+        ("simulate", [1, 2], ["--seed", "3"]),
+        ("sweep", [1, 2], ["--seed", "3"]),
+        ("sweep", _SWEEP_LIST_BASE, ["--seed", "3"]),
+        ("sweep", _SWEEP_LIST_BASE, []),
+        ("simulate", [1, 2], ["--set", "N=3"]),
+        ("simulate", "N=5", []),
+    ],
+)
+def test_malformed_documents_are_input_errors(tmp_path, capsys, command, doc, extra):
+    cfg = write(tmp_path / "doc.json", doc)
+    assert main([command, "--config", cfg, *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    if not isinstance(doc, dict):
+        assert "doc.json" in err

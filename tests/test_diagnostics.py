@@ -33,7 +33,7 @@ from kuramoto_lock.diagnostics import (
     LockReport,
     LockTolerances,
     _check_uniform_spacing,
-    _rolling_max,
+    _lock_window,
     arrangement_check,
     arrangement_constant,
     ClusterReport,
@@ -314,6 +314,28 @@ def test_arrangement_certified_pair():
 # Locking
 # ---------------------------------------------------------------------------
 
+def _rolling_max(a: np.ndarray, length: int) -> np.ndarray:
+    """Sliding-window maximum along axis 0 (window ``length``), via the
+    two-pass block prefix/suffix scan; O(S*P) total."""
+    s = a.shape[0]
+    if length == 1:
+        return a.copy()
+    if length == s:
+        return a.max(axis=0, keepdims=True)
+    nb = -(-s // length)
+    pad = nb * length - s
+    if pad:
+        fill = np.full((pad,) + a.shape[1:], -np.inf)
+        ap = np.concatenate([a, fill], axis=0)
+    else:
+        ap = a
+    blocks = ap.reshape((nb, length) + a.shape[1:])
+    prefix = np.maximum.accumulate(blocks, axis=1).reshape((nb * length,) + a.shape[1:])
+    suffix = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1]
+    suffix = suffix.reshape((nb * length,) + a.shape[1:])
+    return np.maximum(suffix[: s - length + 1], prefix[length - 1 : s])
+
+
 def test_rolling_max_matches_naive(rng):
     for _ in range(30):
         s = int(rng.integers(3, 40))
@@ -371,6 +393,44 @@ def test_locking_requires_window_coverage():
     rec = TrajectoryRecord(t, np.zeros((5, 2)), np.zeros((5, 2)))
     with pytest.raises(ValueError):
         detect_locking(p, rec, window=10.0)
+
+
+def test_lock_window_rule():
+    # Equally spaced snapshots all count; a shorter final step is left out.
+    t = np.arange(11) * 1.0
+    assert _lock_window(t, 10.0) == (11, 11)
+    assert _lock_window(t, 10.4) == (11, 11)
+    assert _lock_window(t, 10.6) is None
+    assert _lock_window(t, 0.0) == (11, 1)
+    short = np.append(np.arange(10) * 1.0, 9.95)
+    assert _lock_window(short, 9.0) == (10, 10)
+    assert _lock_window(short, 9.9) is None
+    assert _lock_window(np.array([0.0, 0.05]), 0.01) == (2, 1)
+    assert _lock_window(np.array([0.0, 0.1, 0.15]), 0.12) == (2, 2)
+    for bad in ([0.0], [0.0, 1.0, 2.5], [0.0, 1.0, 3.0, 4.0], [0.0, 2.0, 3.0, 3.5]):
+        with pytest.raises(ValueError):
+            _lock_window(np.array(bad), 1.0)
+
+
+def test_locking_leaves_out_a_shorter_final_step():
+    # t_end = 80.05 is not a multiple of the snapshot spacing 0.1, so the
+    # record ends in a shorter step; the verdict reads the snapshots before it.
+    rng = np.random.default_rng(8)
+    n = 10
+    p = SystemParams(0.5, 1.0, rng.uniform(-0.05, 0.05, n))
+    s = PhaseState(0.0, rng.uniform(-1.0, 1.0, n), rng.uniform(-0.2, 0.2, n))
+    rec = record_trajectory(p, s, IntegratorConfig(dt=0.01, t_end=80.05, observer_stride=10))
+    assert rec.t[-1] - rec.t[-2] < rec.t[1] - rec.t[0]
+    head = TrajectoryRecord(rec.t[:-1], rec.theta[:-1], rec.omega[:-1])
+    verdicts = []
+    for window in (0.0, 10.0, 80.0):
+        for tol in (LockTolerances(1e-4, 1e-3), LockTolerances(1e-12, 1e-12)):
+            got = detect_locking(p, rec, tol, window)
+            assert got == detect_locking(p, head, tol, window)
+            verdicts.append(got.locked)
+    assert any(verdicts) and not all(verdicts)
+    with pytest.raises(ValueError):
+        detect_locking(p, rec, window=80.1)
 
 
 def test_initial_layer_amplitude_floor():
@@ -779,3 +839,22 @@ def test_large_n_scenario_runs_in_bounded_memory():
         tracemalloc.stop()
     assert record.lock is not None
     assert peak < 100e6
+
+
+def test_lock_pass_memory_is_linear_in_n():
+    # S = 2001 snapshots of N = 1000 locked phases, window 10 at spacing 0.1
+    # (L = 101).  The all-pairs gap array would take 2001 x 499500 x 8 B = 8 GB;
+    # the lag pass holds the transposed phases and one lag's differences.
+    gen = np.random.default_rng(7)
+    s, n = 2001, 1000
+    t = np.arange(s) * 0.1
+    theta = gen.uniform(0, TWO_PI, n) + 1e-9 * gen.normal(0.0, 1.0, (s, n))
+    rec = TrajectoryRecord(t, theta, np.zeros((s, n)))
+    tracemalloc.start()
+    try:
+        report = detect_locking(SystemParams(1.0, 1.0, np.zeros(n)), rec, window=10.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.locked and report.t_lock == 0.0
+    assert peak <= 2.5 * theta.nbytes, peak

@@ -23,16 +23,20 @@ from jsonschema.exceptions import best_match
 
 import kuramoto_lock
 from kuramoto_lock import CampaignConfig, ScenarioConfig, certify_campaign, run_scenario
+from kuramoto_lock import SystemParams, order_state
+from kuramoto_lock.diagnostics import R_PHASE_THRESHOLD
 from kuramoto_lock.integrate import IntegrationError, record_trajectory
 from kuramoto_lock.experiments import (
     SCENARIO_SCHEMA,
     ConfigError,
     DiagnosticsSeries,
     collision_census,
+    compute_series,
     figure_sweep,
     sample_instance,
     save_run_record,
     _effective_dt,
+    _integrator_config,
     _FIELD_TO_KEY,
     _SCHEMA_BOUNDS,
     _SCHEMA_TYPES,
@@ -475,6 +479,60 @@ def test_degenerate_scenario_locks_trivially():
     rec = run_scenario(cfg)
     assert rec.lock.locked
     assert rec.series.r[-1] > 0.999
+
+
+# Valid configs whose lock window the span gate and the snapshot count once
+# judged differently.  The first window does not fit the equally spaced
+# snapshots (the last step is shorter); the others hold one and two.
+LOCK_WINDOW_CONFIGS = [
+    ({"N": 5, "t_end": 9.95, "stride": 100, "window": 9.9}, False),
+    ({"N": 5, "t_end": 0.05, "window": 0.01}, True),
+    ({"N": 5, "t_end": 0.15, "window": 0.12}, True),
+]
+
+
+@pytest.mark.parametrize("doc, has_lock", LOCK_WINDOW_CONFIGS)
+def test_lock_window_configs_run(doc, has_lock):
+    assert (run_scenario(ScenarioConfig.from_dict(doc)).lock is not None) == has_lock
+
+
+def _phi_delta_per_snapshot(record):
+    """The centroid-phase and Delta columns, one snapshot at a time."""
+    s = record.n_snapshots
+    z = np.exp(1j * record.theta).mean(axis=1)
+    defined = np.abs(z) >= R_PHASE_THRESHOLD
+    phi = np.full(s, np.nan)
+    phi[defined] = np.angle(z[defined])
+    delta = np.empty(s)
+    prev = None
+    for k in range(s):
+        if defined[k]:
+            if prev is not None:
+                phi[k] += 2.0 * np.pi * round((prev - phi[k]) / (2.0 * np.pi))
+            prev = phi[k]
+            delta[k] = np.mean(np.sin(record.theta[k] - phi[k]) ** 2)
+        else:
+            delta[k] = order_state(record.theta[k]).delta
+    return phi, delta
+
+
+def test_series_phi_delta_match_per_snapshot_loop():
+    # A rotating run (the centroid phase wraps many times) with splay rows
+    # spliced in, first row included: their centroid is zero, so phi is
+    # undefined there and Delta takes the grid value.
+    cfg = small_config(n=7, t_end=20.0)
+    params, state0 = sample_instance(cfg)
+    params = SystemParams(params.m, params.kappa, params.nu + 3.0)
+    record = record_trajectory(params, state0, _integrator_config(cfg, params))
+    splay = np.arange(7) * (2.0 * np.pi / 7)
+    for k, shift in ((0, 0.3), (57, -40.0), (58, 11.0), (150, 100.0)):
+        record.theta[k] = splay + shift
+    series = compute_series(params, record, cfg.cluster_lambda, cfg.cluster_ell)
+    phi, delta = _phi_delta_per_snapshot(record)
+    assert np.isnan(series.phi).sum() == 4
+    assert np.nanmax(series.phi) > 50.0
+    assert series.phi.tobytes() == phi.tobytes()
+    assert series.delta.tobytes() == delta.tobytes()
 
 
 def test_seed_replay_is_byte_identical():
