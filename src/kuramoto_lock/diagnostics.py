@@ -373,7 +373,8 @@ def _lock_window(t: np.ndarray, window: float) -> Optional[tuple[int, int]]:
     """Which snapshots at times ``t`` a lock window of duration ``window``
     reads: ``(s, length)``, where the first ``s`` snapshots are equally
     spaced at h and a window holds ``length = round(window / h) + 1`` of
-    them, or ``None`` when no window fits (``length > s``).
+    them, or ``None`` when no window fits (``length > s``) or a window holds
+    fewer than two snapshots (``length < 2``), whose phases cannot drift.
 
     ``s`` counts every snapshot, or all but the last when only the final step
     is shorter, as a record whose ``t_end`` is not a multiple of the snapshot
@@ -387,7 +388,7 @@ def _lock_window(t: np.ndarray, window: float) -> Optional[tuple[int, int]]:
             raise ValueError("snapshots must be equally spaced")
         s -= 1
     length = int(round(window / float(t[1] - t[0]))) + 1
-    return None if length > s else (s, length)
+    return (s, length) if 2 <= length <= s else None
 
 
 def detect_locking(
@@ -399,7 +400,8 @@ def detect_locking(
     """Numeric surrogate for asymptotic phase-locking on a snapshot record.
 
     The window reads the equally spaced snapshots (a shorter final step is
-    left out) and holds L of them; ``ValueError`` when they hold no window.
+    left out) and holds L >= 2 of them; ``ValueError`` when they hold no
+    window or the window holds fewer than two snapshots.
 
     A window's largest pairwise phase-gap oscillation,
     max_ij (max_t - min_s)(theta_i - theta_j), equals the largest phase
@@ -418,7 +420,7 @@ def detect_locking(
     tol = tolerances or default_lock_tolerances(params.kappa)
     fit = _lock_window(record.t, window)
     if fit is None:
-        raise ValueError("snapshots must cover at least one lock window")
+        raise ValueError("snapshots must cover one lock window of at least two snapshots")
     s, length = fit
     freq = np.abs(record.omega[:s] - params.nu_c).max(axis=1)
     # Oscillators along axis 0: a row diameter is then elementwise maxima and

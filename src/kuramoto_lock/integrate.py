@@ -98,77 +98,88 @@ def _check_finite(y: np.ndarray, t: float) -> None:
 
 
 class _Rows(NamedTuple):
-    """The fields of :class:`SystemParams` that a step reads, stacked over a
-    batch: ``nu`` is ``(B, N)``, ``kappa`` and ``m`` are ``(B, 1)``."""
+    """The fields of :class:`SystemParams` that a step reads, one entry per
+    oscillator at the state's shape: ``(N,)`` for one instance, ``(B, N)``
+    for a batch."""
 
     m: np.ndarray
     kappa: np.ndarray
     nu: np.ndarray
 
 
-def _rate(params, coup, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write the rate of the stacked state ``u`` into ``out`` and return it:
-    the acceleration (nu - omega + coupling)/m of an inertial state
-    ``(theta, omega)``, or the phase velocity nu + coupling of zero-inertia
-    phases ``(theta,)``."""
-    if len(u) == 2:
-        np.subtract(params.nu, u[1], out=out)
-        out += coup(u[0], params.kappa)
+def _rate(
+    params, coup, theta: np.ndarray, omega: Optional[np.ndarray], out: np.ndarray
+) -> np.ndarray:
+    """Write the rate of a state into ``out`` and return it: the acceleration
+    (nu - omega + coupling)/m of an inertial state ``(theta, omega)``, or the
+    phase velocity nu + coupling of zero-inertia phases (``omega`` None)."""
+    if omega is not None:
+        np.subtract(params.nu, omega, out=out)
+        out += coup(theta, params.kappa)
         out /= params.m
     else:
-        np.add(params.nu, coup(u[0], params.kappa), out=out)
+        np.add(params.nu, coup(theta, params.kappa), out=out)
     return out
 
 
-def _rk4_step(
-    params,
-    coup: Callable[[np.ndarray, float], np.ndarray],
-    y: np.ndarray,
-    h,
-    *,
-    b1: Optional[np.ndarray] = None,
-    phases_only: bool = False,
-) -> np.ndarray:
-    """One classic RK4 step of either model.
+def _stepper(params, coup: Callable[[np.ndarray, float], np.ndarray], shape: tuple):
+    """Classic RK4 of either model on stacked states of ``shape``, built once.
 
-    ``y`` stacks the state on a leading axis of length d: ``(theta, omega)``
-    (d = 2) steps the inertial system, ``(theta,)`` (d = 1) the zero-inertia
-    phases.  Each row holds one state ``(N,)`` or a batch ``(B, N)`` of
-    states; ``params`` is one :class:`SystemParams` shared by every row, or
-    per-row :class:`_Rows`; ``h`` is a scalar or a ``(B, 1)`` column of
-    per-row step sizes.  Every row gets exactly the arithmetic of the
-    one-dimensional call.
+    A state ``y`` stacks its rows on a leading axis of length d:
+    ``(theta, omega)`` (d = 2) steps the inertial system, ``(theta,)``
+    (d = 1) the zero-inertia phases.  Each row holds one state ``(N,)`` or a
+    batch ``(B, N)`` of states; ``params`` is one :class:`SystemParams`
+    shared by every row, or :class:`_Rows` at the state's shape.  Every row
+    gets exactly the arithmetic of the one-dimensional step.
 
     Stage ``s`` fills one block ``w[s]`` with its state (stage 1's is ``y``
     itself), then its rate, so the stage derivative is the view
     ``w[s, 1:]``: (omega, acceleration) for the inertial model, the phase
-    velocity for zero inertia.
+    velocity for zero inertia.  The blocks, every view into them and the
+    scratch rows are made here, once.
 
-    ``b1``, when given, is the stage-1 rate at ``y``, which does not depend
-    on ``h``.  ``phases_only`` (inertial states only) returns the new phases
-    alone and skips the stage-4 phases and rate, which only the new
-    frequencies read.  Neither changes an operation on the values still
-    computed, so the new phases equal those of the full step bit for bit.
+    Returns ``step(y, h, b1=None, phases_only=False)``, which returns the new
+    state as a fresh array.  ``h`` is a scalar or a ``(B, 1)`` column of
+    per-row step sizes.  ``b1``, when given, is the stage-1 rate at ``y``,
+    which does not depend on ``h``.  ``phases_only`` (inertial states only)
+    returns the new phases alone and skips the stage-4 phases and rate,
+    which only the new frequencies read.  Neither changes an operation on
+    the values still computed, so the new phases equal those of the full
+    step bit for bit.
     """
-    d = len(y)
-    w = np.empty((4, d + 1) + y.shape[1:])
-    w[0, 1:d] = y[1:]  # stage 1's derivative: the frequencies (d = 2), then the rate
-    if b1 is None:
-        _rate(params, coup, y, w[0, d])
-    else:
-        w[0, d] = b1
-    half = 0.5 * h
-    for s in (1, 2):
-        np.add(y, half * w[s - 1, 1:], out=w[s, :d])
-        _rate(params, coup, w[s, :d], w[s, d])
-    if phases_only:
-        np.add(y[1], h * w[2, 2], out=w[3, 1])
-        y, k = y[0], w[:, 1]
-    else:
-        np.add(y, h * w[2, 1:], out=w[3, :d])
-        _rate(params, coup, w[3, :d], w[3, d])
-        k = w[:, 1:]
-    return y + (h / 6.0) * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3])
+    d = shape[0]
+    w = np.empty((4, d + 1) + shape[1:])
+    acc, tmp = np.empty(shape), np.empty(shape)
+    x = [w[s, :d] for s in range(4)]  # stage states; stage 1's is y
+    k = [w[s, 1:] for s in range(4)]  # stage derivatives
+    th = [w[s, 0] for s in range(4)]
+    om = [w[s, 1] if d == 2 else None for s in range(4)]
+    r = [w[s, d] for s in range(4)]
+
+    def step(y, h, b1=None, phases_only=False):
+        if d == 2:
+            np.copyto(om[0], y[1])  # stage 1's derivative: the frequencies, then the rate
+        if b1 is None:
+            _rate(params, coup, y[0], om[0], r[0])
+        else:
+            np.copyto(r[0], b1)
+        half = 0.5 * h
+        for s in (1, 2):
+            np.add(y, np.multiply(half, k[s - 1], out=tmp), out=x[s])
+            _rate(params, coup, th[s], om[s], r[s])
+        if phases_only:
+            np.add(y[1], np.multiply(h, r[2], out=tmp[1]), out=om[3])
+            y, kk, a, t = y[0], om, acc[0], tmp[0]
+        else:
+            np.add(y, np.multiply(h, k[2], out=tmp), out=x[3])
+            _rate(params, coup, th[3], om[3], r[3])
+            kk, a, t = k, acc, tmp
+        np.add(kk[0], np.multiply(2.0, kk[1], out=a), out=a)
+        np.add(a, np.multiply(2.0, kk[2], out=t), out=a)
+        np.add(a, kk[3], out=a)
+        return y + np.multiply(h / 6.0, a, out=a)
+
+    return step
 
 
 def _march(
@@ -179,31 +190,51 @@ def _march(
     config: IntegratorConfig,
     observe: Callable[[float, np.ndarray], None],
 ) -> tuple[float, np.ndarray]:
-    """Advance the stacked state ``y`` by :func:`_rk4_step` over the step
-    plan of ``config`` and return the final ``(t, y)``.
+    """Advance the stacked state ``y`` over the step plan of ``config`` with
+    one :func:`_stepper` and return the final ``(t, y)``.
 
     ``observe(t, y)`` is called before step 0, before every
     ``observer_stride``-th step thereafter, and after the last step.  The
-    state is checked for finiteness after every step.
+    state is checked for finiteness before each of these calls.  A failed
+    check replays the steps since the last finite check one at a time,
+    checking each, so :class:`IntegrationError` names the first non-finite
+    step's time and row, as a check after every step would: NaN and inf
+    never turn finite again under the step's operations.
     """
     dt = config.dt
     stride = config.observer_stride
     n_full, rem = _step_plan(dt, config.t_end)
+    step = _stepper(params, coup, y.shape)
+    t_end = t0 + config.t_end
+    # The last state checked finite, and how many steps it follows.
+    good = (0, y)
+
+    def check(k, y):
+        nonlocal good
+        if not np.isfinite(y).all():
+            done, yj = good
+            for j in range(done + 1, k):
+                yj = step(yj, dt)
+                _check_finite(yj, t0 + j * dt)
+            _check_finite(y, t0 + k * dt if k <= n_full else t_end)
+        good = (k, y)
+
     # Blow-up is detected by the explicit finiteness check; silence the
     # transient inf/nan arithmetic warnings it would otherwise emit.
     with np.errstate(invalid="ignore", over="ignore"):
         for k in range(n_full):
             if k % stride == 0:
+                check(k, y)
                 observe(t0 + k * dt, y)
-            y = _rk4_step(params, coup, y, dt)
-            _check_finite(y, t0 + (k + 1) * dt)
+            y = step(y, dt)
         t_last = t0 + n_full * dt
         if rem > 0.0:
             if n_full % stride == 0:
+                check(n_full, y)
                 observe(t_last, y)
-            y = _rk4_step(params, coup, y, rem)
-            t_last = t0 + config.t_end
-            _check_finite(y, t_last)
+            y = step(y, rem)
+            t_last = t_end
+        check(n_full + (rem > 0.0), y)
     observe(t_last, y)
     return t_last, y
 
@@ -215,7 +246,7 @@ def _model(coef, coup, theta: np.ndarray, omega: np.ndarray):
     phases ``y = (theta,)`` alone, ignores ``omega``, and gives the phase
     velocities as frequency rows.  A batch that mixes the two raises
     ``ValueError``."""
-    inertial = np.asarray(coef.m) > 0.0
+    inertial = coef.m > 0.0
     if inertial.all():
         y, omega_of = np.stack((theta, omega)), lambda y: y[1]
     elif inertial.any():
@@ -241,14 +272,15 @@ def integrate(
     """
     if params.n != state0.n:
         raise ValueError("state/params size mismatch")
+    coef = _coefficients(params)
     coup = COUPLING_FORMS[config.coupling]
-    y, omega_of = _model(params, coup, state0.theta, state0.omega)
+    y, omega_of = _model(coef, coup, state0.theta, state0.omega)
 
     def observe(t, y):
         if observer is not None:
             observer(t, PhaseState(t, y[0], omega_of(y)))
 
-    t, y = _march(params, coup, y, state0.t, config, observe)
+    t, y = _march(coef, coup, y, state0.t, config, observe)
     return PhaseState(t, y[0], omega_of(y))
 
 
@@ -297,17 +329,21 @@ class TrajectoryRecord:
 
 
 def _coefficients(params):
-    """``params`` of one instance as given; a sequence of them as per-row
-    :class:`_Rows` sharing N."""
+    """:class:`_Rows` of one :class:`SystemParams`, ``(N,)``, or of a
+    sequence of them sharing N, ``(B, N)``: m and kappa repeated over each
+    row's oscillators, so every operation of a step meets operands of one
+    shape."""
     if isinstance(params, SystemParams):
-        return params
+        n = params.n
+        return _Rows(np.full(n, params.m), np.full(n, params.kappa), params.nu)
     params = list(params)
     if not params or len({p.n for p in params}) != 1:
         raise ValueError("a batch needs at least one instance, all of one size N")
+    nu = np.stack([p.nu for p in params])
     return _Rows(
-        np.array([[p.m] for p in params]),
-        np.array([[p.kappa] for p in params]),
-        np.stack([p.nu for p in params]),
+        np.repeat([[p.m] for p in params], nu.shape[1], axis=1),
+        np.repeat([[p.kappa] for p in params], nu.shape[1], axis=1),
+        nu,
     )
 
 
@@ -517,16 +553,15 @@ def _bisect(
         # Each row's state at its bracket's left end, then its stage-1 rate.
         w0 = np.empty((3, kb.size, record.n))
         w0[0], w0[1] = record.theta[kb], record.omega[kb]
-        _rate(params, coup, w0[:2], w0[2])
+        _rate(params, coup, w0[0], w0[1], w0[2])
         # Sign of the crossing function at the bracket's left end.
         sgn = np.sign(np.sin(0.5 * (record.theta[kb, ib] - record.theta[kb, jb])))
         cert = _certificate(params, record, kb, ib, jb)
 
         def gap_at(act, tau):
             w = np.take(w0, act, axis=1)
-            th = _rk4_step(
-                params, coup, w[:2], (tau - t_lo[act])[:, None], b1=w[2], phases_only=True
-            )
+            step = _stepper(params, coup, w[:2].shape)
+            th = step(w[:2], (tau - t_lo[act])[:, None], b1=w[2], phases_only=True)
             r = np.arange(act.size)
             return th[r, ib[act]] - th[r, jb[act]]
 

@@ -280,12 +280,13 @@ def test_unknown_flag_is_input_error():
     "doc, has_lock",
     [
         ({"N": 5, "t_end": 9.95, "stride": 100, "window": 9.9}, False),
-        ({"N": 5, "t_end": 0.05, "window": 0.01}, True),
+        ({"N": 5, "t_end": 0.05, "window": 0.01}, False),
         ({"N": 5, "t_end": 0.15, "window": 0.12}, True),
     ],
 )
 def test_simulate_lock_window_configs(tmp_path, capsys, doc, has_lock):
-    # A window that fits no equally spaced snapshots reports no verdict.
+    # A window that fits no equally spaced snapshots, or holds only one,
+    # reports no verdict.
     cfg = write(tmp_path / "c.json", doc)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out"), "--json"]) == 0
     assert (json.loads(capsys.readouterr().out)["locked"] is not None) == has_lock

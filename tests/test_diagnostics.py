@@ -401,15 +401,27 @@ def test_lock_window_rule():
     assert _lock_window(t, 10.0) == (11, 11)
     assert _lock_window(t, 10.4) == (11, 11)
     assert _lock_window(t, 10.6) is None
-    assert _lock_window(t, 0.0) == (11, 1)
+    assert _lock_window(t, 0.0) is None
+    assert _lock_window(t, 0.6) == (11, 2)
     short = np.append(np.arange(10) * 1.0, 9.95)
     assert _lock_window(short, 9.0) == (10, 10)
     assert _lock_window(short, 9.9) is None
-    assert _lock_window(np.array([0.0, 0.05]), 0.01) == (2, 1)
+    assert _lock_window(np.array([0.0, 0.05]), 0.01) is None
     assert _lock_window(np.array([0.0, 0.1, 0.15]), 0.12) == (2, 2)
     for bad in ([0.0], [0.0, 1.0, 2.5], [0.0, 1.0, 3.0, 4.0], [0.0, 2.0, 3.0, 3.5]):
         with pytest.raises(ValueError):
             _lock_window(np.array(bad), 1.0)
+
+
+def test_locking_needs_two_snapshots_per_window():
+    # A window shorter than half the snapshot spacing holds one snapshot,
+    # over which no phase gap can drift: no verdict.
+    p = SystemParams(1.0, 1.0, [0.0, 0.5])
+    t = np.arange(5) * 0.1
+    rec = TrajectoryRecord(t, np.outer(np.arange(5), [1.0, 2.0]), np.zeros((5, 2)))
+    with pytest.raises(ValueError, match="at least two snapshots"):
+        detect_locking(p, rec, window=0.04)
+    assert detect_locking(p, rec, window=0.06).relative_phase_drift_final == 1.0
 
 
 def test_locking_leaves_out_a_shorter_final_step():
@@ -423,7 +435,7 @@ def test_locking_leaves_out_a_shorter_final_step():
     assert rec.t[-1] - rec.t[-2] < rec.t[1] - rec.t[0]
     head = TrajectoryRecord(rec.t[:-1], rec.theta[:-1], rec.omega[:-1])
     verdicts = []
-    for window in (0.0, 10.0, 80.0):
+    for window in (0.1, 10.0, 80.0):
         for tol in (LockTolerances(1e-4, 1e-3), LockTolerances(1e-12, 1e-12)):
             got = detect_locking(p, rec, tol, window)
             assert got == detect_locking(p, head, tol, window)
@@ -761,7 +773,7 @@ def test_locking_matches_reference_on_scenarios():
     s=st.integers(3, 40),
     scale=st.sampled_from([0.0, 1e-12, 1e-6, 1e-4, 1e-3, 1e-2]),
     offset=st.sampled_from([0.0, 1e3]),
-    window_steps=st.integers(0, 12),
+    window_steps=st.integers(1, 12),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_locking_matches_reference_on_random_walks(n, s, scale, offset, window_steps, seed):
@@ -809,7 +821,7 @@ def _exact_final_drift(theta, length):
     s=st.integers(3, 12),
     scale=st.sampled_from([1e-13, 1e-9, 1e-3, 1.0]),
     offset=st.sampled_from([0.0, 1e3, -3e5]),
-    window_steps=st.integers(0, 11),
+    window_steps=st.integers(1, 11),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_lock_drift_within_rounding_bound_of_exact(n, s, scale, offset, window_steps, seed):

@@ -31,7 +31,7 @@ from kuramoto_lock.experiments import (
 from kuramoto_lock.integrate import (
     CollisionEvent,
     _certificate,
-    _rk4_step,
+    _stepper,
     collision_events_from_record,
 )
 from kuramoto_lock.model import COUPLING_FORMS
@@ -91,7 +91,13 @@ def _reference_rk4_step_first_order(params, coup, theta, h):
 
 def _stage1_rate(params, coup, y):
     """Stage-1 rate of the stacked state ``y``, as the bisection computes it."""
-    return integrate_module._rate(params, coup, y, np.empty_like(y[0]))
+    omega = y[1] if len(y) == 2 else None
+    return integrate_module._rate(params, coup, y[0], omega, np.empty_like(y[0]))
+
+
+def _rk4_step(params, coup, y, h, **kwargs):
+    """One step of a stepper built for ``y`` alone."""
+    return _stepper(params, coup, y.shape)(y, h, **kwargs)
 
 
 def test_zero_coupling_zero_data_is_constant():
@@ -688,14 +694,17 @@ def test_pair_points_inside_the_margin_do_not_verify(monkeypatch):
     def probed(narrow_width):
         seen = set()
 
-        def recording(params, coup, y, h, *, b1, phases_only):
-            # Every probe is a phase half-step; take it with the reference.
-            assert phases_only
-            seen.update(np.ravel(h).tolist())
-            return _reference_rk4_step(params, coup, *y, h, b1=b1, phases_only=True)[0]
+        def recording(params, coup, shape):
+            def step(y, h, *, b1, phases_only):
+                # Every probe is a phase half-step; take it with the reference.
+                assert phases_only
+                seen.update(np.ravel(h).tolist())
+                return _reference_rk4_step(params, coup, *y, h, b1=b1, phases_only=True)[0]
+
+            return step
 
         monkeypatch.setattr(integrate_module, "_NARROW_PAIR", narrow_width)
-        monkeypatch.setattr(integrate_module, "_rk4_step", recording)
+        monkeypatch.setattr(integrate_module, "_stepper", recording)
         t_star, _ = integrate_module._bisect(
             params, coup, record, k[r], i[r], j[r], cfg.refine_tol
         )
@@ -749,8 +758,9 @@ def _oracle_step(params, coup, y, h):
 @pytest.mark.parametrize("inertial", [True, False], ids=["m>0", "m=0"])
 def test_stacked_step_matches_reference_steppers(rng, coupling, inertial):
     # One stacked stepper for both models equals the two-array reference
-    # steppers bit for bit: one state and a batch, shared and per-row
-    # parameters, per-row step sizes holding zeros, and a 200-step march.
+    # steppers bit for bit: one state and a batch; shared parameters,
+    # coefficient rows at the state's full shape and as (B, 1) columns; per-row
+    # step sizes holding zeros; and a 200-step march on one stepper.
     coup = COUPLING_FORMS[coupling]
     n, b = 30, 6
     d = 2 if inertial else 1
@@ -758,10 +768,15 @@ def test_stacked_step_matches_reference_steppers(rng, coupling, inertial):
                  for _ in range(b)]
     params, state = instances[0]
     rows = integrate_module._coefficients([p for p, _ in instances])
+    columns = integrate_module._Rows(rows.m[:, :1], rows.kappa[:, :1], rows.nu)
+    single = integrate_module._coefficients(params)
+    assert rows.m.shape == rows.kappa.shape == rows.nu.shape == (b, n)
+    assert single.m.shape == single.kappa.shape == (n,)
     one = np.stack((state.theta, state.omega))[:d]
     batch = np.stack((rng.uniform(0, TWO_PI, (b, n)), rng.uniform(-0.5, 0.5, (b, n))))[:d]
     h = np.array([[0.0], [0.01], [1e-13], [0.0], [0.0099999], [3e-7]])
-    cases = [(params, one, 0.013), (params, batch, 0.01), (params, batch, h), (rows, batch, h)]
+    cases = [(params, one, 0.013), (single, one, 0.013), (params, batch, 0.01),
+             (params, batch, h), (rows, batch, h), (columns, batch, h), (rows, batch, 0.01)]
     for p, y, step in cases:
         got = _rk4_step(p, coup, y, step)
         assert got.shape == y.shape and np.array_equal(got, _oracle_step(p, coup, y, step))
@@ -778,10 +793,117 @@ def test_stacked_step_matches_reference_steppers(rng, coupling, inertial):
     alone = _oracle_step(params, coup, batch[:, act], h[act])
     assert np.array_equal(got, alone[0] if inertial else alone)
 
-    y = want = batch
+    y = col = want = batch
+    step, col_step = _stepper(rows, coup, batch.shape), _stepper(columns, coup, batch.shape)
     for _ in range(200):
-        y, want = _rk4_step(rows, coup, y, 0.01), _oracle_step(rows, coup, want, 0.01)
-    assert np.isfinite(y).all() and np.array_equal(y, want)
+        y, col, want = step(y, 0.01), col_step(col, 0.01), _oracle_step(rows, coup, want, 0.01)
+    assert np.isfinite(y).all() and np.array_equal(y, want) and np.array_equal(col, want)
+
+
+def _blowup_case(name, rng):
+    """Coefficient rows, stacked state and step plan of a run that stops
+    being finite.  ``stiff``: inertial rows with dt/m of 2 (stable), 3.2 and
+    5 (unstable); row 2 overflows first, at step 270 of 400.  ``drift``:
+    zero-inertia phases driven at nu near the float limit; row 1 overflows
+    at step 180 of 200.  ``partial`` and ``partial_m0``: 100 steps plus a
+    partial one; the phases of row 1 move at nu (= omega for inertia 1) near
+    the float limit and overflow only in the partial step."""
+    n = 4
+    theta = rng.uniform(0, TWO_PI, (3, n))
+    omega = rng.uniform(-0.5, 0.5, (3, n))
+    if name == "stiff":
+        params = [SystemParams(0.05 / r, 1.0, rng.uniform(-0.4, 0.4, n)) for r in (2.0, 3.2, 5.0)]
+        cfg = IntegratorConfig(dt=0.05, t_end=20.0, coupling="mean_field")
+        y = np.stack((theta, omega))
+    elif name == "drift":
+        nu = [np.full(n, 0.1), np.full(n, 1e307), np.full(n, 1e306)]
+        params = [SystemParams(0.0, 1.0, v) for v in nu]
+        cfg = IntegratorConfig(dt=0.1, t_end=20.0, coupling="mean_field")
+        y = theta[None]
+    else:
+        m = 0.0 if name == "partial_m0" else 1.0
+        nu = np.stack((np.zeros(n), np.full(n, 1.793e307)))
+        params = [SystemParams(m, 1.0, v) for v in nu]
+        cfg = IntegratorConfig(dt=0.1, t_end=10.05, coupling="direct")
+        y = np.stack((theta[:2], nu)) if m > 0 else theta[None, :2]
+    return integrate_module._coefficients(params), y, cfg
+
+
+def _per_step_checked_failure(coef, coup, y, t0, cfg):
+    """The error of a march that checks every step of the reference steppers,
+    and how many steps it took."""
+    n_full, rem = integrate_module._step_plan(cfg.dt, cfg.t_end)
+    plan = [(cfg.dt, t0 + (k + 1) * cfg.dt) for k in range(n_full)]
+    plan += [(rem, t0 + cfg.t_end)] if rem > 0.0 else []
+    with np.errstate(invalid="ignore", over="ignore"):
+        for k, (h, t) in enumerate(plan, 1):
+            y = _oracle_step(coef, coup, y, h)
+            try:
+                integrate_module._check_finite(y, t)
+            except IntegrationError as exc:
+                return exc, k
+    raise AssertionError("the reference march stayed finite")
+
+
+@pytest.mark.parametrize("stride", [1, 7, 50])
+@pytest.mark.parametrize("name", ["stiff", "drift", "partial", "partial_m0"])
+def test_march_checks_finiteness_like_every_step(rng, name, stride):
+    # Finiteness is checked only before each observed snapshot and after the
+    # last step; a failed check replays the steps since the last good state,
+    # so the error names the time and row of the first non-finite step, and
+    # no observer sees a non-finite state.
+    coef, y, cfg = _blowup_case(name, rng)
+    cfg = dataclasses.replace(cfg, observer_stride=stride)
+    coup = COUPLING_FORMS[cfg.coupling]
+    t0 = 3.0
+    want, fail_step = _per_step_checked_failure(coef, coup, y, t0, cfg)
+    n_full, rem = integrate_module._step_plan(cfg.dt, cfg.t_end)
+    assert want.row > 0
+    if name.startswith("partial"):
+        assert rem > 0.0 and fail_step == n_full + 1
+    elif stride > 1:
+        assert fail_step % stride != 0 and fail_step < n_full
+    seen = []
+
+    def observe(t, yk):
+        assert np.isfinite(yk).all()
+        seen.append(t)
+
+    with pytest.raises(IntegrationError) as info:
+        integrate_module._march(coef, coup, y, t0, cfg, observe)
+    assert str(info.value) == str(want) and info.value.row == want.row
+    assert info.value.reason == want.reason
+    assert len(seen) == (fail_step - 1) // stride + 1
+
+
+def test_stepper_built_once_per_run(rng, monkeypatch):
+    # One stepper per march, and four coupling calls per step: the counting
+    # shim goes into COUPLING_FORMS after import, as the traced benchmark's
+    # does, so the integrator must look the coupling up there on every run.
+    built = []
+    stepper = integrate_module._stepper
+
+    def spy(params, coup, shape):
+        built.append(shape)
+        return stepper(params, coup, shape)
+
+    calls = 0
+    mean_field = COUPLING_FORMS["mean_field"]
+
+    def counting(theta, kappa):
+        nonlocal calls
+        calls += 1
+        return mean_field(theta, kappa)
+
+    monkeypatch.setattr(integrate_module, "_stepper", spy)
+    monkeypatch.setitem(COUPLING_FORMS, "mean_field", counting)
+    instances = [random_instance(rng, n=5, m=0.5) for _ in range(3)]
+    cfg = IntegratorConfig(dt=0.01, t_end=1.005, observer_stride=7, coupling="mean_field")
+    record_trajectory([p for p, _ in instances], [s for _, s in instances], cfg)
+    assert built == [(2, 3, 5)] and calls == 4 * 101
+    built.clear()
+    integrate(*instances[0], cfg)
+    assert built == [(2, 5)]
 
 
 @pytest.mark.parametrize("t0", [0.0, 5000.0, 20000.0])
