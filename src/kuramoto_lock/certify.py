@@ -414,11 +414,13 @@ def _xyz_objective(x: float, y: float, z: float, eta: float, coeff: float) -> fl
 def _minimize_eta(x: float, y: float, z: float, coeff: float) -> tuple[float, float]:
     """Log grid over [1e-3, 50] (200 points) then golden-section refinement
     on the bracketing interval around the best grid point."""
-    grid = np.geomspace(1e-3, 50.0, 200)
-    values = [_xyz_objective(x, y, z, float(e), coeff) for e in grid]
+    # Python floats: np.geomspace's power kernel rounds differently at
+    # different x86-64 SIMD levels, and eta enters the run record.
+    grid = [1e-3 * (50.0 / 1e-3) ** (k / 199) for k in range(200)]
+    values = [_xyz_objective(x, y, z, e, coeff) for e in grid]
     k = int(np.argmin(values))
-    lo = float(grid[max(0, k - 1)])
-    hi = float(grid[min(len(grid) - 1, k + 1)])
+    lo = grid[max(0, k - 1)]
+    hi = grid[min(len(grid) - 1, k + 1)]
     inv_gr = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv_gr * (b - a)
@@ -439,7 +441,7 @@ def _minimize_eta(x: float, y: float, z: float, coeff: float) -> tuple[float, fl
     eta = 0.5 * (a + b)
     best = _xyz_objective(x, y, z, eta, coeff)
     if values[k] < best:
-        eta, best = float(grid[k]), values[k]
+        eta, best = grid[k], values[k]
     return eta, best
 
 

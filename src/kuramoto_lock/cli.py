@@ -310,10 +310,18 @@ def _run_sweep(doc: dict, seed: Optional[int], out: Path) -> SweepResult:
         raise CliInputError("sweep config needs 'axis' and a nonempty 'values' list")
     base = _scenario_from_doc(_require_object(doc.get("base", {}), "sweep 'base'"), seed)
     result = figure_sweep(axis, values, base, fresh_samples=bool(doc.get("fresh_samples", False)))
+    names = [f"series_{value:g}.csv" for value in result.values]
+    for k, name in enumerate(names):
+        first = names.index(name)
+        if first < k:
+            raise CliInputError(
+                f"sweep values {result.values[first]!r} and {result.values[k]!r} "
+                f"share the series file {name}"
+            )
     out.mkdir(parents=True, exist_ok=True)
     result.to_csv(out / "summary.csv")
-    for value, record in zip(result.values, result.records):
-        record.series.to_csv(out / f"series_{value:g}.csv")
+    for name, record in zip(names, result.records):
+        record.series.to_csv(out / name)
     return result
 
 

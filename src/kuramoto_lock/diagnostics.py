@@ -14,7 +14,9 @@ from typing import Optional
 
 import numpy as np
 
-from .model import TWO_PI, PhaseState, SystemParams, diameter
+from .model import (
+    TWO_PI, PhaseState, SystemParams, centroid, centroid_phase, diameter, order_parameter,
+)
 from .integrate import TrajectoryRecord
 
 __all__ = [
@@ -58,18 +60,18 @@ class OrderState:
 
 
 def order_state(theta, r_threshold: float = R_PHASE_THRESHOLD) -> OrderState:
-    """Polar decomposition of the phase centroid plus the mean-square
-    deviation (1/N) sum sin^2(theta_k - phi)."""
+    """Polar decomposition of the phase centroid (:func:`model.centroid`)
+    plus the mean-square deviation (1/N) sum sin^2(theta_k - phi)."""
     th = np.asarray(theta, dtype=float)
-    z = np.exp(1j * th).mean()
-    r = float(abs(z))
+    cs = centroid(th)
+    r = float(order_parameter(cs))
     if r < r_threshold:
         # No usable centroid direction: report the best grid phase instead,
         # flagged so downstream consumers can tell it apart.
         grid = np.linspace(0.0, TWO_PI, _FALLBACK_GRID, endpoint=False)
         deltas = np.mean(np.sin(th[None, :] - grid[:, None]) ** 2, axis=1)
         return OrderState(r, None, float(deltas.min()), True)
-    phi = float(np.angle(z))
+    phi = centroid_phase(*cs.tolist())
     delta = float(np.mean(np.sin(th - phi) ** 2))
     return OrderState(r, phi, delta, False)
 
@@ -105,17 +107,17 @@ def potential(params: SystemParams, theta):
 
 def energy_value(params: SystemParams, theta, omega):
     """Energy functional kappa*(1-R^2)/2 + (m/2)*Var(omega) of one state
-    ``(N,)`` (a float) or of every row of ``(..., N)``.
+    ``(N,)`` (a float) or of every row of ``(..., N)``, with R the
+    :func:`model.order_parameter`.
 
     Along solutions with identical natural frequencies its time derivative is
     exactly -Var(omega), so it is nonincreasing.
     """
     th = np.asarray(theta, dtype=float)
     om = np.asarray(omega, dtype=float)
-    z = np.exp(1j * th).mean(axis=-1)
-    r2 = z.real * z.real + z.imag * z.imag
+    r = order_parameter(centroid(th))
     var = np.mean((om - om.mean(axis=-1, keepdims=True)) ** 2, axis=-1)
-    value = 0.5 * params.kappa * (1.0 - r2) + 0.5 * params.m * var
+    value = 0.5 * params.kappa * (1.0 - r * r) + 0.5 * params.m * var
     return float(value) if value.ndim == 0 else value
 
 

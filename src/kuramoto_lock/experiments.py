@@ -27,7 +27,10 @@ from .model import (
     TWO_PI,
     PhaseState,
     SystemParams,
+    centroid,
+    centroid_phase,
     diameter,
+    order_parameter,
 )
 from .integrate import (
     IntegrationError,
@@ -368,14 +371,17 @@ def compute_series(
     seeded at the first snapshot.
     """
     s = record.n_snapshots
-    z = np.exp(1j * record.theta).mean(axis=1)
-    r = np.abs(z)
+    cs = centroid(record.theta)
+    r = order_parameter(cs)
     phi = np.full(s, np.nan)
     defined = r >= R_PHASE_THRESHOLD
-    phi[defined] = np.angle(z[defined])
-    rows = np.flatnonzero(defined)
-    for prev, k in zip(rows[:-1], rows[1:]):
-        phi[k] += TWO_PI * round((phi[prev] - phi[k]) / TWO_PI)
+    c_bar, s_bar = cs.T.tolist()
+    prev = None
+    for k in np.flatnonzero(defined).tolist():
+        phi[k] = centroid_phase(c_bar[k], s_bar[k])
+        if prev is not None:
+            phi[k] += TWO_PI * round((phi[prev] - phi[k]) / TWO_PI)
+        prev = k
     delta = np.mean(np.sin(record.theta - phi[:, None]) ** 2, axis=1)
     for k in np.flatnonzero(~defined):
         delta[k] = order_state(record.theta[k]).delta
@@ -445,7 +451,6 @@ def _integrator_config(config: ScenarioConfig, params: SystemParams) -> Integrat
         dt=_effective_dt(config.dt, params.m),
         t_end=config.t_end,
         observer_stride=1 if config.collisions else config.stride,
-        coupling="mean_field",
     )
 
 
@@ -729,7 +734,7 @@ def _sample_simple(cc: CampaignConfig, rng: np.random.Generator):
     """
     width = rng.uniform(1.0, math.pi)
     theta0 = rng.uniform(-0.5 * width, 0.5 * width, cc.n)
-    r0 = float(abs(np.exp(1j * theta0).mean()))
+    r0 = order_state(theta0).r
     x = rng.uniform(0.05, 1.0) * 0.5
     y = rng.uniform(0.55, 1.0) * 0.015
     z = rng.uniform(0.05, 1.0) * 0.12
@@ -779,10 +784,10 @@ def _sample_n3(cc: CampaignConfig, rng: np.random.Generator):
 def _sample_first_order(cc: CampaignConfig, rng: np.random.Generator):
     width = rng.uniform(0.8, TWO_PI)
     theta0 = rng.uniform(-0.5 * width, 0.5 * width, cc.n)
-    r0 = float(abs(np.exp(1j * theta0).mean()))
+    r0 = order_state(theta0).r
     if r0 < 1e-3:
         theta0 = rng.uniform(-0.4, 0.4, cc.n)
-        r0 = float(abs(np.exp(1j * theta0).mean()))
+        r0 = order_state(theta0).r
     margin = rng.uniform(0.2, 0.95)
     d_v = margin * cc.kappa * r0 * r0 / 1.6
     nu = rng.uniform(-0.5 * d_v, 0.5 * d_v, cc.n)

@@ -55,7 +55,6 @@ class IntegratorConfig:
     t_end: float = 30.0
     observer_stride: int = 1
     refine_tol: float = 1e-12
-    coupling: str = "direct"
 
     def __post_init__(self):
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
@@ -66,8 +65,6 @@ class IntegratorConfig:
             raise ValueError("observer_stride must be >= 1")
         if not (self.refine_tol > 0.0):
             raise ValueError("refine_tol must be positive")
-        if self.coupling not in COUPLING_FORMS:
-            raise ValueError(f"unknown coupling form {self.coupling!r}")
 
 
 def _step_plan(dt: float, t_end: float) -> tuple[int, float]:
@@ -273,7 +270,7 @@ def integrate(
     if params.n != state0.n:
         raise ValueError("state/params size mismatch")
     coef = _coefficients(params)
-    coup = COUPLING_FORMS[config.coupling]
+    coup = COUPLING_FORMS["mean_field"]
     y, omega_of = _model(coef, coup, state0.theta, state0.omega)
 
     def observe(t, y):
@@ -391,7 +388,7 @@ def record_trajectory(params, state0, config: IntegratorConfig) -> TrajectoryRec
         t0 = states[0].t
     if coef.nu.shape != theta.shape:
         raise ValueError("state/params size mismatch")
-    coup = COUPLING_FORMS[config.coupling]
+    coup = COUPLING_FORMS["mean_field"]
     return _record(coef, coup, *_model(coef, coup, theta, omega), t0, config)
 
 
@@ -659,7 +656,7 @@ def collision_events_from_record(
     """
     if params.m == 0.0:
         raise ValueError("collision refinement needs inertia m > 0")
-    coup = COUPLING_FORMS[config.coupling]
+    coup = COUPLING_FORMS["mean_field"]
     t, theta = record.t, record.theta
     iu, ju = np.triu_indices(record.n, 1)
     keep = _distinguishable(params, theta[0], record.omega[0], iu, ju)
@@ -679,6 +676,7 @@ def collision_events_from_record(
         k, p = np.divmod(np.flatnonzero(g == 0.0), g.shape[1])
         zero_p.append(p + start)
         zero_k.append(k)
+    del g, sg  # the refinement below does not hold the last scan block
     cp, ck = np.concatenate(cross_p), np.concatenate(cross_k)
     zp, zk = np.concatenate(zero_p), np.concatenate(zero_k)
     t_cross, b_cross = _bisect(params, coup, record, ck, iu[cp], ju[cp], config.refine_tol)

@@ -8,6 +8,7 @@ All values are immutable and safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -22,6 +23,9 @@ __all__ = [
     "MeanTrajectory",
     "ExactUncoupledTrajectory",
     "diameter",
+    "centroid",
+    "order_parameter",
+    "centroid_phase",
     "coupling_direct",
     "coupling_mean_field",
     "COUPLING_FORMS",
@@ -161,6 +165,45 @@ class MeanTrajectory:
         )
 
 
+def _phasors(th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The unit phasors ``z = exp(i th)`` and :func:`centroid` of ``th``.
+
+    ``z`` is the exponential of a zeroed complex array whose imaginary part
+    is ``th``, so no complex multiply enters.  The centroid is the complex
+    row sum, whose terms group as in a complex mean, read as two floats and
+    divided by N."""
+    z = np.zeros(th.shape, dtype=complex)
+    z.imag = th
+    np.exp(z, out=z)
+    cs = np.add.reduce(z, axis=-1, keepdims=True).view(float)
+    cs /= th.shape[-1]
+    return z, cs
+
+
+def centroid(theta) -> np.ndarray:
+    """The phase centroid C + iS of one configuration ``(N,)``, or of every
+    row of ``(..., N)``: the means ``(C, S)`` of cos(theta) and sin(theta) on
+    a last axis of length 2.
+
+    This is the one centroid rule, read only through real arithmetic: the
+    mean-field coupling, :func:`order_parameter` and :func:`centroid_phase`.
+    A complex multiply, ``np.abs`` and ``np.angle`` would give bits that
+    depend on the SIMD kernels numpy dispatches to on x86-64."""
+    return _phasors(np.asarray(theta, dtype=float))[1]
+
+
+def order_parameter(cs: np.ndarray) -> np.ndarray:
+    """Amplitude R = sqrt(C^2 + S^2) of every centroid ``(C, S)`` in ``cs``,
+    from :func:`centroid`."""
+    c, s = cs[..., 0], cs[..., 1]
+    return np.sqrt(c * c + s * s)
+
+
+def centroid_phase(c: float, s: float) -> float:
+    """Phase atan2(S, C) of one centroid C + iS."""
+    return math.atan2(s, c)
+
+
 def coupling_direct(theta: np.ndarray, kappa: float) -> np.ndarray:
     """Coupling (kappa/N) sum_j sin(theta_j - theta_i) via the full pairwise
     sum.  O(N^2); this is the reference evaluation.
@@ -172,24 +215,29 @@ def coupling_direct(theta: np.ndarray, kappa: float) -> np.ndarray:
 
 
 def coupling_mean_field(theta: np.ndarray, kappa: float) -> np.ndarray:
-    """Same coupling through the phase centroid.  O(N); agrees with
+    """Same coupling through the phase centroid (see :func:`centroid`):
+    kappa*(S cos(theta_i) - C sin(theta_i)).  O(N); agrees with
     :func:`coupling_direct` up to rounding.  Row-wise on ``(B, N)`` input,
-    like :func:`coupling_direct`."""
-    th = np.asarray(theta, dtype=float)
-    z = np.exp(1j * th)
-    return kappa * (np.add.reduce(z, axis=-1, keepdims=True) / th.shape[-1] * np.conj(z)).imag
+    like :func:`coupling_direct`.  Every integrator run steps this form."""
+    z, cs = _phasors(np.asarray(theta, dtype=float))
+    cos, sin = z.real, z.imag
+    out = np.multiply(cos, cs[..., 1:])
+    out -= np.multiply(sin, cs[..., :1], out=sin)
+    out *= kappa
+    return out
 
 
+# The integrator reads the mean-field form here on every run, so a caller can
+# wrap it (to count or time calls) after import.
 COUPLING_FORMS: dict[str, Callable[[np.ndarray, float], np.ndarray]] = {
     "direct": coupling_direct,
     "mean_field": coupling_mean_field,
 }
 
 
-def rhs_inertial(
-    params: SystemParams, state: PhaseState, form: str = "direct"
-) -> tuple[np.ndarray, np.ndarray]:
-    """Right-hand side of the first-order reduction of the inertial model.
+def rhs_inertial(params: SystemParams, state: PhaseState) -> tuple[np.ndarray, np.ndarray]:
+    """Right-hand side of the first-order reduction of the inertial model,
+    with the reference coupling :func:`coupling_direct`.
 
     Returns ``(dtheta, domega)`` with ``dtheta = omega`` and
     ``domega_i = (nu_i - omega_i + (kappa/N) sum_j sin(theta_j - theta_i)) / m``.
@@ -199,19 +247,18 @@ def rhs_inertial(
     _check_match(params, state.n)
     if params.m <= 0.0:
         raise ValueError("rhs_inertial requires m > 0; use rhs_first_order for m = 0")
-    coup = COUPLING_FORMS[form](state.theta, params.kappa)
+    coup = coupling_direct(state.theta, params.kappa)
     domega = (params.nu - state.omega + coup) / params.m
     return state.omega.copy(), domega
 
 
-def rhs_first_order(
-    params: SystemParams, theta: np.ndarray, form: str = "direct"
-) -> np.ndarray:
+def rhs_first_order(params: SystemParams, theta: np.ndarray) -> np.ndarray:
     """Phase velocity of the zero-inertia model:
-    ``nu_i + (kappa/N) sum_j sin(theta_j - theta_i)``.  Inertia is ignored."""
+    ``nu_i + (kappa/N) sum_j sin(theta_j - theta_i)``, with the reference
+    coupling :func:`coupling_direct`.  Inertia is ignored."""
     th = np.asarray(theta, dtype=float)
     _check_match(params, th.size)
-    return params.nu + COUPLING_FORMS[form](th, params.kappa)
+    return params.nu + coupling_direct(th, params.kappa)
 
 
 def galilean_transform(
@@ -324,9 +371,10 @@ def nonsync_exact(
 
     ``groups`` must partition ``range(N)``.  Within each group the natural
     frequency and the initial frequency must be constant (to ``tol``), and the
-    group's initial phases must have vanishing centroid: |sum exp(i*theta0)|
-    <= ``tol``.  Under these conditions the total phase centroid is zero for
-    all time and the returned closed form solves the model exactly.
+    group's initial phases must have vanishing centroid: |sum exp(i*theta0)|,
+    the group's size times its :func:`order_parameter`, is at most ``tol``.
+    Under these conditions the total phase centroid is zero for all time and
+    the returned closed form solves the model exactly.
     """
     _check_match(params, state0.n)
     if params.m <= 0.0:
@@ -346,10 +394,10 @@ def nonsync_exact(
             raise ValueError(f"group {g_no}: natural frequencies are not constant")
         if diameter(state0.omega, idx) > tol:
             raise ValueError(f"group {g_no}: initial frequencies are not constant")
-        centroid = np.exp(1j * state0.theta[idx]).sum()
-        if abs(centroid) > tol:
+        amplitude = idx.size * float(order_parameter(centroid(state0.theta[idx])))
+        if amplitude > tol:
             raise ValueError(
-                f"group {g_no}: initial phase centroid {abs(centroid):.3e} exceeds {tol:.1e}"
+                f"group {g_no}: initial phase centroid {amplitude:.3e} exceeds {tol:.1e}"
             )
     if not seen.all():
         raise ValueError("groups do not cover every oscillator")

@@ -173,7 +173,7 @@ def test_05_quasi_monotonicity():
         xi_eta = xi(params, d_om0, eta)
         dt = min(0.01, params.m / 3.0)
         rec = record_trajectory(
-            params, state0, IntegratorConfig(dt=dt, t_end=20.0, observer_stride=1, coupling="mean_field")
+            params, state0, IntegratorConfig(dt=dt, t_end=20.0, observer_stride=1)
         )
         z = np.exp(1j * rec.theta).mean(axis=1)
         r = np.abs(z)

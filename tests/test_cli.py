@@ -224,6 +224,21 @@ def test_sweep_rejects_zero_kappa_on_m_axis(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["sweep", "figures"])
+def test_sweep_rejects_values_sharing_a_series_file(tmp_path, capsys, command):
+    # series_{value:g}.csv keeps six significant digits: two values that
+    # agree to six digits would write one file.
+    cfg = write(
+        tmp_path / "sweep.json",
+        {"axis": "Dv_over_kappa", "values": [0.5, 0.25, 0.5000001],
+         "base": {"N": 4, "t_end": 1.0, "certify": False}},
+    )
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: sweep values 0.5 and 0.5000001 share the series file series_0.5.csv\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_figures_command(tmp_path):
     cfg = write(
         tmp_path / "sweep.json",

@@ -25,6 +25,7 @@ import kuramoto_lock
 from kuramoto_lock import CampaignConfig, ScenarioConfig, certify_campaign, run_scenario
 from kuramoto_lock import SystemParams, order_state
 from kuramoto_lock.diagnostics import R_PHASE_THRESHOLD
+from kuramoto_lock.model import centroid, centroid_phase, order_parameter
 from kuramoto_lock.integrate import IntegrationError, record_trajectory
 from kuramoto_lock.experiments import (
     SCENARIO_SCHEMA,
@@ -498,16 +499,16 @@ def test_lock_window_configs_run(doc, has_lock):
 
 
 def _phi_delta_per_snapshot(record):
-    """The centroid-phase and Delta columns, one snapshot at a time."""
+    """The centroid-phase and Delta columns, one snapshot at a time, with
+    the one centroid rule of ``model``."""
     s = record.n_snapshots
-    z = np.exp(1j * record.theta).mean(axis=1)
-    defined = np.abs(z) >= R_PHASE_THRESHOLD
     phi = np.full(s, np.nan)
-    phi[defined] = np.angle(z[defined])
     delta = np.empty(s)
     prev = None
     for k in range(s):
-        if defined[k]:
+        cs = centroid(record.theta[k])
+        if order_parameter(cs) >= R_PHASE_THRESHOLD:
+            phi[k] = centroid_phase(*cs.tolist())
             if prev is not None:
                 phi[k] += 2.0 * np.pi * round((prev - phi[k]) / (2.0 * np.pi))
             prev = phi[k]
@@ -544,6 +545,86 @@ def test_seed_replay_is_byte_identical():
         b.to_json_dict(), sort_keys=True
     )
     assert np.array_equal(a.series.r, b.series.r)
+
+
+# The canonical outputs of the SIMD-level test: three scenarios with their
+# series (m > 0, m = 0, and a collision run), simple and n3 campaigns of four
+# instances with their persisted files, a sweep and a collision census.  It
+# prints one SHA-256 digest over all of them.
+_CANONICAL_DIGEST = """
+import dataclasses, hashlib, json, tempfile
+from pathlib import Path
+import numpy as np
+from kuramoto_lock import (
+    CampaignConfig, ScenarioConfig, certify_campaign, collision_census, figure_sweep, run_scenario,
+)
+
+h = hashlib.sha256()
+
+def add(doc):
+    h.update(json.dumps(doc, sort_keys=True).encode())
+
+def add_record(rec):
+    add(rec.to_json_dict())
+    for f in dataclasses.fields(rec.series):
+        h.update(np.ascontiguousarray(getattr(rec.series, f.name)).tobytes())
+
+for doc in ({"N": 12, "m": 0.5, "t_end": 15.0, "stride": 5},
+            {"N": 12, "m": 0.0, "t_end": 15.0, "stride": 5},
+            {"N": 8, "m": 0.2, "D_V": 1.0, "D_Omega0": 2.0, "t_end": 8.0, "collisions": True}):
+    add_record(run_scenario(ScenarioConfig.from_dict({**doc, "seed": 4})))
+for cc in (CampaignConfig(which="simple", n_instances=4, n=12, t_end=30.0, stride=50, seed=9090),
+           CampaignConfig(which="n3", n_instances=4, t_end=10.0, seed=1111)):
+    with tempfile.TemporaryDirectory() as out:
+        add(certify_campaign(cc, outdir=Path(out)).to_json_dict())
+        for path in sorted(p for p in Path(out).rglob("*") if p.is_file()):
+            h.update(str(path.relative_to(out)).encode() + path.read_bytes())
+base = ScenarioConfig(n=12, m=0.5, t_end=15.0, stride=5, seed=3)
+for rec in figure_sweep("m_kappa", [0.1, 1.0], base).records:
+    add_record(rec)
+census = collision_census(ScenarioConfig(n=12, m=0.1, kappa=2.0, d_v=2.0, t_end=5.0, seed=5))
+add([census.to_json_dict(), [(e.i, e.j, e.t_star.hex(), e.branch) for e in census.events]])
+print(h.hexdigest())
+"""
+
+
+def _x86_levels():
+    """The numpy build's dispatchable x86-64 levels, highest first."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__
+    return [level for level in ("X86_V4", "X86_V3") if level in __cpu_dispatch__]
+
+
+def test_outputs_are_byte_identical_at_every_simd_level():
+    # Run records, series, campaign files and collision events must not
+    # depend on the SIMD kernels numpy dispatches to: the canonical outputs
+    # get one digest natively, with X86_V4 disabled, and with X86_V3 disabled
+    # too.  NPY_DISABLE_CPU_FEATURES only acts on the build's dispatch list
+    # (another name only raises an ImportWarning), so the levels are read
+    # from it.  On a host that lacks a level, disabling it changes nothing
+    # and that level goes untested: a host without AVX-512 compares only its
+    # native X86_V3 kernels against the baseline ones, and one without AVX2
+    # compares nothing.  Other architectures are not covered.
+    levels = _x86_levels()
+    if not levels:
+        pytest.skip("numpy dispatches no x86-64 levels on this build")
+    disabled = [""] + [" ".join(levels[:k]) for k in range(1, len(levels) + 1)]
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _CANONICAL_DIGEST],
+            env={**_package_env(), "NPY_DISABLE_CPU_FEATURES": features},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for features in disabled
+    ]
+    digests = {}
+    for features, run in zip(disabled, runs):
+        out, err = run.communicate(timeout=300)
+        assert run.returncode == 0, err
+        digests[features or "native"] = out.strip()
+    assert len(set(digests.values())) == 1, digests
 
 
 def test_large_spread_regime_fails_to_lock():

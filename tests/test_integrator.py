@@ -34,7 +34,7 @@ from kuramoto_lock.integrate import (
     _stepper,
     collision_events_from_record,
 )
-from kuramoto_lock.model import COUPLING_FORMS
+from kuramoto_lock.model import COUPLING_FORMS, coupling_mean_field
 
 # The package re-exports the ``integrate`` function under the module's name.
 integrate_module = importlib.import_module("kuramoto_lock.integrate")
@@ -115,8 +115,9 @@ def test_config_validation():
         IntegratorConfig(t_end=-1.0)
     with pytest.raises(ValueError):
         IntegratorConfig(observer_stride=0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(coupling="nope")
+    # Every run steps the mean-field coupling; there is no option to choose.
+    with pytest.raises(TypeError):
+        IntegratorConfig(coupling="direct")
 
 
 def test_nonsync_oracle_error():
@@ -219,8 +220,7 @@ def test_blowup_guard_names_row_of_stacked_state():
     assert info.value.row == 1
 
 
-@pytest.mark.parametrize("coupling", sorted(COUPLING_FORMS))
-def test_batched_records_match_single_instances(rng, coupling):
+def test_batched_records_match_single_instances(rng):
     # Rows differ in m, kappa and nu; 100 full steps plus a partial one, and
     # a stride that divides neither.
     instances = [random_instance(rng, n=6, m=m, kappa=kappa) for m, kappa in
@@ -229,7 +229,7 @@ def test_batched_records_match_single_instances(rng, coupling):
     states = [s for _, s in instances]
     # The zero-inertia rows are the same instances with m = 0.
     zero = [dataclasses.replace(p, m=0.0) for p in params]
-    cfg = IntegratorConfig(dt=0.01, t_end=1.005, observer_stride=7, coupling=coupling)
+    cfg = IntegratorConfig(dt=0.01, t_end=1.005, observer_stride=7)
     batch = record_trajectory(params, states, cfg)
     first = record_trajectory(zero, states, cfg)
     assert batch.theta.shape == first.omega.shape == (3, 16, 6)
@@ -343,7 +343,7 @@ def test_collision_refinement_tolerance():
     rec = record_trajectory(params, state0, dense)
     events = collision_events_from_record(params, rec, cfg)
     assert events
-    coup = COUPLING_FORMS[cfg.coupling]
+    coup = COUPLING_FORMS["mean_field"]
     for ev in events:
         k = int(np.searchsorted(rec.t, ev.t_star, side="right")) - 1
         th, _ = _reference_rk4_step(params, coup, rec.theta[k], rec.omega[k], ev.t_star - rec.t[k])
@@ -411,7 +411,7 @@ def _reference_refine_crossing(params, coup, record, k, i, j, refine_tol):
 def reference_collision_events(params, record, config):
     """The scalar scan: every pair in turn, every crossing bisected alone
     with one-dimensional RK4 probes."""
-    coup = COUPLING_FORMS[config.coupling]
+    coup = COUPLING_FORMS["mean_field"]
     state0 = record.state(0)
     t = record.t
     events = []
@@ -448,12 +448,12 @@ def _census_case(seed, n=40, m=1.0, kappa=1.0):
         n=n, m=m, kappa=kappa, d_v=2.0, d_omega0=1.0, t_end=2.5, window=2.0, seed=seed
     )
     params, state0 = sample_instance(config)
-    return _dense(params, state0, IntegratorConfig(dt=0.01, t_end=2.5, coupling="mean_field"))
+    return _dense(params, state0, IntegratorConfig(dt=0.01, t_end=2.5))
 
 
 def _n3_case(attempt):
     params, state0, _, _ = _campaign_instance(CampaignConfig(which="n3", seed=1111), attempt)
-    cfg = IntegratorConfig(dt=_effective_dt(0.01, params.m), t_end=20.0, coupling="mean_field")
+    cfg = IntegratorConfig(dt=_effective_dt(0.01, params.m), t_end=20.0)
     return _dense(params, state0, cfg)
 
 
@@ -538,7 +538,7 @@ def _crossings(params, record):
 def _probe_gaps(params, record, cfg, k, i, j, tau):
     """Float probe gaps of rows ``(k, i, j)`` at times ``tau`` (rows x
     points), computed as the bisection computes them."""
-    coup = COUPLING_FORMS[cfg.coupling]
+    coup = COUPLING_FORMS["mean_field"]
     points = tau.shape[1]
     kk, ii, jj = (np.repeat(x, points) for x in (k, i, j))
     y = np.stack((record.theta[kk], record.omega[kk]))
@@ -626,7 +626,7 @@ def test_refinement_probes_a_third_of_plain_bisection(monkeypatch):
     # The coupling evaluates at most a third of the phase values that plain
     # bisection probes: two coupling calls of N phases per probe round.
     params, record, cfg = COLLISION_CASES["census_101"]()
-    coup = COUPLING_FORMS[cfg.coupling]
+    coup = COUPLING_FORMS["mean_field"]
     k, i, j = _crossings(params, record)
     rounds = sum(
         len(_reference_refine_crossing(params, coup, record, kk, ii, jj, cfg.refine_tol)[2])
@@ -639,7 +639,7 @@ def test_refinement_probes_a_third_of_plain_bisection(monkeypatch):
         values += theta.size
         return coup(theta, kappa)
 
-    monkeypatch.setitem(COUPLING_FORMS, cfg.coupling, counting)
+    monkeypatch.setitem(COUPLING_FORMS, "mean_field", counting)
     collision_events_from_record(params, record, cfg)
     assert k.size > 100
     assert values <= 2 * record.n * rounds / 3
@@ -653,7 +653,7 @@ def test_refinement_never_probes_more_than_plain_bisection(monkeypatch, case):
     # values than plain bisection: 2N per midpoint, N per row for the
     # stage-1 acceleration, and 2N per uncertified row for its branch.
     params, record, cfg = COLLISION_CASES[case]()
-    coup = COUPLING_FORMS[cfg.coupling]
+    coup = COUPLING_FORMS["mean_field"]
     k, i, j = _crossings(params, record)
     mids = sum(
         len(_reference_refine_crossing(params, coup, record, kk, ii, jj, cfg.refine_tol)[2])
@@ -667,7 +667,7 @@ def test_refinement_never_probes_more_than_plain_bisection(monkeypatch, case):
         values += theta.size
         return coup(theta, kappa)
 
-    monkeypatch.setitem(COUPLING_FORMS, cfg.coupling, counting)
+    monkeypatch.setitem(COUPLING_FORMS, "mean_field", counting)
     collision_events_from_record(params, record, cfg)
     n = record.n
     assert k.size > 0
@@ -681,7 +681,7 @@ def test_pair_points_inside_the_margin_do_not_verify(monkeypatch):
     # probed.  At the default width the narrow pair verifies and some of them
     # are skipped.  Either way t_star is the plain bisection's.
     params, record, cfg = COLLISION_CASES["census_101"]()
-    coup = COUPLING_FORMS[cfg.coupling]
+    coup = COUPLING_FORMS["mean_field"]
     k, i, j = _crossings(params, record)
     r = np.flatnonzero(_certificate(params, record, k, i, j).ok)[:1]
     t_ref, _, mids = _reference_refine_crossing(
@@ -813,18 +813,18 @@ def _blowup_case(name, rng):
     omega = rng.uniform(-0.5, 0.5, (3, n))
     if name == "stiff":
         params = [SystemParams(0.05 / r, 1.0, rng.uniform(-0.4, 0.4, n)) for r in (2.0, 3.2, 5.0)]
-        cfg = IntegratorConfig(dt=0.05, t_end=20.0, coupling="mean_field")
+        cfg = IntegratorConfig(dt=0.05, t_end=20.0)
         y = np.stack((theta, omega))
     elif name == "drift":
         nu = [np.full(n, 0.1), np.full(n, 1e307), np.full(n, 1e306)]
         params = [SystemParams(0.0, 1.0, v) for v in nu]
-        cfg = IntegratorConfig(dt=0.1, t_end=20.0, coupling="mean_field")
+        cfg = IntegratorConfig(dt=0.1, t_end=20.0)
         y = theta[None]
     else:
         m = 0.0 if name == "partial_m0" else 1.0
         nu = np.stack((np.zeros(n), np.full(n, 1.793e307)))
         params = [SystemParams(m, 1.0, v) for v in nu]
-        cfg = IntegratorConfig(dt=0.1, t_end=10.05, coupling="direct")
+        cfg = IntegratorConfig(dt=0.1, t_end=10.05)
         y = np.stack((theta[:2], nu)) if m > 0 else theta[None, :2]
     return integrate_module._coefficients(params), y, cfg
 
@@ -854,7 +854,7 @@ def test_march_checks_finiteness_like_every_step(rng, name, stride):
     # no observer sees a non-finite state.
     coef, y, cfg = _blowup_case(name, rng)
     cfg = dataclasses.replace(cfg, observer_stride=stride)
-    coup = COUPLING_FORMS[cfg.coupling]
+    coup = COUPLING_FORMS["mean_field"]
     t0 = 3.0
     want, fail_step = _per_step_checked_failure(coef, coup, y, t0, cfg)
     n_full, rem = integrate_module._step_plan(cfg.dt, cfg.t_end)
@@ -898,7 +898,7 @@ def test_stepper_built_once_per_run(rng, monkeypatch):
     monkeypatch.setattr(integrate_module, "_stepper", spy)
     monkeypatch.setitem(COUPLING_FORMS, "mean_field", counting)
     instances = [random_instance(rng, n=5, m=0.5) for _ in range(3)]
-    cfg = IntegratorConfig(dt=0.01, t_end=1.005, observer_stride=7, coupling="mean_field")
+    cfg = IntegratorConfig(dt=0.01, t_end=1.005, observer_stride=7)
     record_trajectory([p for p, _ in instances], [s for _, s in instances], cfg)
     assert built == [(2, 3, 5)] and calls == 4 * 101
     built.clear()
@@ -929,14 +929,14 @@ def test_small_blocks_match_reference_scan(monkeypatch):
 def test_refinement_coupling_calls_bounded_per_batch(monkeypatch):
     params, record, cfg = _census_case(404)
     calls = 0
-    coupling = COUPLING_FORMS[cfg.coupling]
+    coupling = COUPLING_FORMS["mean_field"]
 
     def counting(theta, kappa):
         nonlocal calls
         calls += 1
         return coupling(theta, kappa)
 
-    monkeypatch.setitem(COUPLING_FORMS, cfg.coupling, counting)
+    monkeypatch.setitem(COUPLING_FORMS, "mean_field", counting)
     events = collision_events_from_record(params, record, cfg)
     # Batches as ``_bisect`` forms them: up to three probes per row.
     rows = max(1, integrate_module._BLOCK_ELEMENTS // (3 * record.n))
@@ -950,14 +950,14 @@ def test_refinement_coupling_calls_bounded_per_batch(monkeypatch):
 
 def test_refinement_probe_memory_bounded(monkeypatch):
     # A round probes up to three points per row, so a batch holds a third of
-    # _BLOCK_ELEMENTS // N rows: with the direct coupling's (probes, N, N)
-    # temporaries, the whole refinement peaks below one phase-half step over
-    # _BLOCK_ELEMENTS // N rows.
+    # _BLOCK_ELEMENTS // N rows: with the mean-field coupling's (probes, N)
+    # phasor temporaries, the whole refinement peaks below one phase-half
+    # step over _BLOCK_ELEMENTS // N rows.
     config = ScenarioConfig(
         n=40, m=1.0, kappa=1.0, d_v=2.0, d_omega0=1.0, t_end=2.5, window=2.0, seed=101
     )
     params, record, cfg = _dense(*sample_instance(config), IntegratorConfig(dt=0.01, t_end=2.5))
-    coup = COUPLING_FORMS[cfg.coupling]
+    coup = COUPLING_FORMS["mean_field"]
     rows = 100
     monkeypatch.setattr(integrate_module, "_BLOCK_ELEMENTS", rows * record.n)
     y0 = np.stack((record.theta[:rows], record.omega[:rows]))
@@ -974,22 +974,23 @@ def test_refinement_probe_memory_bounded(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert cfg.coupling == "direct" and len(events) > rows
+    assert len(events) > rows
     assert peak <= one_step
 
 
 def test_first_order_observer_cadence():
     # Zero inertia ignores the initial frequencies; the observed frequencies
-    # are the phase velocities.
+    # are the phase velocities of the stepped mean-field coupling, and agree
+    # with the reference right-hand side up to rounding.
     p = SystemParams(0.0, 0.7, [0.1, -0.1])
-    for coupling in COUPLING_FORMS:
-        seen = []
-        final = integrate(
-            p, PhaseState(0.0, [0.0, 1.0], [7.0, -7.0]),
-            IntegratorConfig(dt=0.1, t_end=1.0, observer_stride=3, coupling=coupling),
-            lambda t, state: seen.append(state),
-        )
-        assert [s.t for s in seen] == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0], abs=1e-12)
-        assert seen[-1].t == final.t and np.array_equal(seen[-1].theta, final.theta)
-        for state in seen + [final]:
-            assert np.array_equal(state.omega, rhs_first_order(p, state.theta, coupling))
+    seen = []
+    final = integrate(
+        p, PhaseState(0.0, [0.0, 1.0], [7.0, -7.0]),
+        IntegratorConfig(dt=0.1, t_end=1.0, observer_stride=3),
+        lambda t, state: seen.append(state),
+    )
+    assert [s.t for s in seen] == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0], abs=1e-12)
+    assert seen[-1].t == final.t and np.array_equal(seen[-1].theta, final.theta)
+    for state in seen + [final]:
+        assert np.array_equal(state.omega, p.nu + coupling_mean_field(state.theta, p.kappa))
+        assert np.abs(state.omega - rhs_first_order(p, state.theta)).max() < 1e-15

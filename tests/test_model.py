@@ -1,6 +1,7 @@
 """Model layer: vector fields against brute-force oracles, symmetry
 transforms against solve-then-transform runs, and the exact solution families."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,8 +21,17 @@ from kuramoto_lock import (
     record_trajectory,
     rhs_first_order,
     rhs_inertial,
+    run_scenario,
+    ScenarioConfig,
 )
-from kuramoto_lock.model import COUPLING_FORMS, coupling_direct, coupling_mean_field
+from kuramoto_lock.model import (
+    COUPLING_FORMS,
+    centroid,
+    centroid_phase,
+    coupling_direct,
+    coupling_mean_field,
+    order_parameter,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -144,6 +154,61 @@ def test_coupling_forms_agree(rng):
         a = coupling_direct(theta, 1.9)
         b = coupling_mean_field(theta, 1.9)
         assert np.abs(a - b).max() < 1e-12
+
+
+def coupling_complex(theta, kappa):
+    """The mean-field coupling as complex arithmetic, the form runs stepped
+    before the real-arithmetic centroid rule: kappa * Im(mean(z) * conj(z))."""
+    th = np.asarray(theta, dtype=float)
+    z = np.exp(1j * th)
+    return kappa * (np.add.reduce(z, axis=-1, keepdims=True) / th.shape[-1] * np.conj(z)).imag
+
+
+def test_centroid_rule_matches_complex_form(rng):
+    # The real-arithmetic rule moves the coupling, R and phi of the complex
+    # form by rounding only: within 2 eps * kappa, 2 eps and 4 eps.
+    eps = np.finfo(float).eps
+    for _ in range(300):
+        n = int(rng.integers(1, 300))
+        kappa = float(rng.uniform(0.0, 5.0))
+        theta = rng.uniform(-50.0, 50.0, (int(rng.integers(1, 4)), n))
+        got = coupling_mean_field(theta, kappa)
+        assert np.abs(got - coupling_complex(theta, kappa)).max() <= 2 * eps * kappa
+        z = np.exp(1j * theta).mean(axis=-1)
+        cs = centroid(theta)
+        assert cs.shape == theta.shape[:-1] + (2,)
+        assert np.abs(order_parameter(cs) - np.abs(z)).max() <= 2 * eps
+        for (c, s), zk in zip(cs.tolist(), z):
+            assert abs(centroid_phase(c, s) - np.angle(zk)) <= 4 * eps
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"N": 200, "m": 1.0, "D_V": 0.5, "D_Omega0": 1.0, "t_end": 30.0, "stride": 10, "seed": 7},
+        {"N": 30, "m": 0.0, "D_V": 0.5, "t_end": 30.0, "stride": 10, "seed": 2},
+        {"N": 10, "m": 0.2, "D_V": 1.0, "D_Omega0": 2.0, "t_end": 20.0, "collisions": True,
+         "seed": 4},
+    ],
+    ids=["N200", "m0", "collisions"],
+)
+def test_runs_match_complex_form(monkeypatch, doc):
+    # A run stepped with the complex form follows the trajectory that runs
+    # had before the centroid rule.  The rule moves it by rounding only:
+    # equal lock verdicts, t_lock and collision events (t_star bits and order
+    # included), series columns within 1e-11 and final states within 1e-14.
+    config = ScenarioConfig.from_dict(doc)
+    new = run_scenario(config)
+    monkeypatch.setitem(COUPLING_FORMS, "mean_field", coupling_complex)
+    old = run_scenario(config)
+    assert (new.lock.locked, new.lock.t_lock) == (old.lock.locked, old.lock.t_lock)
+    assert new.collisions == old.collisions
+    for field in dataclasses.fields(new.series):
+        a, b = getattr(new.series, field.name), getattr(old.series, field.name)
+        assert np.array_equal(np.isnan(a), np.isnan(b))
+        assert np.nanmax(np.abs(a - b), initial=0.0) <= 1e-11, field.name
+    assert np.abs(new.final_state.theta - old.final_state.theta).max() <= 1e-14
+    assert np.abs(new.final_state.omega - old.final_state.omega).max() <= 1e-14
 
 
 @given(
