@@ -578,6 +578,7 @@ def check_partial_locking(
     b = np.unique(np.asarray(list(subset_b), dtype=int))
     _require(a.size > 0, "subset_a must be nonempty")
     _require(a.min() >= 0 and a.max() < params.n, "subset_a outside range(N)")
+    _require(b.size > 0, "subset_b must be nonempty")
     _require(b.min() >= 0 and b.max() < params.n, "subset_b outside range(N)")
     _require(np.isin(a, b).all(), "subset_a must be contained in subset_b")
     _require(a.size >= lam * params.n, "subset_a is smaller than lam*N")

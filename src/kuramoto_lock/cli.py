@@ -303,13 +303,24 @@ def _svg_chart(path: Path, t: np.ndarray, series: list[tuple[str, np.ndarray]], 
 
 def _run_sweep(doc: dict, seed: Optional[int], out: Path) -> SweepResult:
     """Run the sweep a config describes and write ``summary.csv`` and one
-    ``series_<value>.csv`` per value into ``out``."""
+    ``series_<value>.csv`` per value into ``out``.  The config holds
+    ``axis``, ``values`` and optionally ``base`` and ``fresh_samples`` (a
+    JSON boolean), and no other key."""
+    unknown = sorted(set(doc) - {"axis", "values", "base", "fresh_samples"})
+    if unknown:
+        raise CliInputError(
+            f"unknown sweep config key(s) {', '.join(map(repr, unknown))}; "
+            "expected 'axis', 'values', 'base' and 'fresh_samples'"
+        )
     axis = doc.get("axis")
     values = doc.get("values")
     if axis is None or not isinstance(values, list) or not values:
         raise CliInputError("sweep config needs 'axis' and a nonempty 'values' list")
+    fresh_samples = doc.get("fresh_samples", False)
+    if not isinstance(fresh_samples, bool):
+        raise CliInputError(f"sweep 'fresh_samples' must be true or false, got {fresh_samples!r}")
     base = _scenario_from_doc(_require_object(doc.get("base", {}), "sweep 'base'"), seed)
-    result = figure_sweep(axis, values, base, fresh_samples=bool(doc.get("fresh_samples", False)))
+    result = figure_sweep(axis, values, base, fresh_samples=fresh_samples)
     names = [f"series_{value:g}.csv" for value in result.values]
     for k, name in enumerate(names):
         first = names.index(name)

@@ -17,7 +17,7 @@ import numpy as np
 from .model import (
     TWO_PI, PhaseState, SystemParams, centroid, centroid_phase, diameter, order_parameter,
 )
-from .integrate import TrajectoryRecord
+from .integrate import TrajectoryRecord, _snapshot_grid
 
 __all__ = [
     "R_PHASE_THRESHOLD",
@@ -132,36 +132,27 @@ class EnergyBalance:
     residual: np.ndarray
 
 
-def _uniformly_spaced(t: np.ndarray) -> bool:
-    """Whether snapshot times ``t`` (at least two) are equally spaced."""
-    h = np.diff(t)
-    return bool(np.allclose(h, h[0], rtol=1e-9, atol=1e-12))
-
-
-def _check_uniform_spacing(t: np.ndarray) -> float:
-    if t.size < 3:
-        raise ValueError("need at least three snapshots")
-    if not _uniformly_spaced(t):
-        raise ValueError("snapshots must be equally spaced")
-    return float(t[1] - t[0])
-
-
 def energy_dissipation_residual(
     params: SystemParams, record: TrajectoryRecord
 ) -> EnergyBalance:
     """Residual of the exact energy-dissipation identity along a run.
 
-    Requires identical natural frequencies (to 1e-12) and equally spaced
-    snapshots.  The residual is O(spacing^2) plus integrator error.
+    Requires identical natural frequencies (to 1e-12) and at least three
+    equally spaced snapshots, which it reads alone: a shorter final step is
+    left out (see :func:`integrate._snapshot_grid`).  The residual is
+    O(spacing^2) plus integrator error.
     """
     if params.nu_diameter > 1e-12:
         raise ValueError("energy dissipation requires identical natural frequencies")
-    h = _check_uniform_spacing(record.t)
-    energy = energy_value(params, record.theta, record.omega)
-    var = np.mean((record.omega - record.omega.mean(axis=1, keepdims=True)) ** 2, axis=1)
+    s, h = _snapshot_grid(record.t)
+    if s < 3:
+        raise ValueError("need at least three equally spaced snapshots")
+    t, omega = record.t[:s], record.omega[:s]
+    energy = energy_value(params, record.theta[:s], omega)
+    var = np.mean((omega - omega.mean(axis=1, keepdims=True)) ** 2, axis=1)
     dedt = (energy[2:] - energy[:-2]) / (2.0 * h)
     residual = dedt + var[1:-1]
-    return EnergyBalance(record.t.copy(), energy, record.t[1:-1].copy(), residual)
+    return EnergyBalance(t.copy(), energy, t[1:-1].copy(), residual)
 
 
 @dataclass(frozen=True)
@@ -373,23 +364,15 @@ class LockReport:
 
 def _lock_window(t: np.ndarray, window: float) -> Optional[tuple[int, int]]:
     """Which snapshots at times ``t`` a lock window of duration ``window``
-    reads: ``(s, length)``, where the first ``s`` snapshots are equally
-    spaced at h and a window holds ``length = round(window / h) + 1`` of
-    them, or ``None`` when no window fits (``length > s``) or a window holds
-    fewer than two snapshots (``length < 2``), whose phases cannot drift.
-
-    ``s`` counts every snapshot, or all but the last when only the final step
-    is shorter, as a record whose ``t_end`` is not a multiple of the snapshot
-    spacing ends.  Any other unequal spacing raises ``ValueError``.
+    reads: ``(s, length)``, where the first ``s`` snapshots are the equally
+    spaced ones of :func:`integrate._snapshot_grid`, at h, and a window holds
+    ``length = round(window / h) + 1`` of them, or ``None`` when no window
+    fits (``length > s``) or a window holds fewer than two snapshots
+    (``length < 2``), whose phases cannot drift.  The last window reads
+    snapshots ``s - length`` to ``s - 1``.
     """
-    if t.size < 2:
-        raise ValueError("need at least two snapshots")
-    s = t.size
-    if not _uniformly_spaced(t):
-        if not (s > 2 and _uniformly_spaced(t[:-1]) and t[-1] - t[-2] < t[1] - t[0]):
-            raise ValueError("snapshots must be equally spaced")
-        s -= 1
-    length = int(round(window / float(t[1] - t[0]))) + 1
+    s, h = _snapshot_grid(t)
+    length = int(round(window / h)) + 1
     return (s, length) if 2 <= length <= s else None
 
 

@@ -43,6 +43,7 @@ from .integrate import (
 )
 from .diagnostics import (
     R_PHASE_THRESHOLD,
+    ArrangementReport,
     LockReport,
     LockTolerances,
     arrangement_check,
@@ -344,12 +345,6 @@ class DiagnosticsSeries:
         return (self.t, self.r, self.phi, self.delta, self.d_theta,
                 self.d_omega, self.p, self.e, self.cluster_fraction, self.cluster_arc)
 
-    def value_at(self, column: str, t: float) -> float:
-        """Column value at the snapshot closest to time t."""
-        k = int(np.argmin(np.abs(self.t - t)))
-        data = dict(zip(self.COLUMNS, self.as_columns()))
-        return float(data[column][k])
-
     def to_csv(self, path) -> None:
         cols = self.as_columns()
         with open(path, "w", newline="") as fh:
@@ -575,15 +570,16 @@ def _sweep_config(base: ScenarioConfig, axis: str, value: float) -> ScenarioConf
 
 
 def _sweep_row(value: float, record: RunRecord) -> dict:
+    series = record.series
     row = {
         "value": value,
-        "R_end": record.series.value_at("R", record.series.t[-1]),
-        "Delta_end": record.series.value_at("Delta", record.series.t[-1]),
+        "R_end": float(series.r[-1]),
+        "Delta_end": float(series.delta[-1]),
         "locked": bool(record.lock.locked) if record.lock else False,
         "t_lock": record.lock.t_lock if record.lock and record.lock.locked else None,
     }
-    if record.series.t[-1] >= 30.0 - 1e-9:
-        r30 = record.series.value_at("R", 30.0)
+    if series.t[-1] >= 30.0 - 1e-9:
+        r30 = float(series.r[np.argmin(np.abs(series.t - 30.0))])  # the snapshot nearest t = 30
         var_nu = record.params.nu_var
         row["R_30"] = r30
         row["ratio_one_minus_R30"] = (
@@ -631,6 +627,10 @@ def figure_sweep(
             f"sweep axis 'm_kappa' sets m = value / kappa, so kappa must be positive, "
             f"got {base_config.kappa!r}"
         )
+    for value in values:
+        # The scenario reader's number rule, real numbers only.
+        if not (_SCHEMA_TYPES["number"](value) and isinstance(value, numbers.Real)):
+            raise ConfigError(f"sweep value {value!r} is not a real number")
     values = [float(v) for v in values]
     if any(not (math.isfinite(v) and v > 0) for v in values):
         raise ConfigError("sweep values must be positive and finite")
@@ -928,41 +928,44 @@ def _verify_partial(
     arc_slack: float = 1e-6,
 ) -> dict:
     """Check the three predictions of a certified partial-locking instance on
-    its recorded trajectory: arc persistence from t1, the tail diameter
-    bound, and the pairwise arrangement interval."""
+    its recorded trajectory: arc persistence from t1, and on the snapshots of
+    the last lock window (see :func:`diagnostics._lock_window`) the tail
+    diameter bound and the pairwise arrangement interval.  When no lock
+    window fits the record, the tail checks fail, named as such, and their
+    values are NaN."""
     preds = report.details["predictions"]
     idx = np.asarray(spec.subset_a, dtype=int)
     sub = record.theta[:, idx]
     diam = sub.max(axis=1) - sub.min(axis=1)
     after = record.t >= spec.t1 - 1e-12
     persist_max = float(diam[after].max())
-    persistence_ok = persist_max <= spec.ell + arc_slack
-    tail = record.tail(cc.window)
-    tail_diam = float(
-        (tail.theta[:, idx].max(axis=1) - tail.theta[:, idx].min(axis=1)).max()
-    )
-    tail_bound = preds["tail_diameter_bound"]
-    tail_ok = tail_diam <= tail_bound + slack
-    cluster = ClusterReport(
-        indices=spec.subset_a,
-        translations=tuple(0 for _ in spec.subset_a),
-        arc_diameter=float(diam[-1]),
-        fraction=len(spec.subset_a) / params.n,
-    )
-    arrangement = arrangement_check(tail, params, cluster, tail_bound, spec.lam)
-    arrangement_ok = bool(arrangement.ok(slack))
-    persistence_ok = bool(persistence_ok)
-    tail_ok = bool(tail_ok)
-    ok = persistence_ok and tail_ok and arrangement_ok
     reasons = []
-    if not persistence_ok:
+    if not persist_max <= spec.ell + arc_slack:
         reasons.append(f"arc {persist_max:.4f} exceeded {spec.ell}")
-    if not tail_ok:
-        reasons.append(f"tail diameter {tail_diam:.4f} above bound {tail_bound:.4f}")
-    if not arrangement_ok:
-        reasons.append("arrangement interval violated")
+    tail_bound = preds["tail_diameter_bound"]
+    fit = _lock_window(record.t, cc.window)
+    if fit is None:
+        reasons.append(f"no lock window of {cc.window!r} fits the snapshots")
+        tail_diam, arrangement = math.nan, ArrangementReport(math.nan, (), math.nan, math.nan)
+    else:
+        tail = slice(fit[0] - fit[1], fit[0])
+        tail_diam = float(diam[tail].max())
+        if not tail_diam <= tail_bound + slack:
+            reasons.append(f"tail diameter {tail_diam:.4f} above bound {tail_bound:.4f}")
+        cluster = ClusterReport(
+            indices=spec.subset_a,
+            translations=tuple(0 for _ in spec.subset_a),
+            arc_diameter=float(diam[-1]),
+            fraction=len(spec.subset_a) / params.n,
+        )
+        arrangement = arrangement_check(
+            TrajectoryRecord(record.t[tail], record.theta[tail], record.omega[tail]),
+            params, cluster, tail_bound, spec.lam,
+        )
+        if not arrangement.ok(slack):
+            reasons.append("arrangement interval violated")
     return {
-        "ok": ok,
+        "ok": not reasons,
         "reason": "; ".join(reasons),
         "persist_max": persist_max,
         "tail_diameter": tail_diam,

@@ -54,7 +54,6 @@ class IntegratorConfig:
     dt: float = 0.01
     t_end: float = 30.0
     observer_stride: int = 1
-    refine_tol: float = 1e-12
 
     def __post_init__(self):
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
@@ -63,8 +62,6 @@ class IntegratorConfig:
             raise ValueError("t_end must be >= 0 and finite")
         if self.observer_stride < 1:
             raise ValueError("observer_stride must be >= 1")
-        if not (self.refine_tol > 0.0):
-            raise ValueError("refine_tol must be positive")
 
 
 def _step_plan(dt: float, t_end: float) -> tuple[int, float]:
@@ -74,6 +71,26 @@ def _step_plan(dt: float, t_end: float) -> tuple[int, float]:
     if rem <= 1e-12 * max(1.0, t_end):
         rem = 0.0
     return n_full, rem
+
+
+def _snapshot_grid(t: np.ndarray, h: Optional[float] = None) -> tuple[int, float]:
+    """The one rule for which snapshots at times ``t`` a reader of a record
+    takes: ``(s, h)``, where the first ``s`` snapshots, every one or all but
+    a last one after a shorter final step (see :func:`_step_plan`), are
+    equally spaced at ``h`` (the first step unless given) to 1e-9 relative
+    and 1e-12 absolute.  Any other spacing, or fewer than two snapshots,
+    raises ``ValueError``."""
+    if t.size < 2:
+        raise ValueError("need at least two snapshots")
+    steps = np.diff(t)
+    h = float(steps[0]) if h is None else h
+    even = np.isclose(steps, h, rtol=1e-9, atol=1e-12)
+    s = t.size
+    if not even.all():
+        if not (s > 2 and even[:-1].all() and steps[-1] < h):
+            raise ValueError(f"snapshots must be equally spaced at {h!r}")
+        s -= 1
+    return s, h
 
 
 def _n_snapshots(config: IntegratorConfig) -> int:
@@ -318,12 +335,6 @@ class TrajectoryRecord:
         sel = np.asarray(idx, dtype=int)
         return TrajectoryRecord(self.t[sel], self.theta[sel], self.omega[sel])
 
-    def tail(self, duration: float) -> "TrajectoryRecord":
-        """Snapshots in the trailing window of the given duration."""
-        cut = self.t[-1] - duration
-        sel = self.t >= cut - 1e-12
-        return TrajectoryRecord(self.t[sel], self.theta[sel], self.omega[sel])
-
 
 def _coefficients(params):
     """:class:`_Rows` of one :class:`SystemParams`, ``(N,)``, or of a
@@ -414,6 +425,9 @@ class CollisionEvent:
 # bounds the scratch memory of :func:`collision_events_from_record` whatever
 # N and the event count.
 _BLOCK_ELEMENTS = 1 << 15
+
+# Bisection stops once a bracket is no wider than this.
+_REFINE_TOL = 1e-12
 
 # The rounding bound E on a probe's gap, in ulps of the phase magnitude.
 # Measured against 40-digit arithmetic, the error stays below E/25.
@@ -511,12 +525,11 @@ def _bisect(
     k: np.ndarray,
     i: np.ndarray,
     j: np.ndarray,
-    refine_tol: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Refine the crossings of pairs ``(i, j)`` bracketed by ``[t[k], t[k+1]]``.
 
     Every row replays the scalar bisection: stop once ``hi - lo <=
-    refine_tol``, an exact zero of the crossing function ends the row at that
+    _REFINE_TOL``, an exact zero of the crossing function ends the row at that
     midpoint, and a row whose bracket no longer shrinks (two adjacent
     doubles, past t = 8192) stops there too.  A probe re-integrates the row
     from its bracket's left snapshot with the phase half of one RK4 step,
@@ -563,7 +576,7 @@ def _bisect(
             return th[r, ib[act]] - th[r, jb[act]]
 
         lo, hi = t_lo.copy(), t_hi.copy()
-        act = np.flatnonzero(hi - lo > refine_tol)
+        act = np.flatnonzero(hi - lo > _REFINE_TOL)
         # The verified points nearest the crossing before (a) and after (b)
         # it, and the crossing function's side there.  The infinite
         # sentinels only meet comparisons, which they never pass.
@@ -622,7 +635,7 @@ def _bisect(
             # A row also stops when its bracket no longer shrinks: past
             # t = 8192 adjacent doubles lie more than 1e-12 apart.
             new_width = hi[act] - lo[act]
-            act = act[(new_width > refine_tol) & (new_width < width)]
+            act = act[(new_width > _REFINE_TOL) & (new_width < width)]
             if pr.size:
                 verify(pr, pair, g[p_rows.size:].reshape(2, -1))
                 pr, pair = pr[:0], pair[:, :0]
@@ -639,7 +652,10 @@ def collision_events_from_record(
     record: TrajectoryRecord,
     config: IntegratorConfig,
 ) -> list[CollisionEvent]:
-    """Locate and refine collisions on a dense (stride-1) trajectory record.
+    """Locate and refine collisions on the dense record of ``config``'s step
+    plan: one snapshot per step, spaced at ``config.dt`` by
+    :func:`_snapshot_grid`.  A strided record, or one of another plan,
+    raises ``ValueError``: one-step probes would misplace its events.
 
     The crossing function sin((theta_i - theta_j)/2) vanishes exactly on the
     collision set and is smooth, so plain sign-change bracketing applies.
@@ -647,7 +663,7 @@ def collision_events_from_record(
     every bracketed crossing of the record is then bisected in one batched
     sweep (batches of at most ``_BLOCK_ELEMENTS // (3 N)`` rows) whose probes
     re-integrate the phase half of the bracketing step down to a time
-    uncertainty of ``config.refine_tol``; times and branches equal plain
+    uncertainty of 1e-12 (``_REFINE_TOL``); times and branches equal plain
     bisection's bit for bit (see :func:`_bisect`).  A snapshot where the
     crossing function is exactly zero is an event at that snapshot.  Double
     roots inside one step are a known blind spot of the bracketing.  Events
@@ -656,6 +672,13 @@ def collision_events_from_record(
     """
     if params.m == 0.0:
         raise ValueError("collision refinement needs inertia m > 0")
+    n_full, rem = _step_plan(config.dt, config.t_end)
+    size = n_full + 1 + (rem > 0.0)
+    if record.n_snapshots != size or (n_full and _snapshot_grid(record.t, config.dt)[0] <= n_full):
+        raise ValueError(
+            f"collision refinement needs the dense record of its step plan (dt={config.dt!r}, "
+            f"t_end={config.t_end!r}): {size} snapshots, one per step"
+        )
     coup = COUPLING_FORMS["mean_field"]
     t, theta = record.t, record.theta
     iu, ju = np.triu_indices(record.n, 1)
@@ -679,7 +702,7 @@ def collision_events_from_record(
     del g, sg  # the refinement below does not hold the last scan block
     cp, ck = np.concatenate(cross_p), np.concatenate(cross_k)
     zp, zk = np.concatenate(zero_p), np.concatenate(zero_k)
-    t_cross, b_cross = _bisect(params, coup, record, ck, iu[cp], ju[cp], config.refine_tol)
+    t_cross, b_cross = _bisect(params, coup, record, ck, iu[cp], ju[cp])
     b_zero = np.rint((theta[zk, iu[zp]] - theta[zk, ju[zp]]) / TWO_PI).astype(np.int64)
 
     # Within a pair, crossings come in time order and before exact zeros, as

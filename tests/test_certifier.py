@@ -338,6 +338,13 @@ def test_partial_range_violations_raise():
         check_partial_locking(p, [0, 1, 2], range(4), 0.0, 0.0, 0.7, 1.0, 1.0, 0.0)  # t1<eta*m
 
 
+def test_partial_empty_subset_b_named():
+    # An empty B must be named, not fail in numpy's reduction of it.
+    p = SystemParams(0.01, 1.0, np.zeros(4))
+    with pytest.raises(ValueError, match="^subset_b must be nonempty$"):
+        check_partial_locking(p, [0, 1, 2], [], 0.0, 0.0, 0.7, 1.0, 1.0, 1.0)
+
+
 def test_corollary_certificate_gates_on_initial_arc():
     from kuramoto_lock import check_partial_locking_initial
 

@@ -224,6 +224,50 @@ def test_sweep_rejects_zero_kappa_on_m_axis(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+_SWEEP_M = {"axis": "m_kappa", "values": [0.5], "base": {"N": 4, "t_end": 1.0, "certify": False}}
+
+
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        ({**_SWEEP_M, "values": [None]}, "sweep value None "),
+        ({**_SWEEP_M, "values": [0.5, [0.5]]}, "sweep value [0.5] "),
+        ({**_SWEEP_M, "values": [{"v": 0.5}]}, "sweep value {'v': 0.5} "),
+        ({**_SWEEP_M, "values": [True]}, "sweep value True "),
+        ({**_SWEEP_M, "values": ["0.5"]}, "sweep value '0.5' "),
+        ({**_SWEEP_M, "fresh_samples": "false"}, "'fresh_samples' must be true or false, got 'false'"),
+        ({**_SWEEP_M, "fresh_samples": 1}, "'fresh_samples' must be true or false, got 1"),
+        ({**_SWEEP_M, "fresh_sample": True}, "unknown sweep config key(s) 'fresh_sample'"),
+    ],
+)
+def test_sweep_documents_read_strictly(tmp_path, capsys, doc, named):
+    # Values follow the scenario reader's number rule (real numbers, no
+    # bools or strings), fresh_samples is a JSON boolean, and no other key
+    # is read.
+    cfg = write(tmp_path / "sweep.json", doc)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_fresh_samples_boolean(tmp_path):
+    cfg = write(tmp_path / "sweep.json", {**_SWEEP_M, "values": [0.5, 2], "fresh_samples": True})
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
+def test_certify_partial_empty_subset_b(tmp_path, capsys):
+    doc = {
+        "which": "partial",
+        "params": {"m": 0.01, "kappa": 1.0, "nu": [0.0, 0.0, 0.0, 0.0]},
+        "R0": 0.9, "D_omega0": 0.0,
+        "subset_a": [0, 1, 2], "subset_b": [],
+        "lambda": 0.7, "ell": 1.0, "eta": 2.0,
+    }
+    assert main(["certify", "--config", write(tmp_path / "cert.json", doc)]) == 1
+    assert capsys.readouterr().err == "error: subset_b must be nonempty\n"
+
+
 @pytest.mark.parametrize("command", ["sweep", "figures"])
 def test_sweep_rejects_values_sharing_a_series_file(tmp_path, capsys, command):
     # series_{value:g}.csv keeps six significant digits: two values that

@@ -32,7 +32,6 @@ from kuramoto_lock import (
 from kuramoto_lock.diagnostics import (
     LockReport,
     LockTolerances,
-    _check_uniform_spacing,
     _lock_window,
     arrangement_check,
     arrangement_constant,
@@ -168,6 +167,24 @@ def test_energy_residual_identical_frequencies(rng):
     assert np.all(np.diff(bal.energy) <= 1e-8)
 
 
+def test_energy_residual_reads_the_equally_spaced_snapshots(rng):
+    # A record whose final step is shorter: the residual leaves that
+    # snapshot out, as the lock window does, where it used to raise.
+    n = 6
+    p = SystemParams(0.8, 1.2, np.zeros(n))
+    s = PhaseState(0.0, rng.uniform(0, TWO_PI, n), rng.uniform(-0.5, 0.5, n))
+    rec = record_trajectory(p, s, IntegratorConfig(dt=0.01, t_end=1.005))
+    bal = energy_dissipation_residual(p, rec)
+    head = energy_dissipation_residual(p, TrajectoryRecord(rec.t[:-1], rec.theta[:-1], rec.omega[:-1]))
+    assert bal.times.size == rec.n_snapshots - 1 == 101
+    for f in dataclasses.fields(bal):
+        assert getattr(bal, f.name).tobytes() == getattr(head, f.name).tobytes()
+    # Two equally spaced snapshots and a shorter step hold no interior one.
+    rec = record_trajectory(p, s, IntegratorConfig(dt=0.01, t_end=0.015))
+    with pytest.raises(ValueError, match="three equally spaced"):
+        energy_dissipation_residual(p, rec)
+
+
 def test_energy_residual_rejects_spread_frequencies():
     p = SystemParams(1.0, 1.0, [0.0, 0.1])
     t = np.arange(5) * 0.1
@@ -283,6 +300,12 @@ def test_arrangement_constant_exceeds_one():
             assert arrangement_constant(float(lam), float(phi1)) > 1.0
 
 
+def _last_window(record, window):
+    """The snapshots of a record's last lock window."""
+    s, length = _lock_window(record.t, window)
+    return TrajectoryRecord(*(a[s - length:s] for a in (record.t, record.theta, record.omega)))
+
+
 def test_arrangement_identical_frequencies_gaps_vanish():
     n = 6
     p = SystemParams(0.2, 1.0, np.zeros(n))
@@ -290,7 +313,7 @@ def test_arrangement_identical_frequencies_gaps_vanish():
     s = PhaseState(0.0, rng.uniform(-0.3, 0.3, n), rng.uniform(-0.1, 0.1, n))
     rec = record_trajectory(p, s, IntegratorConfig(dt=0.01, t_end=60.0, observer_stride=50))
     cluster = ClusterReport(tuple(range(n)), tuple([0] * n), 0.0, 1.0)
-    report = arrangement_check(rec.tail(10.0), p, cluster, 0.5, 0.9)
+    report = arrangement_check(_last_window(rec, 10.0), p, cluster, 0.5, 0.9)
     for pair in report.pairs:
         assert pair.lower == 0.0 and pair.upper == 0.0
         assert abs(pair.gap) < 1e-6
@@ -304,7 +327,7 @@ def test_arrangement_certified_pair():
     rec = record_trajectory(p, s, IntegratorConfig(dt=0.01, t_end=80.0, observer_stride=20))
     cluster = ClusterReport((0, 1), (0, 0), 0.2, 1.0)
     # lam = 1: both bounds live on the pair itself.
-    report = arrangement_check(rec.tail(10.0), p, cluster, 0.6, 1.0)
+    report = arrangement_check(_last_window(rec, 10.0), p, cluster, 0.6, 1.0)
     (pair,) = report.pairs
     assert pair.lower == 2 * eps / kappa
     assert pair.lower - 1e-6 <= pair.gap <= pair.upper + 1e-6
@@ -631,8 +654,10 @@ def _reference_oscillation(theta, length):
 def reference_detect_locking(params, record, tolerances=None, window=10.0):
     """The all-pairs lock verdict."""
     tol = tolerances or default_lock_tolerances(params.kappa)
-    h = _check_uniform_spacing(record.t)
-    length = int(round(window / h)) + 1
+    # Its own spacing check, independent of the rule it is checked against.
+    steps = np.diff(record.t)
+    assert np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12), "unequally spaced snapshots"
+    length = int(round(window / steps[0])) + 1
     s = record.n_snapshots
     if length > s:
         raise ValueError("snapshots must cover at least one lock window")
@@ -674,7 +699,7 @@ def assert_lock_matches_reference(params, record, tolerances=None, window=10.0):
     within that bound of eps_theta, where rounding may decide it."""
     got = detect_locking(params, record, tolerances, window)
     ref = reference_detect_locking(params, record, tolerances, window)
-    length = int(round(window / _check_uniform_spacing(record.t))) + 1
+    length = int(round(window / (record.t[1] - record.t[0]))) + 1
     bound = _drift_bound(record.theta, length)
     drift_error = abs(got.relative_phase_drift_final - ref.relative_phase_drift_final)
     assert drift_error <= bound[-1], (drift_error, bound[-1])

@@ -7,8 +7,10 @@ import json
 import math
 import numbers
 import os
+import platform
 import subprocess
 import sys
+import warnings
 import weakref
 from collections import Counter
 from decimal import Decimal
@@ -547,45 +549,8 @@ def test_seed_replay_is_byte_identical():
     assert np.array_equal(a.series.r, b.series.r)
 
 
-# The canonical outputs of the SIMD-level test: three scenarios with their
-# series (m > 0, m = 0, and a collision run), simple and n3 campaigns of four
-# instances with their persisted files, a sweep and a collision census.  It
-# prints one SHA-256 digest over all of them.
-_CANONICAL_DIGEST = """
-import dataclasses, hashlib, json, tempfile
-from pathlib import Path
-import numpy as np
-from kuramoto_lock import (
-    CampaignConfig, ScenarioConfig, certify_campaign, collision_census, figure_sweep, run_scenario,
-)
-
-h = hashlib.sha256()
-
-def add(doc):
-    h.update(json.dumps(doc, sort_keys=True).encode())
-
-def add_record(rec):
-    add(rec.to_json_dict())
-    for f in dataclasses.fields(rec.series):
-        h.update(np.ascontiguousarray(getattr(rec.series, f.name)).tobytes())
-
-for doc in ({"N": 12, "m": 0.5, "t_end": 15.0, "stride": 5},
-            {"N": 12, "m": 0.0, "t_end": 15.0, "stride": 5},
-            {"N": 8, "m": 0.2, "D_V": 1.0, "D_Omega0": 2.0, "t_end": 8.0, "collisions": True}):
-    add_record(run_scenario(ScenarioConfig.from_dict({**doc, "seed": 4})))
-for cc in (CampaignConfig(which="simple", n_instances=4, n=12, t_end=30.0, stride=50, seed=9090),
-           CampaignConfig(which="n3", n_instances=4, t_end=10.0, seed=1111)):
-    with tempfile.TemporaryDirectory() as out:
-        add(certify_campaign(cc, outdir=Path(out)).to_json_dict())
-        for path in sorted(p for p in Path(out).rglob("*") if p.is_file()):
-            h.update(str(path.relative_to(out)).encode() + path.read_bytes())
-base = ScenarioConfig(n=12, m=0.5, t_end=15.0, stride=5, seed=3)
-for rec in figure_sweep("m_kappa", [0.1, 1.0], base).records:
-    add_record(rec)
-census = collision_census(ScenarioConfig(n=12, m=0.1, kappa=2.0, d_v=2.0, t_end=5.0, seed=5))
-add([census.to_json_dict(), [(e.i, e.j, e.t_star.hex(), e.branch) for e in census.events]])
-print(h.hexdigest())
-"""
+# The canonical outputs, their digest, and the host it was computed on.
+_GOLDEN = Path(__file__).with_name("golden")
 
 
 def _x86_levels():
@@ -607,13 +572,17 @@ def test_outputs_are_byte_identical_at_every_simd_level():
     # and that level goes untested: a host without AVX-512 compares only its
     # native X86_V3 kernels against the baseline ones, and one without AVX2
     # compares nothing.  Other architectures are not covered.
+    #
+    # The native digest must also equal the committed one of
+    # ``golden/canonical.json`` when this host has its numpy version and
+    # machine; elsewhere that comparison is skipped, with a warning.
     levels = _x86_levels()
     if not levels:
         pytest.skip("numpy dispatches no x86-64 levels on this build")
     disabled = [""] + [" ".join(levels[:k]) for k in range(1, len(levels) + 1)]
     runs = [
         subprocess.Popen(
-            [sys.executable, "-c", _CANONICAL_DIGEST],
+            [sys.executable, str(_GOLDEN / "canonical.py")],
             env={**_package_env(), "NPY_DISABLE_CPU_FEATURES": features},
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
@@ -625,6 +594,12 @@ def test_outputs_are_byte_identical_at_every_simd_level():
         assert run.returncode == 0, err
         digests[features or "native"] = out.strip()
     assert len(set(digests.values())) == 1, digests
+    golden = json.loads((_GOLDEN / "canonical.json").read_text())
+    host = {"numpy": np.__version__, "machine": platform.machine()}
+    if host == {key: golden[key] for key in host}:
+        assert digests["native"] == golden["sha256"], (digests["native"], golden)
+    else:
+        warnings.warn(f"golden digest not compared: it was computed on {golden}, this is {host}")
 
 
 def test_large_spread_regime_fails_to_lock():
@@ -850,6 +825,73 @@ def test_campaign_partial_small():
     for row in report.results:
         assert row["persist_max"] <= 1.0 + 1e-6
         assert row["tail_diameter"] <= row["tail_bound"] + 1e-3
+
+
+# Partial plans where the former tail rule, every snapshot at or after
+# t_end - window, read other snapshots than the last lock window: at stride 7
+# (h = 0.07) and window 9.9 it held one more, and at t_end = 15 it ended on
+# the shorter final step, which the lock window leaves out.
+@pytest.mark.parametrize("t_end, window", [(200.0, 9.9), (15.0, 10.0)])
+def test_partial_tail_reads_the_lock_window(t_end, window):
+    from kuramoto_lock import experiments
+    from kuramoto_lock.diagnostics import ClusterReport, _lock_window, arrangement_check
+    from kuramoto_lock.integrate import TrajectoryRecord
+
+    cc = CampaignConfig(which="partial", n_instances=2, seed=3, n=10, t_end=t_end, stride=7,
+                        window=window)
+    report = certify_campaign(cc)
+    assert report.all_ok
+    for row in report.results:
+        params, state0, _, spec = experiments._campaign_instance(cc, row["index"])
+        cfg = experiments._integrator_config(experiments._campaign_scenario(cc, params), params)
+        record = record_trajectory(params, state0, cfg)
+        s, length = _lock_window(record.t, window)
+        former = np.flatnonzero(record.t >= record.t[-1] - window - 1e-12)
+        assert (former[0], former[-1] + 1) != (s - length, s)
+        tail = record.theta[s - length:s][:, list(spec.subset_a)]
+        assert row["tail_diameter"] == float((tail.max(axis=1) - tail.min(axis=1)).max())
+        # The tail-averaged gaps read the same snapshots.
+        cluster = ClusterReport(spec.subset_a, (0,) * len(spec.subset_a), 0.0, 0.7)
+        window_record = TrajectoryRecord(*(a[s - length:s] for a in (record.t, record.theta, record.omega)))
+        arrangement = arrangement_check(window_record, params, cluster, row["tail_bound"], spec.lam)
+        assert (row["arrangement_lower_slack"], row["arrangement_upper_slack"]) == (
+            arrangement.worst_lower_slack, arrangement.worst_upper_slack)
+
+
+def test_partial_campaign_without_a_lock_window_fails_named():
+    # As a scenario run records lock: null, an instance whose lock window
+    # fits no snapshots fails its tail checks by name, with NaN values.
+    cc = CampaignConfig(which="partial", n_instances=2, seed=3, n=10, t_end=5.0, stride=10,
+                        window=10.0)
+    report = certify_campaign(cc)
+    assert not report.all_ok and len(report.defects) == 2
+    for row in report.results:
+        assert row["reason"] == "no lock window of 10.0 fits the snapshots"
+        assert row["persist_max"] <= 1.0 and row["tail_bound"] > 0.0
+        for key in ("tail_diameter", "arrangement_c", "arrangement_lower_slack",
+                    "arrangement_upper_slack"):
+            assert math.isnan(row[key])
+
+
+def test_dense_records_refine_to_the_same_events():
+    # The one dense record of a collision run, however it was made: alone,
+    # through run_instance, and as rows of a batch.
+    from kuramoto_lock import experiments
+    from kuramoto_lock.experiments import run_instance
+    from kuramoto_lock.integrate import collision_events_from_record, detect_collisions
+
+    config = small_config(m=0.2, d_v=2.0, d_omega0=2.0, t_end=8.0, collisions=True)
+    params, state0 = sample_instance(config)
+    cfg = _integrator_config(config, params)
+    want = detect_collisions(params, state0, cfg)
+    assert len(want) > 5
+    assert list(run_instance(config, params, state0).collisions) == want
+    seen = []
+    experiments._recorded(
+        [(config, params, state0)] * 3, ["a", "b", "c"],
+        lambda k, record: seen.append(collision_events_from_record(params, record, cfg)),
+    )
+    assert seen == [want] * 3
 
 
 def _persisted(root):

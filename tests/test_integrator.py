@@ -41,6 +41,9 @@ integrate_module = importlib.import_module("kuramoto_lock.integrate")
 
 TWO_PI = 2.0 * np.pi
 
+# The bisection's fixed time tolerance, as the README states it.
+_REFINE_TOL = 1e-12
+
 
 def random_instance(rng, n=5, m=1.0, kappa=1.0, d_v=0.8, d_om=1.0):
     params = SystemParams(m, kappa, rng.uniform(-d_v / 2, d_v / 2, n))
@@ -358,6 +361,55 @@ def test_collisions_identical_pair_excluded():
     assert not any((ev.i, ev.j) == (0, 1) for ev in events)
 
 
+def test_collisions_refuse_records_of_another_plan():
+    # Refinement probes one step from a bracket's left snapshot, so it needs
+    # the dense record of its config's step plan.  A stride-5 record of the
+    # same run used to give the same 17 events with six t_star off by up to
+    # 4e-8; it, a record at another dt and one of another t_end now raise.
+    rng = np.random.default_rng(5)
+    params = SystemParams(0.2, 1.0, rng.uniform(-1.0, 1.0, 8))
+    state0 = PhaseState(0.0, rng.uniform(0.0, TWO_PI, 8), np.zeros(8))
+    cfg = IntegratorConfig(dt=0.01, t_end=8.0)
+    events = detect_collisions(params, state0, cfg)
+    assert len(events) == 17
+    for other in ({"observer_stride": 5}, {"dt": 0.005}, {"dt": 0.02}, {"t_end": 7.99}):
+        record = record_trajectory(params, state0, dataclasses.replace(cfg, **other))
+        with pytest.raises(ValueError, match="needs the dense record of its step plan"):
+            collision_events_from_record(params, record, cfg)
+    # The dense record serves any observer stride of the same plan.
+    dense = record_trajectory(params, state0, cfg)
+    strided = dataclasses.replace(cfg, observer_stride=5)
+    assert _bits(collision_events_from_record(params, dense, strided)) == _bits(events)
+
+
+@pytest.mark.parametrize("t_end", [0.0, 0.004, 0.014, 0.02])
+def test_collisions_accept_dense_records_of_short_plans(t_end):
+    # No full step, one step shorter than dt, a full step plus a shorter
+    # one, and two full steps: each plan's dense record is refined.
+    params = SystemParams(1.0, 0.0, [1.0, 0.0])
+    state0 = PhaseState(0.0, [-0.003, 0.0], [1.0, 0.0])
+    cfg = IntegratorConfig(dt=0.01, t_end=t_end)
+    record = record_trajectory(params, state0, cfg)
+    events = collision_events_from_record(params, record, cfg)
+    assert [(ev.i, ev.j) for ev in events] == ([(0, 1)] if t_end > 0.003 else [])
+
+
+def test_integrator_config_is_the_step_plan():
+    assert [f.name for f in dataclasses.fields(IntegratorConfig)] == ["dt", "t_end", "observer_stride"]
+    assert integrate_module._REFINE_TOL == _REFINE_TOL
+
+
+def test_snapshot_grid_at_a_given_spacing():
+    # The rule as the lock window reads it is tested there; given the
+    # spacing, the snapshots must be equally spaced at it.
+    grid = integrate_module._snapshot_grid
+    t = np.arange(11) * 0.1
+    assert grid(t, 0.1) == grid(np.append(t, 1.05), 0.1) == (11, 0.1)
+    for h in (0.05, 0.2):
+        with pytest.raises(ValueError, match=f"equally spaced at {h}"):
+            grid(t, h)
+
+
 def test_collisions_need_inertia(rng):
     # Refinement steps the inertial system, which divides by m.
     params, state0 = random_instance(rng, n=8, m=0.0, d_v=2.0)
@@ -425,7 +477,7 @@ def reference_collision_events(params, record, config):
             exact = np.nonzero(g == 0.0)[0]
             for k in crossings:
                 t_star, branch, _ = _reference_refine_crossing(
-                    params, coup, record, int(k), i, j, config.refine_tol
+                    params, coup, record, int(k), i, j, _REFINE_TOL
                 )
                 events.append(CollisionEvent(i, j, t_star, branch))
             for k in exact:
@@ -629,7 +681,7 @@ def test_refinement_probes_a_third_of_plain_bisection(monkeypatch):
     coup = COUPLING_FORMS["mean_field"]
     k, i, j = _crossings(params, record)
     rounds = sum(
-        len(_reference_refine_crossing(params, coup, record, kk, ii, jj, cfg.refine_tol)[2])
+        len(_reference_refine_crossing(params, coup, record, kk, ii, jj, _REFINE_TOL)[2])
         for kk, ii, jj in zip(k.tolist(), i.tolist(), j.tolist())
     )
     values = 0
@@ -656,7 +708,7 @@ def test_refinement_never_probes_more_than_plain_bisection(monkeypatch, case):
     coup = COUPLING_FORMS["mean_field"]
     k, i, j = _crossings(params, record)
     mids = sum(
-        len(_reference_refine_crossing(params, coup, record, kk, ii, jj, cfg.refine_tol)[2])
+        len(_reference_refine_crossing(params, coup, record, kk, ii, jj, _REFINE_TOL)[2])
         for kk, ii, jj in zip(k.tolist(), i.tolist(), j.tolist())
     )
     loose = np.count_nonzero(~_certificate(params, record, k, i, j).ok)
@@ -685,7 +737,7 @@ def test_pair_points_inside_the_margin_do_not_verify(monkeypatch):
     k, i, j = _crossings(params, record)
     r = np.flatnonzero(_certificate(params, record, k, i, j).ok)[:1]
     t_ref, _, mids = _reference_refine_crossing(
-        params, coup, record, int(k[r[0]]), int(i[r[0]]), int(j[r[0]]), cfg.refine_tol
+        params, coup, record, int(k[r[0]]), int(i[r[0]]), int(j[r[0]]), _REFINE_TOL
     )
     t_lo = record.t[k[r[0]]]
     near = {mid - t_lo for mid in mids if abs(mid - t_ref) < 1e-7 * cfg.dt}
@@ -705,9 +757,7 @@ def test_pair_points_inside_the_margin_do_not_verify(monkeypatch):
 
         monkeypatch.setattr(integrate_module, "_NARROW_PAIR", narrow_width)
         monkeypatch.setattr(integrate_module, "_stepper", recording)
-        t_star, _ = integrate_module._bisect(
-            params, coup, record, k[r], i[r], j[r], cfg.refine_tol
-        )
+        t_star, _ = integrate_module._bisect(params, coup, record, k[r], i[r], j[r])
         assert t_star[0] == t_ref
         return near & seen
 
@@ -941,7 +991,7 @@ def test_refinement_coupling_calls_bounded_per_batch(monkeypatch):
     # Batches as ``_bisect`` forms them: up to three probes per row.
     rows = max(1, integrate_module._BLOCK_ELEMENTS // (3 * record.n))
     batches = -(-len(events) // rows)
-    rounds = math.ceil(math.log2(cfg.dt / cfg.refine_tol)) + 2
+    rounds = math.ceil(math.log2(cfg.dt / _REFINE_TOL)) + 2
     # A loop over events would make about 2 * rounds calls per event; a
     # batch makes one stage-1 call plus two per probe round.
     assert len(events) > 100
