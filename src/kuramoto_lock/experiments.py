@@ -192,12 +192,24 @@ def _pretty(thing) -> str:
     return textwrap.indent(pprint.pformat(thing, width=72, sort_dicts=False), 16 * " ").lstrip()
 
 
+def _finite_float(value) -> Optional[float]:
+    """``float(value)`` if it is finite, else None: NaN and the infinities
+    pass the schema's bounds (NaN < 0 is false), and an integer too large
+    for a float passes them too, then raises ``OverflowError`` on
+    conversion."""
+    try:
+        x = float(value)
+    except OverflowError:
+        return None
+    return x if math.isfinite(x) else None
+
+
 def _validate_scenario(doc) -> None:
     """Reject ``doc`` as ``jsonschema.validate`` would against
     ``SCENARIO_SCHEMA``, worded as its ``best_match`` error prints; then
     reject complex numbers that pass the bounds (numpy orders them by their
-    real part) and non-finite numbers, which pass them too (NaN < 0 is
-    false)."""
+    real part) and numbers that do not convert to a finite float, which
+    pass them too (see :func:`_finite_float`)."""
     try:
         errors = _schema_errors(doc)
     except Exception as exc:  # noqa: BLE001 - e.g. a complex value against a bound
@@ -222,9 +234,8 @@ def _validate_scenario(doc) -> None:
     for key, value in doc.items():
         if isinstance(value, numbers.Complex) and not isinstance(value, numbers.Real):
             raise ConfigError(f"invalid scenario config: {key} must be real, got {value!r}")
-        if isinstance(value, numbers.Number) and not isinstance(value, numbers.Integral):
-            if not math.isfinite(value):
-                raise ConfigError(f"invalid scenario config: {key} must be finite, got {value!r}")
+        if isinstance(value, numbers.Number) and _finite_float(value) is None:
+            raise ConfigError(f"invalid scenario config: {key} must be finite, got {value!r}")
 
 
 def _store_plain_numbers(config, integer_fields) -> None:
@@ -631,8 +642,8 @@ def figure_sweep(
         # The scenario reader's number rule, real numbers only.
         if not (_SCHEMA_TYPES["number"](value) and isinstance(value, numbers.Real)):
             raise ConfigError(f"sweep value {value!r} is not a real number")
-    values = [float(v) for v in values]
-    if any(not (math.isfinite(v) and v > 0) for v in values):
+    values = [_finite_float(v) for v in values]
+    if not all(v is not None and v > 0 for v in values):
         raise ConfigError("sweep values must be positive and finite")
     labels = [f"sweep value {value!r}" for value in values]
     jobs = []
@@ -930,18 +941,22 @@ def _verify_partial(
     """Check the three predictions of a certified partial-locking instance on
     its recorded trajectory: arc persistence from t1, and on the snapshots of
     the last lock window (see :func:`diagnostics._lock_window`) the tail
-    diameter bound and the pairwise arrangement interval.  When no lock
-    window fits the record, the tail checks fail, named as such, and their
-    values are NaN."""
+    diameter bound and the pairwise arrangement interval.  When no snapshot
+    lies at or after t1, or no lock window fits the record, the check fails,
+    named as such, and its values are NaN."""
     preds = report.details["predictions"]
     idx = np.asarray(spec.subset_a, dtype=int)
     sub = record.theta[:, idx]
     diam = sub.max(axis=1) - sub.min(axis=1)
     after = record.t >= spec.t1 - 1e-12
-    persist_max = float(diam[after].max())
     reasons = []
-    if not persist_max <= spec.ell + arc_slack:
-        reasons.append(f"arc {persist_max:.4f} exceeded {spec.ell}")
+    if not after.any():
+        persist_max = math.nan
+        reasons.append(f"no snapshot at or after t1 = {spec.t1!r}")
+    else:
+        persist_max = float(diam[after].max())
+        if not persist_max <= spec.ell + arc_slack:
+            reasons.append(f"arc {persist_max:.4f} exceeded {spec.ell}")
     tail_bound = preds["tail_diameter_bound"]
     fit = _lock_window(record.t, cc.window)
     if fit is None:

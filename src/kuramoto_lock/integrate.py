@@ -19,6 +19,7 @@ from .model import (
     TWO_PI,
     COUPLING_FORMS,
     PhaseState,
+    _MeanFieldWork,
     SystemParams,
 )
 
@@ -122,21 +123,22 @@ class _Rows(NamedTuple):
 
 
 def _rate(
-    params, coup, theta: np.ndarray, omega: Optional[np.ndarray], out: np.ndarray
+    params, coup, theta: np.ndarray, omega: Optional[np.ndarray], out: np.ndarray, work=None
 ) -> np.ndarray:
     """Write the rate of a state into ``out`` and return it: the acceleration
     (nu - omega + coupling)/m of an inertial state ``(theta, omega)``, or the
-    phase velocity nu + coupling of zero-inertia phases (``omega`` None)."""
+    phase velocity nu + coupling of zero-inertia phases (``omega`` None).
+    ``work`` is passed on to the coupling."""
     if omega is not None:
         np.subtract(params.nu, omega, out=out)
-        out += coup(theta, params.kappa)
+        out += coup(theta, params.kappa, work)
         out /= params.m
     else:
-        np.add(params.nu, coup(theta, params.kappa), out=out)
+        np.add(params.nu, coup(theta, params.kappa, work), out=out)
     return out
 
 
-def _stepper(params, coup: Callable[[np.ndarray, float], np.ndarray], shape: tuple):
+def _stepper(params, coup: Callable[..., np.ndarray], shape: tuple):
     """Classic RK4 of either model on stacked states of ``shape``, built once.
 
     A state ``y`` stacks its rows on a leading axis of length d:
@@ -149,8 +151,10 @@ def _stepper(params, coup: Callable[[np.ndarray, float], np.ndarray], shape: tup
     Stage ``s`` fills one block ``w[s]`` with its state (stage 1's is ``y``
     itself), then its rate, so the stage derivative is the view
     ``w[s, 1:]``: (omega, acceleration) for the inertial model, the phase
-    velocity for zero inertia.  The blocks, every view into them and the
-    scratch rows are made here, once.
+    velocity for zero inertia.  The blocks, every view into them, the
+    scratch rows and the coupling's work arrays (one
+    :class:`~kuramoto_lock.model._MeanFieldWork`, passed to every stage's
+    coupling call) are made here, once.
 
     Returns ``step(y, h, b1=None, phases_only=False)``, which returns the new
     state as a fresh array.  ``h`` is a scalar or a ``(B, 1)`` column of
@@ -169,24 +173,25 @@ def _stepper(params, coup: Callable[[np.ndarray, float], np.ndarray], shape: tup
     th = [w[s, 0] for s in range(4)]
     om = [w[s, 1] if d == 2 else None for s in range(4)]
     r = [w[s, d] for s in range(4)]
+    work = _MeanFieldWork(shape[1:])
 
     def step(y, h, b1=None, phases_only=False):
         if d == 2:
             np.copyto(om[0], y[1])  # stage 1's derivative: the frequencies, then the rate
         if b1 is None:
-            _rate(params, coup, y[0], om[0], r[0])
+            _rate(params, coup, y[0], om[0], r[0], work)
         else:
             np.copyto(r[0], b1)
         half = 0.5 * h
         for s in (1, 2):
             np.add(y, np.multiply(half, k[s - 1], out=tmp), out=x[s])
-            _rate(params, coup, th[s], om[s], r[s])
+            _rate(params, coup, th[s], om[s], r[s], work)
         if phases_only:
             np.add(y[1], np.multiply(h, r[2], out=tmp[1]), out=om[3])
             y, kk, a, t = y[0], om, acc[0], tmp[0]
         else:
             np.add(y, np.multiply(h, k[2], out=tmp), out=x[3])
-            _rate(params, coup, th[3], om[3], r[3])
+            _rate(params, coup, th[3], om[3], r[3], work)
             kk, a, t = k, acc, tmp
         np.add(kk[0], np.multiply(2.0, kk[1], out=a), out=a)
         np.add(a, np.multiply(2.0, kk[2], out=t), out=a)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -165,19 +165,47 @@ class MeanTrajectory:
         )
 
 
-def _phasors(th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The unit phasors ``z = exp(i th)`` and :func:`centroid` of ``th``.
+class _MeanFieldWork:
+    """Work arrays of the mean-field coupling of phases of ``shape``, one
+    configuration ``(N,)`` or rows ``(..., N)``, made once and overwritten
+    by every call given them:
 
-    ``z`` is the exponential of a zeroed complex array whose imaginary part
-    is ``th``, so no complex multiply enters.  The centroid is the complex
-    row sum, whose terms group as in a complex mean, read as two floats and
-    divided by N."""
-    z = np.zeros(th.shape, dtype=complex)
-    z.imag = th
-    np.exp(z, out=z)
-    cs = np.add.reduce(z, axis=-1, keepdims=True).view(float)
-    cs /= th.shape[-1]
-    return z, cs
+    - ``arg``, the phasors' argument i*theta (its real part stays zero);
+    - ``z = exp(arg)``, the unit phasors, and ``pairs``, its float view
+      ``(..., N, 2)`` of (cos, sin) pairs;
+    - ``c``, the complex centroid column ``(..., 1)``, its float view ``cs``
+      ``(..., 2)`` of ``(C, S)``, and ``sc``, the reversed view ``(S, C)``
+      spread over the oscillator axis;
+    - ``prod``, the pairs times ``(S, C)``, and ``out``, the coupling."""
+
+    def __init__(self, shape: tuple):
+        shape = tuple(shape)
+        self.n = shape[-1]
+        self.arg = np.zeros(shape, dtype=complex)
+        self.phase = self.arg.imag
+        self.z = np.empty(shape, dtype=complex)
+        self.pairs = self.z.view(float).reshape(shape + (2,))
+        self.c = np.empty(shape[:-1] + (1,), dtype=complex)
+        self.cs = self.c.view(float)
+        self.sc = self.cs.reshape(shape[:-1] + (1, 2))[..., ::-1]
+        self.prod = np.empty(shape + (2,))
+        self.cos_s, self.sin_c = self.prod[..., 0], self.prod[..., 1]
+        self.out = np.empty(shape)
+
+
+def _centroid(th: np.ndarray, work: _MeanFieldWork) -> np.ndarray:
+    """Write the phasors and the centroid of ``th`` into ``work`` and return
+    the centroid ``work.cs``.
+
+    ``z`` is the exponential of an argument whose real part is zero and whose
+    imaginary part is ``th``, so no complex multiply enters.  The centroid is
+    the complex row sum, whose terms group as in a complex mean, read as two
+    floats and divided by N."""
+    np.copyto(work.phase, th)
+    np.exp(work.arg, work.z)
+    np.add.reduce(work.z, -1, None, work.c, True)
+    np.divide(work.cs, work.n, work.cs)
+    return work.cs
 
 
 def centroid(theta) -> np.ndarray:
@@ -189,7 +217,8 @@ def centroid(theta) -> np.ndarray:
     mean-field coupling, :func:`order_parameter` and :func:`centroid_phase`.
     A complex multiply, ``np.abs`` and ``np.angle`` would give bits that
     depend on the SIMD kernels numpy dispatches to on x86-64."""
-    return _phasors(np.asarray(theta, dtype=float))[1]
+    th = np.asarray(theta, dtype=float)
+    return _centroid(th, _MeanFieldWork(th.shape))
 
 
 def order_parameter(cs: np.ndarray) -> np.ndarray:
@@ -204,9 +233,9 @@ def centroid_phase(c: float, s: float) -> float:
     return math.atan2(s, c)
 
 
-def coupling_direct(theta: np.ndarray, kappa: float) -> np.ndarray:
+def coupling_direct(theta: np.ndarray, kappa: float, work=None) -> np.ndarray:
     """Coupling (kappa/N) sum_j sin(theta_j - theta_i) via the full pairwise
-    sum.  O(N^2); this is the reference evaluation.
+    sum.  O(N^2); this is the reference evaluation.  ``work`` is ignored.
 
     ``theta`` is one state ``(N,)`` or a batch ``(B, N)``; each row is
     evaluated exactly as the one-dimensional call would evaluate it."""
@@ -214,22 +243,35 @@ def coupling_direct(theta: np.ndarray, kappa: float) -> np.ndarray:
     return (kappa / th.shape[-1]) * np.sin(th[..., None, :] - th[..., :, None]).sum(axis=-1)
 
 
-def coupling_mean_field(theta: np.ndarray, kappa: float) -> np.ndarray:
+def coupling_mean_field(
+    theta: np.ndarray, kappa: float, work: Optional[_MeanFieldWork] = None
+) -> np.ndarray:
     """Same coupling through the phase centroid (see :func:`centroid`):
     kappa*(S cos(theta_i) - C sin(theta_i)).  O(N); agrees with
     :func:`coupling_direct` up to rounding.  Row-wise on ``(B, N)`` input,
-    like :func:`coupling_direct`.  Every integrator run steps this form."""
-    z, cs = _phasors(np.asarray(theta, dtype=float))
-    cos, sin = z.real, z.imag
-    out = np.multiply(cos, cs[..., 1:])
-    out -= np.multiply(sin, cs[..., :1], out=sin)
-    out *= kappa
-    return out
+    like :func:`coupling_direct`.  Every integrator run steps this form.
+
+    ``work``, a :class:`_MeanFieldWork` at the shape of ``theta``, holds
+    every array the call writes, so the call makes none; the returned
+    ``work.out`` is overwritten by the next call on that work.  Without it
+    the call makes a fresh one."""
+    th = np.asarray(theta, dtype=float)
+    if work is None:
+        work = _MeanFieldWork(th.shape)
+    _centroid(th, work)
+    np.multiply(work.pairs, work.sc, work.prod)
+    np.subtract(work.cos_s, work.sin_c, work.out)
+    np.multiply(work.out, kappa, work.out)
+    return work.out
 
 
-# The integrator reads the mean-field form here on every run, so a caller can
-# wrap it (to count or time calls) after import.
-COUPLING_FORMS: dict[str, Callable[[np.ndarray, float], np.ndarray]] = {
+# The integrator reads the mean-field form here on every run and calls it
+# once per RK4 stage as ``form(theta, kappa, work)``, with one work per
+# stepper (see :func:`coupling_mean_field`), so a caller can wrap it (to
+# count or time calls) after import.  Every form takes ``(theta, kappa,
+# work=None)``; a returned ``work.out`` is overwritten by the next call on
+# that work.
+COUPLING_FORMS: dict[str, Callable[..., np.ndarray]] = {
     "direct": coupling_direct,
     "mean_field": coupling_mean_field,
 }

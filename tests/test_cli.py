@@ -251,6 +251,23 @@ def test_sweep_documents_read_strictly(tmp_path, capsys, doc, named):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "command, doc, named",
+    [
+        ("simulate", {"N": 4, "t_end": 1.0, "m": 10**400}, "m must be finite"),
+        ("sweep", {**_SWEEP_M, "values": [0.5, 10**400]}, "sweep values must be positive and finite"),
+    ],
+    ids=["simulate", "sweep"],
+)
+def test_numbers_too_large_for_a_float_are_input_errors(tmp_path, capsys, command, doc, named):
+    # A 401-digit integer passes the schema's bounds but converts to no float.
+    cfg = write(tmp_path / "c.json", doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_fresh_samples_boolean(tmp_path):
     cfg = write(tmp_path / "sweep.json", {**_SWEEP_M, "values": [0.5, 2], "fresh_samples": True})
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0

@@ -873,6 +873,16 @@ def test_partial_campaign_without_a_lock_window_fails_named():
             assert math.isnan(row[key])
 
 
+def test_partial_campaign_ending_before_t1_fails_named():
+    # A record that ends before t1 = eta*m holds no snapshot to check arc
+    # persistence on: the instance fails by name with a NaN persist_max.
+    cc = CampaignConfig(which="partial", n_instances=1, n=10, t_end=0.01, stride=1, window=0.005)
+    (row,) = certify_campaign(cc).results
+    assert row["certified"] and not row["ok"]
+    assert row["reason"].startswith("no snapshot at or after t1 = ")
+    assert math.isnan(row["persist_max"])
+
+
 def test_dense_records_refine_to_the_same_events():
     # The one dense record of a collision run, however it was made: alone,
     # through run_instance, and as rows of a batch.

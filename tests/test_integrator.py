@@ -686,10 +686,10 @@ def test_refinement_probes_a_third_of_plain_bisection(monkeypatch):
     )
     values = 0
 
-    def counting(theta, kappa):
+    def counting(theta, kappa, work=None):
         nonlocal values
         values += theta.size
-        return coup(theta, kappa)
+        return coup(theta, kappa, work)
 
     monkeypatch.setitem(COUPLING_FORMS, "mean_field", counting)
     collision_events_from_record(params, record, cfg)
@@ -714,10 +714,10 @@ def test_refinement_never_probes_more_than_plain_bisection(monkeypatch, case):
     loose = np.count_nonzero(~_certificate(params, record, k, i, j).ok)
     values = 0
 
-    def counting(theta, kappa):
+    def counting(theta, kappa, work=None):
         nonlocal values
         values += theta.size
-        return coup(theta, kappa)
+        return coup(theta, kappa, work)
 
     monkeypatch.setitem(COUPLING_FORMS, "mean_field", counting)
     collision_events_from_record(params, record, cfg)
@@ -850,6 +850,33 @@ def test_stacked_step_matches_reference_steppers(rng, coupling, inertial):
     assert np.isfinite(y).all() and np.array_equal(y, want) and np.array_equal(col, want)
 
 
+@pytest.mark.parametrize(
+    "shape", [(2, 200), (2, 4, 20), (2, 1000), (1, 200), (1, 4, 20), (1, 1000)]
+)
+def test_warmed_step_allocates_only_its_state(rng, shape):
+    # The stage block, the scratch rows and the coupling's work arrays are
+    # built with the stepper, so a step allocates its returned state and
+    # numpy's per-call bookkeeping (under 2 KiB).  Numpy's iterator also
+    # buffers the broadcast centroid (S, C) of the coupling's fused multiply
+    # to 2N floats per row, the size of an inertial state and twice that of
+    # zero-inertia phases; the peak holds the larger of the two.
+    d, rows = shape[0], shape[1:]
+    m = np.full(rows, 0.5 if d == 2 else 0.0)
+    params = integrate_module._Rows(m, np.full(rows, 1.3), rng.uniform(-0.4, 0.4, rows))
+    step = _stepper(params, COUPLING_FORMS["mean_field"], shape)
+    y = rng.uniform(-3.0, 3.0, shape)
+    step(y, 0.01)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        new = step(y, 0.01)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    buffer = 2 * math.prod(rows) * 8
+    assert peak <= max(new.nbytes, buffer) + 2048
+
+
 def _blowup_case(name, rng):
     """Coefficient rows, stacked state and step plan of a run that stops
     being finite.  ``stiff``: inertial rows with dt/m of 2 (stable), 3.2 and
@@ -940,10 +967,10 @@ def test_stepper_built_once_per_run(rng, monkeypatch):
     calls = 0
     mean_field = COUPLING_FORMS["mean_field"]
 
-    def counting(theta, kappa):
+    def counting(theta, kappa, work=None):
         nonlocal calls
         calls += 1
-        return mean_field(theta, kappa)
+        return mean_field(theta, kappa, work)
 
     monkeypatch.setattr(integrate_module, "_stepper", spy)
     monkeypatch.setitem(COUPLING_FORMS, "mean_field", counting)
@@ -981,10 +1008,10 @@ def test_refinement_coupling_calls_bounded_per_batch(monkeypatch):
     calls = 0
     coupling = COUPLING_FORMS["mean_field"]
 
-    def counting(theta, kappa):
+    def counting(theta, kappa, work=None):
         nonlocal calls
         calls += 1
-        return coupling(theta, kappa)
+        return coupling(theta, kappa, work)
 
     monkeypatch.setitem(COUPLING_FORMS, "mean_field", counting)
     events = collision_events_from_record(params, record, cfg)

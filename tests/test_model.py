@@ -26,6 +26,7 @@ from kuramoto_lock import (
 )
 from kuramoto_lock.model import (
     COUPLING_FORMS,
+    _MeanFieldWork,
     centroid,
     centroid_phase,
     coupling_direct,
@@ -156,9 +157,10 @@ def test_coupling_forms_agree(rng):
         assert np.abs(a - b).max() < 1e-12
 
 
-def coupling_complex(theta, kappa):
+def coupling_complex(theta, kappa, work=None):
     """The mean-field coupling as complex arithmetic, the form runs stepped
-    before the real-arithmetic centroid rule: kappa * Im(mean(z) * conj(z))."""
+    before the real-arithmetic centroid rule: kappa * Im(mean(z) * conj(z)).
+    ``work`` is ignored, as :func:`coupling_direct` ignores it."""
     th = np.asarray(theta, dtype=float)
     z = np.exp(1j * th)
     return kappa * (np.add.reduce(z, axis=-1, keepdims=True) / th.shape[-1] * np.conj(z)).imag
@@ -220,12 +222,21 @@ def test_runs_match_complex_form(monkeypatch, doc):
 def test_coupling_forms_row_wise_match_one_dimensional(n, b, kappa, seed):
     # The batched RK4 probes rely on every row of a (B, N) call being the
     # one-dimensional call, bit for bit.
+    # One work reused across calls, as a stepper reuses its own, gives every
+    # call the bits of a fresh call, and its centroid is centroid()'s.
     theta = np.random.default_rng(seed).uniform(-50.0, 50.0, (b, n))
     for form in COUPLING_FORMS.values():
         batch = form(theta, kappa)
         assert batch.shape == (b, n)
+        row_work = _MeanFieldWork((n,))
         for row, out in zip(theta, batch):
             assert out.tobytes() == form(row, kappa).tobytes()
+            assert form(row, kappa, row_work).tobytes() == out.tobytes()
+        work = _MeanFieldWork(theta.shape)
+        for th in (theta, theta[::-1], 0.5 * theta, theta):
+            assert form(th, kappa, work).tobytes() == form(th, kappa).tobytes()
+            if form is coupling_mean_field:
+                assert work.cs.tobytes() == centroid(th).tobytes()
 
 
 def test_coupling_antisymmetry_mean_acceleration(rng):
