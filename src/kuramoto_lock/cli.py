@@ -32,6 +32,7 @@ from .certify import (
     check_simple,
 )
 from .experiments import (
+    _SCHEMA_TYPES,
     ConfigError,
     ScenarioConfig,
     SweepResult,
@@ -39,6 +40,7 @@ from .experiments import (
     figure_sweep,
     run_scenario,
     save_run_record,
+    _real_field,
 )
 from .selftest import run_selftest
 
@@ -48,13 +50,14 @@ EXIT_NOT_CERTIFIED = 2
 EXIT_NUMERIC = 3
 
 
-class CliInputError(Exception):
-    pass
-
-
-def _require_object(doc, what: str) -> dict:
+def _require_object(doc, what: str, keys: Optional[tuple] = None) -> dict:
+    """``doc`` as a JSON object, holding no key but ``keys`` when they are given."""
     if not isinstance(doc, dict):
-        raise CliInputError(f"{what} must be a JSON object, got {type(doc).__name__}")
+        raise ConfigError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - set(doc if keys is None else keys))
+    if unknown:
+        raise ConfigError(f"unknown {what} key(s) {', '.join(map(repr, unknown))}; "
+                          f"expected {', '.join(map(repr, keys))}")
     return doc
 
 
@@ -63,9 +66,9 @@ def _load_config(path: str) -> dict:
         with open(path) as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise CliInputError(f"cannot read config {path}: {exc}") from None
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise CliInputError(
+        raise ConfigError(
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
     return _require_object(doc, f"config {path}")
@@ -73,7 +76,7 @@ def _load_config(path: str) -> dict:
 
 def _parse_override(item: str) -> tuple[list[str], object]:
     if "=" not in item:
-        raise CliInputError(f"override {item!r} is not KEY=VALUE")
+        raise ConfigError(f"override {item!r} is not KEY=VALUE")
     key, raw = item.split("=", 1)
     try:
         value = json.loads(raw)
@@ -103,7 +106,7 @@ def _exit_codes(command):
     def run(*args, **kwargs) -> int:
         try:
             return command(*args, **kwargs)
-        except (CliInputError, ConfigError, ValueError) as exc:
+        except ValueError as exc:  # ConfigError included
             click.echo(f"error: {exc}", err=True)
             return EXIT_INPUT
         except IntegrationError as exc:
@@ -152,82 +155,73 @@ def simulate(config_path, out_dir, as_json, seed, overrides) -> int:
     return EXIT_OK
 
 
-def _params_from_cert_doc(doc: dict) -> SystemParams:
-    try:
-        p = doc["params"]
-        return SystemParams(float(p["m"]), float(p["kappa"]), np.asarray(p["nu"], dtype=float))
-    except (KeyError, TypeError) as exc:
-        raise CliInputError(f"certify config needs params.m/.kappa/.nu: {exc}") from None
+# The keys each certificate reads, and those it needs.
+_INITIAL = ("which", "params", "R0", "theta0", "D_omega0", "omega0")
+_CLUSTER = (*_INITIAL, "subset_a", "subset_b", "lambda", "ell", "eta", "D_omega0_A", "D_omega0_B")
+_CERT_KEYS = {"n3": ("which", "params"), "simple": _INITIAL, "first_order": _INITIAL,
+              "framework": (*_INITIAL, "free"), "partial": (*_CLUSTER, "t1"), "corollary": _CLUSTER}
+_CERT_NEEDS = {"partial": ("subset_a", "lambda", "ell", "eta"),
+               "corollary": ("theta0", "subset_a", "lambda", "ell", "eta")}
+_PARAMS_KEYS, _FREE_KEYS = ("m", "kappa", "nu"), ("eta", "delta", "lambda", "ell")
 
 
-def _instance_from_cert_doc(doc: dict) -> tuple[SystemParams, float, float]:
-    params = _params_from_cert_doc(doc)
-    try:
-        if "theta0" in doc:
-            theta0 = np.asarray(doc["theta0"], dtype=float)
-            if theta0.size != params.n:
-                raise CliInputError("theta0 length does not match nu")
-            r0 = order_state(theta0).r
-        elif "R0" in doc:
-            r0 = float(doc["R0"])
-        else:
-            raise CliInputError("certify config needs either theta0 or R0")
-        if "omega0" in doc:
-            omega0 = np.asarray(doc["omega0"], dtype=float)
-            if omega0.size != params.n:
-                raise CliInputError("omega0 length does not match nu")
-            d_om = diameter(omega0)
-        elif "D_omega0" in doc:
-            d_om = float(doc["D_omega0"])
-        else:
-            raise CliInputError("certify config needs either omega0 or D_omega0")
-    except TypeError as exc:
-        raise CliInputError(f"certify config initial data invalid: {exc}") from None
-    return params, r0, d_om
+def _cert_values(node, prefix: str, keys: tuple, needs: tuple, n: Optional[int] = None) -> dict:
+    """Every value of a certify document object that holds no key but
+    ``keys`` and every key of ``needs``, read by its key's rule: ``nu``,
+    ``theta0`` and ``omega0`` are lists of numbers (``n`` of them when
+    given), ``subset_a`` and ``subset_b`` lists of integers in range(n) by
+    the scenario reader's integer rule, and any other value but an object or
+    ``which`` a number.  ``prefix`` names the object."""
+    _require_object(node, "certify config" + (f" {prefix[:-1]!r}" if prefix else ""), keys)
+    for key in needs:
+        if key not in node:
+            raise ConfigError(f"certify config needs {prefix}{key}")
+    values = {}
+    for key, value in node.items():
+        name = f"certify config {prefix}{key}"
+        if key in ("nu", "theta0", "omega0"):
+            if not isinstance(value, list) or n not in (None, len(value)):
+                raise ConfigError(f"{name} must be a list of {n or 'N'} numbers, got {value!r}")
+            values[key] = [_real_field(v, f"{name}[{k}]") for k, v in enumerate(value)]
+        elif key in ("subset_a", "subset_b"):
+            if not isinstance(value, list) or not all(
+                    _SCHEMA_TYPES["integer"](i) and 0 <= i < n for i in value):
+                raise ConfigError(f"{name} must be a list of indices in range({n}), "
+                                  f"got {value!r}")
+            values[key] = [int(i) for i in value]
+        elif key not in ("which", "params", "free"):
+            values[key] = _real_field(value, name)
+    return values
 
 
 def _run_certifier(doc: dict) -> CertificateReport:
+    """Evaluate the certificate a certify document names.  The document holds
+    ``which``, ``params`` and only keys that certificate reads."""
     which = doc.get("which", "simple")
+    if not isinstance(which, str) or which not in _CERT_KEYS:
+        raise ConfigError(f"unknown certifier {which!r}")
+    p = _cert_values(doc.get("params", {}), "params.", _PARAMS_KEYS, _PARAMS_KEYS)
+    params = SystemParams(p["m"], p["kappa"], p["nu"])
+    v = _cert_values(doc, "", _CERT_KEYS[which], _CERT_NEEDS.get(which, ()), params.n)
     if which == "n3":
-        params = _params_from_cert_doc(doc)
-        if params.n != 3:
-            raise CliInputError("the n3 certificate requires exactly 3 oscillators")
         return check_n3(params)
-    params, r0, d_om = _instance_from_cert_doc(doc)
+    for given, summary in (("theta0", "R0"), ("omega0", "D_omega0")):
+        if (given in doc) == (summary in doc):
+            raise ConfigError(f"certify config needs exactly one of {given} and {summary}")
+    r0 = order_state(v["theta0"]).r if "theta0" in v else v["R0"]
+    d_om = diameter(v["omega0"]) if "omega0" in v else v["D_omega0"]
     if which == "simple":
         return check_simple(params, r0, d_om)
     if which == "first_order":
         return check_first_order(params, r0)
     if which == "framework":
-        try:
-            f = doc["free"]
-            free = FreeParams(float(f["eta"]), float(f["delta"]), float(f["lambda"]), float(f["ell"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CliInputError(f"framework certify needs free.eta/delta/lambda/ell: {exc}") from None
-        return check_framework(params, r0, d_om, free)
-    if which in ("partial", "corollary"):
-        try:
-            subset_a = [int(i) for i in doc["subset_a"]]
-            subset_b = [int(i) for i in doc.get("subset_b", range(params.n))]
-            lam = float(doc["lambda"])
-            ell = float(doc["ell"])
-            eta = float(doc["eta"])
-            t1 = float(doc.get("t1", eta * params.m))
-            d_om_a = float(doc.get("D_omega0_A", d_om))
-            d_om_b = float(doc.get("D_omega0_B", d_om))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CliInputError(f"{which} certify config invalid: {exc}") from None
-        if which == "corollary":
-            if "theta0" not in doc:
-                raise CliInputError("the corollary certificate needs explicit theta0")
-            return check_partial_locking_initial(
-                params, np.asarray(doc["theta0"], dtype=float), subset_a, subset_b,
-                d_om_a, d_om_b, lam, ell, eta,
-            )
-        return check_partial_locking(
-            params, subset_a, subset_b, d_om_a, d_om_b, lam, ell, eta, t1
-        )
-    raise CliInputError(f"unknown certifier {which!r}")
+        f = _cert_values(doc.get("free", {}), "free.", _FREE_KEYS, _FREE_KEYS)
+        return check_framework(params, r0, d_om, FreeParams(*(f[key] for key in _FREE_KEYS)))
+    subsets = v["subset_a"], v.get("subset_b", list(range(params.n)))
+    rest = v.get("D_omega0_A", d_om), v.get("D_omega0_B", d_om), v["lambda"], v["ell"], v["eta"]
+    if which == "partial":
+        return check_partial_locking(params, *subsets, *rest, v.get("t1", v["eta"] * params.m))
+    return check_partial_locking_initial(params, v["theta0"], *subsets, *rest)
 
 
 @cli.command()
@@ -257,16 +251,16 @@ def certify(config_path, as_json, overrides) -> int:
     return EXIT_OK if report.passed else EXIT_NOT_CERTIFIED
 
 
-def _svg_chart(path: Path, t: np.ndarray, series: list[tuple[str, np.ndarray]], title: str) -> None:
-    """Minimal polyline SVG chart (one curve per series)."""
+def _svg_chart(path: Path, series: list[tuple[str, np.ndarray, np.ndarray]], title: str) -> None:
+    """Minimal polyline SVG chart: one curve per (label, times, values)."""
     width, height, pad = 720, 420, 50
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
-    finite_vals = np.concatenate([v[np.isfinite(v)] for _, v in series if np.isfinite(v).any()])
+    finite_vals = np.concatenate([v[np.isfinite(v)] for _, _, v in series])
     lo = float(finite_vals.min()) if finite_vals.size else 0.0
     hi = float(finite_vals.max()) if finite_vals.size else 1.0
     if hi - lo < 1e-12:
         hi = lo + 1.0
-    t0, t1 = float(t[0]), float(t[-1])
+    t0, t1 = min(float(t[0]) for _, t, _ in series), max(float(t[-1]) for _, t, _ in series)
 
     def sx(x):
         return pad + (x - t0) / (t1 - t0) * (width - 2 * pad)
@@ -285,7 +279,7 @@ def _svg_chart(path: Path, t: np.ndarray, series: list[tuple[str, np.ndarray]], 
         f'<text x="{pad - 6}" y="{height - pad}" text-anchor="end" font-size="12">{lo:.3g}</text>',
         f'<text x="{pad - 6}" y="{pad + 4}" text-anchor="end" font-size="12">{hi:.3g}</text>',
     ]
-    for k, (label, values) in enumerate(series):
+    for k, (label, t, values) in enumerate(series):
         color = colors[k % len(colors)]
         pts = " ".join(
             f"{sx(float(x)):.2f},{sy(float(y)):.2f}"
@@ -306,26 +300,21 @@ def _run_sweep(doc: dict, seed: Optional[int], out: Path) -> SweepResult:
     ``series_<value>.csv`` per value into ``out``.  The config holds
     ``axis``, ``values`` and optionally ``base`` and ``fresh_samples`` (a
     JSON boolean), and no other key."""
-    unknown = sorted(set(doc) - {"axis", "values", "base", "fresh_samples"})
-    if unknown:
-        raise CliInputError(
-            f"unknown sweep config key(s) {', '.join(map(repr, unknown))}; "
-            "expected 'axis', 'values', 'base' and 'fresh_samples'"
-        )
+    _require_object(doc, "sweep config", ("axis", "values", "base", "fresh_samples"))
     axis = doc.get("axis")
     values = doc.get("values")
     if axis is None or not isinstance(values, list) or not values:
-        raise CliInputError("sweep config needs 'axis' and a nonempty 'values' list")
+        raise ConfigError("sweep config needs 'axis' and a nonempty 'values' list")
     fresh_samples = doc.get("fresh_samples", False)
     if not isinstance(fresh_samples, bool):
-        raise CliInputError(f"sweep 'fresh_samples' must be true or false, got {fresh_samples!r}")
+        raise ConfigError(f"sweep 'fresh_samples' must be true or false, got {fresh_samples!r}")
     base = _scenario_from_doc(_require_object(doc.get("base", {}), "sweep 'base'"), seed)
     result = figure_sweep(axis, values, base, fresh_samples=fresh_samples)
     names = [f"series_{value:g}.csv" for value in result.values]
     for k, name in enumerate(names):
         first = names.index(name)
         if first < k:
-            raise CliInputError(
+            raise ConfigError(
                 f"sweep values {result.values[first]!r} and {result.values[k]!r} "
                 f"share the series file {name}"
             )
@@ -366,12 +355,11 @@ def figures(config_path, out_dir, seed, overrides) -> int:
     """Sweep and emit SVG line charts of R(t) and Delta(t) plus CSVs."""
     out = Path(out_dir)
     result = _run_sweep(_apply_overrides(_load_config(config_path), overrides), seed, out)
-    labels = [f"{result.axis}={value:g}" for value in result.values]
-    r_series = [(label, record.series.r) for label, record in zip(labels, result.records)]
-    d_series = [(label, record.series.delta) for label, record in zip(labels, result.records)]
-    t = result.records[0].series.t
-    _svg_chart(out / "R.svg", t, r_series, "order parameter R(t)")
-    _svg_chart(out / "Delta.svg", t, d_series, "mean-square deviation Delta(t)")
+    series = [(f"{result.axis}={value:g}", record.series)
+              for value, record in zip(result.values, result.records)]
+    _svg_chart(out / "R.svg", [(label, s.t, s.r) for label, s in series], "order parameter R(t)")
+    _svg_chart(out / "Delta.svg", [(label, s.t, s.delta) for label, s in series],
+               "mean-square deviation Delta(t)")
     click.echo(f"figures written to {out}")
     return EXIT_OK
 

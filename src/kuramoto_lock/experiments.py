@@ -89,7 +89,7 @@ __all__ = [
 
 
 class ConfigError(ValueError):
-    """Invalid scenario or campaign configuration."""
+    """Invalid input from outside the program: a config or a document."""
 
 
 # Stability guard for the explicit scheme: the damping mode has rate 1/m, and
@@ -192,24 +192,26 @@ def _pretty(thing) -> str:
     return textwrap.indent(pprint.pformat(thing, width=72, sort_dicts=False), 16 * " ").lstrip()
 
 
-def _finite_float(value) -> Optional[float]:
-    """``float(value)`` if it is finite, else None: NaN and the infinities
-    pass the schema's bounds (NaN < 0 is false), and an integer too large
-    for a float passes them too, then raises ``OverflowError`` on
-    conversion."""
+def _real(value) -> float:
+    """The number rule of every reader of outside input: a real number other
+    than a bool that converts to a finite float, returned as that float.  Any
+    other value raises TypeError, and NaN, the infinities and integers too
+    large for a float, which pass comparisons with bounds, raise ValueError."""
+    if not _SCHEMA_TYPES["number"](value) or isinstance(value, (complex, np.complexfloating)):
+        raise TypeError(f"{value!r} is not a real number")
     try:
-        x = float(value)
+        if math.isfinite(x := float(value)):
+            return x
     except OverflowError:
-        return None
-    return x if math.isfinite(x) else None
+        pass
+    raise ValueError(f"{value!r} is not finite")
 
 
 def _validate_scenario(doc) -> None:
     """Reject ``doc`` as ``jsonschema.validate`` would against
     ``SCENARIO_SCHEMA``, worded as its ``best_match`` error prints; then
-    reject complex numbers that pass the bounds (numpy orders them by their
-    real part) and numbers that do not convert to a finite float, which
-    pass them too (see :func:`_finite_float`)."""
+    reject the numbers that pass the bounds but not :func:`_real`: complex
+    ones (numpy orders them by their real part) and non-finite ones."""
     try:
         errors = _schema_errors(doc)
     except Exception as exc:  # noqa: BLE001 - e.g. a complex value against a bound
@@ -232,10 +234,18 @@ def _validate_scenario(doc) -> None:
                 {_pretty(value)}
             """.rstrip()))
     for key, value in doc.items():
-        if isinstance(value, numbers.Complex) and not isinstance(value, numbers.Real):
-            raise ConfigError(f"invalid scenario config: {key} must be real, got {value!r}")
-        if isinstance(value, numbers.Number) and _finite_float(value) is None:
-            raise ConfigError(f"invalid scenario config: {key} must be finite, got {value!r}")
+        if _SCHEMA_TYPES["number"](value):
+            _real_field(value, f"invalid scenario config: {key}")
+
+
+def _real_field(value, name: str) -> float:
+    """:func:`_real` of ``value``, a breach worded as a ConfigError on ``name``."""
+    try:
+        return _real(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be real, got {value!r}") from None
+    except ValueError:
+        raise ConfigError(f"{name} must be finite, got {value!r}") from None
 
 
 def _store_plain_numbers(config, integer_fields) -> None:
@@ -638,12 +648,13 @@ def figure_sweep(
             f"sweep axis 'm_kappa' sets m = value / kappa, so kappa must be positive, "
             f"got {base_config.kappa!r}"
         )
-    for value in values:
-        # The scenario reader's number rule, real numbers only.
-        if not (_SCHEMA_TYPES["number"](value) and isinstance(value, numbers.Real)):
-            raise ConfigError(f"sweep value {value!r} is not a real number")
-    values = [_finite_float(v) for v in values]
-    if not all(v is not None and v > 0 for v in values):
+    try:
+        values = [_real(value) for value in values]
+    except TypeError as exc:
+        raise ConfigError(f"sweep value {exc}") from None
+    except ValueError:
+        raise ConfigError("sweep values must be positive and finite") from None
+    if not all(v > 0 for v in values):
         raise ConfigError("sweep values must be positive and finite")
     labels = [f"sweep value {value!r}" for value in values]
     jobs = []
@@ -715,10 +726,9 @@ class CampaignConfig:
             raise ConfigError(f"campaign seed must be a non-negative integer, got {self.seed!r}")
         if not self.kappa > 0:
             raise ConfigError(f"campaign kappa must be > 0 to certify, got {self.kappa!r}")
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, numbers.Complex) and not isinstance(value, numbers.Real):
-                raise ConfigError(f"invalid campaign config: {f.name} must be real, got {value!r}")
+        # The certificate's own numbers; the others were read as scenario fields.
+        for attr in ("lam", "ell", "eta"):
+            _real_field(getattr(self, attr), f"invalid campaign config: {attr}")
         # Plain numbers, as ScenarioConfig stores them, so that save_campaign
         # can write config.json.
         _store_plain_numbers(self, {"n", "stride"})

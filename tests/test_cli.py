@@ -1,12 +1,28 @@
 """CLI surface: exit codes, config validation, overrides, JSON output."""
 
+import copy
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from kuramoto_lock.cli import main
+from kuramoto_lock import SystemParams, diameter, order_state
+from kuramoto_lock.certify import (
+    CertificateReport,
+    FreeParams,
+    check_first_order,
+    check_framework,
+    check_n3,
+    check_partial_locking,
+    check_partial_locking_initial,
+    check_simple,
+)
+from kuramoto_lock.cli import _CERT_KEYS, _run_certifier, main
+from kuramoto_lock.experiments import ConfigError
 
 
 def write(path, doc):
@@ -314,6 +330,26 @@ def test_figures_command(tmp_path):
     assert (out / "Delta.svg").exists()
 
 
+def test_figures_plot_each_curve_on_its_own_times(tmp_path):
+    # Under the dt <= 2.5 m cap the m = 0.001 run records 81 snapshots at
+    # dt 0.0025 and the m = 1 run 21: each curve keeps all its finite points
+    # and ends at t_end, the right end of the time axis.
+    cfg = write(tmp_path / "sweep.json", {"axis": "m_kappa", "values": [1.0, 0.001],
+                                          "base": {"N": 6, "t_end": 2.0, "certify": False}})
+    out = tmp_path / "figs"
+    assert main(["figures", "--config", cfg, "--out", str(out)]) == 0
+    series = [np.genfromtxt(out / f"series_{value:g}.csv", delimiter=",", names=True)
+              for value in (1.0, 0.001)]
+    assert [len(s) for s in series] == [21, 81]
+    for chart, column in (("R.svg", "R"), ("Delta.svg", "Delta")):
+        points = re.findall(r'points="([^"]*)"', (out / chart).read_text())
+        assert len(points) == len(series)
+        for pts, s in zip(points, series):
+            xy = [pair.split(",") for pair in pts.split()]
+            assert len(xy) == np.isfinite(s[column]).sum()
+            assert s["t"][-1] == 2.0 and xy[-1][0] == "670.00"  # width 720 less padding 50
+
+
 def test_collide_command(tmp_path, capsys):
     cfg = write(
         tmp_path / "col.json",
@@ -400,3 +436,213 @@ def test_malformed_documents_are_input_errors(tmp_path, capsys, command, doc, ex
     assert err.startswith("error:") and "Traceback" not in err
     if not isinstance(doc, dict):
         assert "doc.json" in err
+
+
+# ---------------------------------------------------------------------------
+# The certify reader against the reader it replaced
+# ---------------------------------------------------------------------------
+
+def _oracle_params(doc: dict) -> SystemParams:
+    try:
+        p = doc["params"]
+        return SystemParams(float(p["m"]), float(p["kappa"]), np.asarray(p["nu"], dtype=float))
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"certify config needs params.m/.kappa/.nu: {exc}") from None
+
+
+def _oracle_instance(doc: dict) -> tuple[SystemParams, float, float]:
+    params = _oracle_params(doc)
+    try:
+        if "theta0" in doc:
+            theta0 = np.asarray(doc["theta0"], dtype=float)
+            if theta0.size != params.n:
+                raise ConfigError("theta0 length does not match nu")
+            r0 = order_state(theta0).r
+        elif "R0" in doc:
+            r0 = float(doc["R0"])
+        else:
+            raise ConfigError("certify config needs either theta0 or R0")
+        if "omega0" in doc:
+            omega0 = np.asarray(doc["omega0"], dtype=float)
+            if omega0.size != params.n:
+                raise ConfigError("omega0 length does not match nu")
+            d_om = diameter(omega0)
+        elif "D_omega0" in doc:
+            d_om = float(doc["D_omega0"])
+        else:
+            raise ConfigError("certify config needs either omega0 or D_omega0")
+    except TypeError as exc:
+        raise ConfigError(f"certify config initial data invalid: {exc}") from None
+    return params, r0, d_om
+
+
+def _oracle_certifier(doc: dict) -> CertificateReport:
+    """The certify reader before the number rule: bare float() and int()."""
+    which = doc.get("which", "simple")
+    if which == "n3":
+        params = _oracle_params(doc)
+        if params.n != 3:
+            raise ConfigError("the n3 certificate requires exactly 3 oscillators")
+        return check_n3(params)
+    params, r0, d_om = _oracle_instance(doc)
+    if which == "simple":
+        return check_simple(params, r0, d_om)
+    if which == "first_order":
+        return check_first_order(params, r0)
+    if which == "framework":
+        try:
+            f = doc["free"]
+            free = FreeParams(float(f["eta"]), float(f["delta"]), float(f["lambda"]), float(f["ell"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"framework certify needs free.eta/delta/lambda/ell: {exc}") from None
+        return check_framework(params, r0, d_om, free)
+    if which in ("partial", "corollary"):
+        try:
+            subset_a = [int(i) for i in doc["subset_a"]]
+            subset_b = [int(i) for i in doc.get("subset_b", range(params.n))]
+            lam = float(doc["lambda"])
+            ell = float(doc["ell"])
+            eta = float(doc["eta"])
+            t1 = float(doc.get("t1", eta * params.m))
+            d_om_a = float(doc.get("D_omega0_A", d_om))
+            d_om_b = float(doc.get("D_omega0_B", d_om))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{which} certify config invalid: {exc}") from None
+        if which == "corollary":
+            if "theta0" not in doc:
+                raise ConfigError("the corollary certificate needs explicit theta0")
+            return check_partial_locking_initial(
+                params, np.asarray(doc["theta0"], dtype=float), subset_a, subset_b,
+                d_om_a, d_om_b, lam, ell, eta,
+            )
+        return check_partial_locking(
+            params, subset_a, subset_b, d_om_a, d_om_b, lam, ell, eta, t1
+        )
+    raise ConfigError(f"unknown certifier {which!r}")
+
+
+def _num(lo, hi):
+    """A number in [lo, hi], as a JSON int (where one fits) or float."""
+    if math.ceil(lo) > math.floor(hi):
+        return st.floats(lo, hi)
+    return st.one_of(st.integers(math.ceil(lo), math.floor(hi)), st.floats(lo, hi))
+
+
+@st.composite
+def _cert_docs(draw, which):
+    """A valid certify document of kind ``which``, optional keys present or
+    absent, numbers drawn as ints or floats and indices as ints or integral
+    floats."""
+    n = 3 if which == "n3" else draw(st.integers(2, 8))
+    numbers = lambda lo, hi: st.lists(_num(lo, hi), min_size=n, max_size=n)  # noqa: E731
+    doc = {"which": which, "params": {"m": draw(_num(0.0, 0.05)), "kappa": draw(_num(0.5, 3.0)),
+                                      "nu": draw(numbers(-0.2, 0.2))}}
+    if which == "n3":
+        return doc
+    if which == "corollary" or draw(st.booleans()):
+        doc["theta0"] = draw(numbers(-0.3, 0.3))
+    else:
+        doc["R0"] = draw(_num(0.0, 1.0))
+    if draw(st.booleans()):
+        doc["omega0"] = draw(numbers(-0.2, 0.2))
+    else:
+        doc["D_omega0"] = draw(_num(0.0, 0.5))
+    if which == "framework":
+        doc["free"] = {"eta": draw(_num(0.5, 4.0)), "delta": draw(_num(0.1, 0.9)),
+                       "lambda": draw(_num(0.55, 1.0)), "ell": draw(_num(0.1, 1.2))}
+    if which in ("partial", "corollary"):
+        lam, index = draw(_num(0.55, 1.0)), draw(st.sampled_from([int, float]))
+        subset_a = draw(st.permutations(range(n)))[:draw(st.integers(math.ceil(lam * n), n))]
+        doc.update({"subset_a": [index(i) for i in subset_a], "lambda": lam,
+                    "ell": draw(_num(0.1, 1.2)), "eta": draw(_num(0.5, 4.0))})
+        if draw(st.booleans()):
+            extra = draw(st.lists(st.integers(0, n - 1), max_size=3))
+            doc["subset_b"] = [index(i) for i in subset_a + extra]
+        for key in ("D_omega0_A", "D_omega0_B"):
+            if draw(st.booleans()):
+                doc[key] = draw(_num(0.0, 0.5))
+        if which == "partial" and draw(st.booleans()):
+            doc["t1"] = float(doc["eta"]) * float(doc["params"]["m"]) + draw(st.floats(0.0, 5.0))
+    return doc
+
+
+@pytest.mark.parametrize("which", sorted(_CERT_KEYS))
+@given(data=st.data())
+def test_certify_reader_matches_the_reader_it_replaced(which, data):
+    doc = data.draw(_cert_docs(which))
+    got, want = _run_certifier(doc), _oracle_certifier(doc)
+    assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+
+
+_CERT_DOCS = json.loads((Path(__file__).parent / "golden" / "certify_docs.json").read_text())
+_BAD_NUMBERS = [True, False, "0.5", math.nan, math.inf, -math.inf, 10**400, [0.5], None, {"x": 1}]
+_BAD_INDICES = [2.7, True, "1", -1, 4, 10**400, math.nan, [0], None]
+
+
+def _mutations(doc: dict, path: tuple = ()):
+    """(path, name, bad values) for every value a certify document reads:
+    its numbers, its lists and their entries, and its indices."""
+    for key, value in doc.items():
+        at, name = (*path, key), ".".join(map(str, (*path, key)))
+        if isinstance(value, dict):
+            yield from _mutations(value, at)
+        elif key in ("subset_a", "subset_b"):
+            yield (*at, 0), name, _BAD_INDICES
+        elif isinstance(value, list):
+            short = [] if key == "nu" else [value[:-1]]  # nu sets N, theta0 and omega0 match it
+            yield at, name, [*short, [value], 0.5, None, True]
+            yield (*at, len(value) - 1), name, _BAD_NUMBERS
+        elif key != "which":
+            yield at, name, _BAD_NUMBERS
+
+
+@pytest.mark.parametrize(
+    "which, path, name, bad",
+    [(which, path, name, bad) for which, doc in _CERT_DOCS.items()
+     for path, name, bad in _mutations(doc)],
+)
+def test_certify_rejects_each_bad_value_by_name(tmp_path, capsys, which, path, name, bad):
+    # The base document is valid; each value it reads, broken, is an input
+    # error (exit 1) that names the key, never a traceback or a verdict.
+    assert main(["certify", "--config", write(tmp_path / "ok.json", _CERT_DOCS[which])]) in (0, 2)
+    capsys.readouterr()
+    for value in bad:
+        doc = copy.deepcopy(_CERT_DOCS[which])
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        assert main(["certify", "--config", write(tmp_path / "bad.json", doc)]) == 1, value
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err and "Traceback" not in err, (value, err)
+
+
+@pytest.mark.parametrize("which", sorted(_CERT_DOCS))
+@pytest.mark.parametrize("where, key", [((), "D_omega0_a"), (("params",), "mass")])
+def test_certify_rejects_unknown_keys(tmp_path, capsys, which, where, key):
+    doc = copy.deepcopy(_CERT_DOCS[which])
+    node = doc
+    for part in where:
+        node = node[part]
+    node[key] = 9.0
+    assert main(["certify", "--config", write(tmp_path / "c.json", doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown ") and repr(key) in err
+
+
+@pytest.mark.parametrize(
+    "which, extra",
+    [("framework", {"free": {"eta": 2.0, "delta": 0.5, "lambda": 0.7, "ell": 1.0, "Eta": 2.0}}),
+     ("simple", {"lambda": 0.7}),
+     ("corollary", {"t1": 0.02}),
+     ("n3", {"R0": 0.5}),
+     ("simple", {"theta0": [0.0, 0.1]}),
+     ("corollary", {"R0": 0.5})],
+    ids=["free", "simple_lambda", "corollary_t1", "n3_R0", "theta0_and_R0", "corollary_R0"],
+)
+def test_certify_reads_only_the_keys_of_its_certificate(tmp_path, capsys, which, extra):
+    # A key the named certificate does not read, and initial data given twice,
+    # are input errors rather than ignored.
+    doc = {**copy.deepcopy(_CERT_DOCS[which]), **extra}
+    assert main(["certify", "--config", write(tmp_path / "c.json", doc)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

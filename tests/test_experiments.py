@@ -573,9 +573,10 @@ def test_outputs_are_byte_identical_at_every_simd_level():
     # native X86_V3 kernels against the baseline ones, and one without AVX2
     # compares nothing.  Other architectures are not covered.
     #
-    # The native digest must also equal the committed one of
+    # The native digests must also equal the committed ones of
     # ``golden/canonical.json`` when this host has its numpy version and
-    # machine; elsewhere that comparison is skipped, with a warning.
+    # machine; elsewhere that comparison is skipped, with a warning.  A
+    # failure names the outputs whose digests differ.
     levels = _x86_levels()
     if not levels:
         pytest.skip("numpy dispatches no x86-64 levels on this build")
@@ -592,12 +593,21 @@ def test_outputs_are_byte_identical_at_every_simd_level():
     for features, run in zip(disabled, runs):
         out, err = run.communicate(timeout=300)
         assert run.returncode == 0, err
-        digests[features or "native"] = out.strip()
-    assert len(set(digests.values())) == 1, digests
+        digests[features or "native"] = json.loads(out)
+
+    def differing(a, b):
+        return sorted(name for name in a["outputs"].keys() | b["outputs"].keys()
+                      if a["outputs"].get(name) != b["outputs"].get(name))
+
+    native = digests["native"]
+    levels = {level: differing(native, d) for level, d in digests.items() if differing(native, d)}
+    assert not levels, f"outputs that differ from the native ones: {levels}"
     golden = json.loads((_GOLDEN / "canonical.json").read_text())
     host = {"numpy": np.__version__, "machine": platform.machine()}
     if host == {key: golden[key] for key in host}:
-        assert digests["native"] == golden["sha256"], (digests["native"], golden)
+        moved = differing(native, golden)
+        assert not moved, f"outputs that differ from golden/canonical.json: {moved}"
+        assert native["sha256"] == golden["sha256"]
     else:
         warnings.warn(f"golden digest not compared: it was computed on {golden}, this is {host}")
 
@@ -736,6 +746,13 @@ def _scenario_message(**fields):
         ({"eta": np.complex128(2)}, "invalid campaign config: eta must be real, got "
                                     f"{np.complex128(2)!r}"),
         ({"kappa": 1 + 0j}, None),
+        ({"lam": True}, "invalid campaign config: lam must be real, got True"),
+        ({"lam": "0.7"}, "invalid campaign config: lam must be real, got '0.7'"),
+        ({"lam": math.nan}, "invalid campaign config: lam must be finite, got nan"),
+        ({"ell": -math.inf}, "invalid campaign config: ell must be finite, got -inf"),
+        pytest.param({"eta": 10**400}, f"invalid campaign config: eta must be finite, got {10**400!r}",
+                     id="eta-401-digits"),
+        ({"eta": None}, "invalid campaign config: eta must be real, got None"),
     ],
 )
 def test_campaign_config_rejects_bad_fields(fields, expected):
