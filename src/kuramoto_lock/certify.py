@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import SystemParams, diameter
+from .model import SystemParams, _indices, diameter
 from .diagnostics import arrangement_constant
 
 __all__ = [
@@ -288,6 +288,14 @@ def _cond_ge(name: str, value: float, bound: float, strict: bool) -> Condition:
     return Condition(name, value, bound, margin, strict, sat)
 
 
+def _initial_order(r0: float) -> Condition:
+    """The condition R0 > 0 of every certificate that reads the initial
+    order parameter, which cannot exceed 1: an R0 above 1 + 1e-12 is an
+    error, while R0 <= 0 only fails the condition."""
+    _require(not r0 > 1.0 + 1e-12, "r0 cannot exceed 1")
+    return _cond_ge("initial_order_parameter", r0, 0.0, strict=True)
+
+
 @dataclass(frozen=True)
 class CertificateReport:
     """Outcome of one certificate check: per-condition values, bounds and
@@ -340,8 +348,7 @@ def check_framework(
     z = zeta(params, d_omega0, eta)
     x = xi(params, d_omega0, eta)
     half = 0.5 * ell
-    conds = []
-    conds.append(_cond_ge("initial_order_parameter", r0, 0.0, strict=True))
+    conds = [_initial_order(r0)]
     conds.append(
         _cond_le("initial_layer_retention", z, (1.0 - delta) * r0, strict=False)
     )
@@ -476,7 +483,7 @@ def check_simple(
                 "selection guarantees only hold for 1/0.3259",
                 stacklevel=2,
             )
-    r0_cond = _cond_ge("initial_order_parameter", r0, 0.0, strict=True)
+    r0_cond = _initial_order(r0)
     if not r0_cond.satisfied:
         return CertificateReport(
             which="simple",
@@ -484,7 +491,6 @@ def check_simple(
             conditions=(r0_cond,),
             details={"reason": "initial order parameter is not positive"},
         )
-    _require(r0 <= 1.0 + 1e-12, "r0 cannot exceed 1")
     r0 = min(r0, 1.0)
     r0sq = r0 * r0
     x = params.nu_diameter / (params.kappa * r0sq)
@@ -564,7 +570,8 @@ def check_partial_locking(
     ``ell`` at some time ``t1 >= eta*m``, persists and pins down the rest.
 
     ``subset_a`` is the prospective cluster (|A| >= lam*N), ``subset_b`` a
-    superset whose members get confined by A.  On pass, ``details``
+    superset whose members get confined by A; both are read as sets by the
+    index rule :func:`model._indices`.  On pass, ``details``
     carries the checkable predictions: persistence of the arc bound from
     ``t1`` on, the tail diameter bound, the arrangement interval factor, and
     the separation gap for members of B that never join the maximal cluster.
@@ -574,12 +581,8 @@ def check_partial_locking(
     _require(0.0 < ell < f_zero_upper(lam), "ell outside the admissible arc range")
     _require(eta > 0.0, "eta must be positive")
     _require(t1 >= eta * params.m - 1e-12, "t1 must be >= eta*m")
-    a = np.unique(np.asarray(list(subset_a), dtype=int))
-    b = np.unique(np.asarray(list(subset_b), dtype=int))
-    _require(a.size > 0, "subset_a must be nonempty")
-    _require(a.min() >= 0 and a.max() < params.n, "subset_a outside range(N)")
-    _require(b.size > 0, "subset_b must be nonempty")
-    _require(b.min() >= 0 and b.max() < params.n, "subset_b outside range(N)")
+    a = np.unique(_indices(subset_a, params.n, "subset_a"))
+    b = np.unique(_indices(subset_b, params.n, "subset_b"))
     _require(np.isin(a, b).all(), "subset_a must be contained in subset_b")
     _require(a.size >= lam * params.n, "subset_a is smaller than lam*N")
     _require(d_omega0_a >= 0.0 and d_omega0_b >= 0.0, "frequency diameters must be >= 0")
@@ -637,8 +640,7 @@ def corollary_initial_budget(
     initial layer, it still fits in an arc of length ``ell`` (the finite
     propagation speed eats the difference); with this gate, t1 = eta*m."""
     _require(eta > 0.0, "eta must be positive")
-    a = np.asarray(list(subset_a), dtype=int)
-    dv_a = diameter(params.nu, a)
+    dv_a = diameter(params.nu, _indices(subset_a, params.n, "subset_a"))
     m = params.m
     e = math.exp(-eta)
     return ell - m * (1.0 - e) * d_omega0_a - (eta * m - m + m * e) * (dv_a + 2.0 * params.kappa)
@@ -664,12 +666,13 @@ def check_partial_locking_initial(
     th = np.asarray(theta0, dtype=float)
     if th.size != params.n:
         raise ValueError("theta0/params size mismatch")
+    subset_a = _indices(subset_a, params.n, "subset_a")
     t1 = eta * params.m
     partial = check_partial_locking(
         params, subset_a, subset_b, d_omega0_a, d_omega0_b, lam, ell, eta, t1
     )
     budget = corollary_initial_budget(params, subset_a, d_omega0_a, ell, eta)
-    arc0 = diameter(th, np.asarray(list(subset_a), dtype=int))
+    arc0 = diameter(th, subset_a)
     gate = _cond_le("initial_cluster_arc", arc0, budget, strict=False)
     return CertificateReport(
         which="corollary",
@@ -701,7 +704,7 @@ def check_n3(params: SystemParams) -> CertificateReport:
 
 def check_first_order(params: SystemParams, r0: float) -> CertificateReport:
     """Zero-inertia certificate: kappa * R0^2 > 1.6 * D(nu), strictly."""
-    r0_cond = _cond_ge("initial_order_parameter", r0, 0.0, strict=True)
+    r0_cond = _initial_order(r0)
     cond = _cond_ge(
         "coupling_margin", params.kappa * r0 * r0, 1.6 * params.nu_diameter, strict=True
     )

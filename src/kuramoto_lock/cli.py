@@ -32,7 +32,6 @@ from .certify import (
     check_simple,
 )
 from .experiments import (
-    _SCHEMA_TYPES,
     ConfigError,
     ScenarioConfig,
     SweepResult,
@@ -169,9 +168,9 @@ def _cert_values(node, prefix: str, keys: tuple, needs: tuple, n: Optional[int] 
     """Every value of a certify document object that holds no key but
     ``keys`` and every key of ``needs``, read by its key's rule: ``nu``,
     ``theta0`` and ``omega0`` are lists of numbers (``n`` of them when
-    given), ``subset_a`` and ``subset_b`` lists of integers in range(n) by
-    the scenario reader's integer rule, and any other value but an object or
-    ``which`` a number.  ``prefix`` names the object."""
+    given), ``subset_a`` and ``subset_b`` left to the certificate, whose
+    index rule (:func:`model._indices`) names them, and any other value but
+    an object or ``which`` a number.  ``prefix`` names the object."""
     _require_object(node, "certify config" + (f" {prefix[:-1]!r}" if prefix else ""), keys)
     for key in needs:
         if key not in node:
@@ -184,11 +183,7 @@ def _cert_values(node, prefix: str, keys: tuple, needs: tuple, n: Optional[int] 
                 raise ConfigError(f"{name} must be a list of {n or 'N'} numbers, got {value!r}")
             values[key] = [_real_field(v, f"{name}[{k}]") for k, v in enumerate(value)]
         elif key in ("subset_a", "subset_b"):
-            if not isinstance(value, list) or not all(
-                    _SCHEMA_TYPES["integer"](i) and 0 <= i < n for i in value):
-                raise ConfigError(f"{name} must be a list of indices in range({n}), "
-                                  f"got {value!r}")
-            values[key] = [int(i) for i in value]
+            values[key] = value  # read by the certificate's index rule
         elif key not in ("which", "params", "free"):
             values[key] = _real_field(value, name)
     return values

@@ -15,7 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .model import (
-    TWO_PI, PhaseState, SystemParams, centroid, centroid_phase, diameter, order_parameter,
+    TWO_PI, PhaseState, SystemParams, _indices, centroid, centroid_phase, diameter,
+    order_parameter,
 )
 from .integrate import TrajectoryRecord, _snapshot_grid
 
@@ -59,13 +60,13 @@ class OrderState:
     delta_fallback: bool = False
 
 
-def order_state(theta, r_threshold: float = R_PHASE_THRESHOLD) -> OrderState:
+def order_state(theta) -> OrderState:
     """Polar decomposition of the phase centroid (:func:`model.centroid`)
     plus the mean-square deviation (1/N) sum sin^2(theta_k - phi)."""
     th = np.asarray(theta, dtype=float)
     cs = centroid(th)
     r = float(order_parameter(cs))
-    if r < r_threshold:
+    if r < R_PHASE_THRESHOLD:
         # No usable centroid direction: report the best grid phase instead,
         # flagged so downstream consumers can tell it apart.
         grid = np.linspace(0.0, TWO_PI, _FALLBACK_GRID, endpoint=False)
@@ -170,7 +171,7 @@ class ClusterReport:
 
     def translated(self, theta) -> np.ndarray:
         th = np.asarray(theta, dtype=float)
-        idx = np.asarray(self.indices, dtype=int)
+        idx = _indices(self.indices, th.size, "cluster indices")
         k = np.asarray(self.translations, dtype=float)
         return th[idx] - TWO_PI * k
 
@@ -313,7 +314,7 @@ def arrangement_check(
     and the upper bound c*(nu_i - nu_j)/kappa.
     """
     c = arrangement_constant(lam, phi1)
-    idx = np.asarray(cluster.indices, dtype=int)
+    idx = _indices(cluster.indices, params.n, "cluster indices")
     ks = np.asarray(cluster.translations, dtype=float)
     shifted = record_tail.theta[:, idx] - TWO_PI * ks[None, :]
     mean_theta = shifted.mean(axis=0)

@@ -27,6 +27,8 @@ from .model import (
     TWO_PI,
     PhaseState,
     SystemParams,
+    _indices,
+    _integer,
     centroid,
     centroid_phase,
     diameter,
@@ -718,11 +720,11 @@ class CampaignConfig:
             "n", "kappa", "t_end", "dt", "stride", "window", "eps_omega", "eps_theta")})
         for attr in ("n_instances", "max_attempts_factor"):
             value = getattr(self, attr)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not _integer(value):
                 raise ConfigError(f"{attr} must be an integer, got {value!r}")
             if value < 1:
                 raise ConfigError(f"{attr} must be >= 1")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+        if not (_integer(self.seed) and self.seed >= 0):
             raise ConfigError(f"campaign seed must be a non-negative integer, got {self.seed!r}")
         if not self.kappa > 0:
             raise ConfigError(f"campaign kappa must be > 0 to certify, got {self.kappa!r}")
@@ -731,7 +733,7 @@ class CampaignConfig:
             _real_field(getattr(self, attr), f"invalid campaign config: {attr}")
         # Plain numbers, as ScenarioConfig stores them, so that save_campaign
         # can write config.json.
-        _store_plain_numbers(self, {"n", "stride"})
+        _store_plain_numbers(self, {"n", "stride", "n_instances", "max_attempts_factor", "seed"})
 
 
 @dataclass(frozen=True)
@@ -939,14 +941,17 @@ def _campaign_result(
     return result
 
 
+# The tolerance of a partial instance's tail diameter and arrangement
+# interval, and that of its persistent arc.
+_PREDICTION_SLACK, _ARC_SLACK = 1e-3, 1e-6
+
+
 def _verify_partial(
     cc: CampaignConfig,
     params: SystemParams,
     report: CertificateReport,
     spec: PartialSpec,
     record: TrajectoryRecord,
-    slack: float = 1e-3,
-    arc_slack: float = 1e-6,
 ) -> dict:
     """Check the three predictions of a certified partial-locking instance on
     its recorded trajectory: arc persistence from t1, and on the snapshots of
@@ -955,8 +960,7 @@ def _verify_partial(
     lies at or after t1, or no lock window fits the record, the check fails,
     named as such, and its values are NaN."""
     preds = report.details["predictions"]
-    idx = np.asarray(spec.subset_a, dtype=int)
-    sub = record.theta[:, idx]
+    sub = record.theta[:, _indices(spec.subset_a, params.n, "subset_a")]
     diam = sub.max(axis=1) - sub.min(axis=1)
     after = record.t >= spec.t1 - 1e-12
     reasons = []
@@ -965,7 +969,7 @@ def _verify_partial(
         reasons.append(f"no snapshot at or after t1 = {spec.t1!r}")
     else:
         persist_max = float(diam[after].max())
-        if not persist_max <= spec.ell + arc_slack:
+        if not persist_max <= spec.ell + _ARC_SLACK:
             reasons.append(f"arc {persist_max:.4f} exceeded {spec.ell}")
     tail_bound = preds["tail_diameter_bound"]
     fit = _lock_window(record.t, cc.window)
@@ -975,7 +979,7 @@ def _verify_partial(
     else:
         tail = slice(fit[0] - fit[1], fit[0])
         tail_diam = float(diam[tail].max())
-        if not tail_diam <= tail_bound + slack:
+        if not tail_diam <= tail_bound + _PREDICTION_SLACK:
             reasons.append(f"tail diameter {tail_diam:.4f} above bound {tail_bound:.4f}")
         cluster = ClusterReport(
             indices=spec.subset_a,
@@ -987,7 +991,7 @@ def _verify_partial(
             TrajectoryRecord(record.t[tail], record.theta[tail], record.omega[tail]),
             params, cluster, tail_bound, spec.lam,
         )
-        if not arrangement.ok(slack):
+        if not arrangement.ok(_PREDICTION_SLACK):
             reasons.append("arrangement interval violated")
     return {
         "ok": not reasons,

@@ -50,17 +50,39 @@ def _frozen_array(values, name: str) -> np.ndarray:
     return arr
 
 
+def _integer(v) -> bool:
+    """The integer rule of every reader of an index or a count: an int or a
+    numpy integer other than a bool, or an integral float."""
+    if isinstance(v, (int, np.integer)):
+        return not isinstance(v, bool)
+    return isinstance(v, (float, np.floating)) and float(v).is_integer()
+
+
+def _indices(values, n: int, name: str) -> np.ndarray:
+    """The index rule of every reader of a subset or a group: a nonempty
+    iterable, other than a str, bytes or dict, of integers (:func:`_integer`)
+    in range(n), returned as an int array in the given order, repeats kept.
+    Any other value raises ValueError naming ``name``."""
+    try:
+        items = None if isinstance(values, (str, bytes, dict)) else list(values)
+    except TypeError:
+        items = None
+    if items == []:
+        raise ValueError(f"{name} must be nonempty")
+    if items is None or not all(_integer(i) and 0 <= i < n for i in items):
+        raise ValueError(f"{name} must be a list of integers in range({n}), got {values!r}")
+    return np.array([int(i) for i in items], dtype=int)
+
+
 def diameter(x, subset=None) -> float:
     """Max pairwise spread max_ij |x_i - x_j|, computed as max(x) - min(x).
 
-    ``subset`` optionally restricts to the given indices; it must be nonempty.
+    ``subset`` optionally restricts to the given indices, read by
+    :func:`_indices`.
     """
     arr = np.asarray(x, dtype=float)
     if subset is not None:
-        idx = np.asarray(subset, dtype=int)
-        if idx.size == 0:
-            raise ValueError("subset must be nonempty")
-        arr = arr[idx]
+        arr = arr[_indices(subset, arr.size, "subset")]
     if arr.size == 0:
         raise ValueError("cannot take the diameter of an empty vector")
     return float(arr.max() - arr.min())
@@ -411,10 +433,12 @@ def nonsync_exact(
 ) -> ExactUncoupledTrajectory:
     """Validate a zero-centroid group structure and return the exact trajectory.
 
-    ``groups`` must partition ``range(N)``.  Within each group the natural
-    frequency and the initial frequency must be constant (to ``tol``), and the
-    group's initial phases must have vanishing centroid: |sum exp(i*theta0)|,
-    the group's size times its :func:`order_parameter`, is at most ``tol``.
+    ``groups`` must partition ``range(N)``: each group is read by
+    :func:`_indices`, and every oscillator appears exactly once across all
+    groups.  Within each group the natural frequency and the initial
+    frequency must be constant (to ``tol``), and the group's initial phases
+    must have vanishing centroid: |sum exp(i*theta0)|, the group's size
+    times its :func:`order_parameter`, is at most ``tol``.
     Under these conditions the total phase centroid is zero for all time and
     the returned closed form solves the model exactly.
     """
@@ -424,11 +448,9 @@ def nonsync_exact(
     n = params.n
     seen = np.zeros(n, dtype=bool)
     for g_no, group in enumerate(groups):
-        idx = np.asarray(list(group), dtype=int)
-        if idx.size == 0:
-            raise ValueError(f"group {g_no} is empty")
-        if idx.min() < 0 or idx.max() >= n:
-            raise ValueError(f"group {g_no} has indices outside range({n})")
+        idx = _indices(group, n, f"group {g_no}")
+        if np.unique(idx).size < idx.size:
+            raise ValueError(f"group {g_no} lists an oscillator twice")
         if seen[idx].any():
             raise ValueError(f"group {g_no} overlaps another group")
         seen[idx] = True

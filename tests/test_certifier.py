@@ -338,6 +338,26 @@ def test_partial_range_violations_raise():
         check_partial_locking(p, [0, 1, 2], range(4), 0.0, 0.0, 0.7, 1.0, 1.0, 0.0)  # t1<eta*m
 
 
+@pytest.mark.parametrize("which", ["simple", "first_order", "framework"])
+def test_every_r0_reader_keeps_r0_within_one(which):
+    """Every certificate that reads R0 raises on R0 above 1 + 1e-12, takes
+    R0 up to that bound, and fails R0 <= 0 as a condition, not an error."""
+    params, _, d_om = simple_instance(0.45, 0.012, 0.1)
+    free = FreeParams(eta=2.0, delta=0.5, lam=0.7, ell=1.0)
+    check = {
+        "simple": lambda r0: check_simple(params, r0, d_om),
+        "first_order": lambda r0: check_first_order(params, r0),
+        "framework": lambda r0: check_framework(params, r0, d_om, free),
+    }[which]
+    for r0 in (1.0 + 1e-11, 3.0, 100.0, math.inf):
+        with pytest.raises(ValueError, match="^r0 cannot exceed 1$"):
+            check(r0)
+    assert check(1.0 + 1e-13).condition("initial_order_parameter").satisfied
+    for r0 in (0.0, -0.5):
+        report = check(r0)
+        assert not report.passed and not report.condition("initial_order_parameter").satisfied
+
+
 def test_partial_empty_subset_b_named():
     # An empty B must be named, not fail in numpy's reduction of it.
     p = SystemParams(0.01, 1.0, np.zeros(4))

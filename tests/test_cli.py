@@ -301,6 +301,16 @@ def test_certify_partial_empty_subset_b(tmp_path, capsys):
     assert capsys.readouterr().err == "error: subset_b must be nonempty\n"
 
 
+@pytest.mark.parametrize("which", ["first_order", "framework"])
+def test_certify_rejects_r0_above_one(tmp_path, capsys, which):
+    doc = {"which": which, "params": {"m": 0, "kappa": 0.1, "nu": [-0.5, 0.5]},
+           "R0": 100, "D_omega0": 0.0}
+    if which == "framework":
+        doc.update(R0=3.0, free={"eta": 2.0, "delta": 0.5, "lambda": 0.7, "ell": 1.0})
+    assert main(["certify", "--config", write(tmp_path / "cert.json", doc)]) == 1
+    assert capsys.readouterr().err == "error: r0 cannot exceed 1\n"
+
+
 @pytest.mark.parametrize("command", ["sweep", "figures"])
 def test_sweep_rejects_values_sharing_a_series_file(tmp_path, capsys, command):
     # series_{value:g}.csv keeps six significant digits: two values that

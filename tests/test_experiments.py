@@ -724,6 +724,7 @@ def _scenario_message(**fields):
     [
         ({"seed": -1}, "campaign seed must be a non-negative integer, got -1"),
         ({"seed": 2.5}, "campaign seed must be a non-negative integer, got 2.5"),
+        ({"seed": True}, "campaign seed must be a non-negative integer, got True"),
         ({"kappa": 0.0}, "campaign kappa must be > 0 to certify, got 0.0"),
         ({"kappa": -1.0}, None),
         ({"t_end": -1.0}, None),
@@ -766,11 +767,12 @@ def test_campaign_config_rejects_bad_fields(fields, expected):
 
 
 def test_campaign_config_integral_floats_run_as_ints():
-    floats = CampaignConfig(which="simple", n_instances=np.int64(1), n=5.0, t_end=1.0,
+    floats = CampaignConfig(which="simple", n_instances=5.0, seed=3.0, n=5.0, t_end=1.0,
                             stride=10.0, max_attempts_factor=np.uint16(200))
-    ints = CampaignConfig(which="simple", n_instances=1, n=5, t_end=1.0, stride=10)
+    ints = CampaignConfig(which="simple", n_instances=5, seed=3, n=5, t_end=1.0, stride=10)
     assert all(type(getattr(floats, attr)) is int
-               for attr in ("n", "stride", "n_instances", "max_attempts_factor"))
+               for attr in ("n", "stride", "n_instances", "max_attempts_factor", "seed"))
+    assert type(CampaignConfig(which="simple", n_instances=np.int64(1)).n_instances) is int
     assert certify_campaign(floats).to_json_dict() == certify_campaign(ints).to_json_dict()
 
 

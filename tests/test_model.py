@@ -404,3 +404,90 @@ def test_nonsync_exact_rejects_bad_input():
     bad_state = PhaseState(0.0, np.array([0.0, np.pi + 1e-3, 0.0, np.pi]), np.zeros(4))
     with pytest.raises(ValueError):
         nonsync_exact(params, bad_state, [[0, 1], [2, 3]])  # centroid off zero
+
+
+def test_nonsync_exact_rejects_a_repeated_oscillator():
+    # Listing oscillator 0 twice counts its phasor twice, so the centroid
+    # check reads zero for a group whose centroid is 1; the closed form would
+    # not solve the model.
+    params = SystemParams(1.0, 1.0, np.zeros(4))
+    theta0 = [0.0, np.pi, 2.0 * np.pi / 3.0, -2.0 * np.pi / 3.0]
+    state0 = PhaseState(0.0, theta0, np.zeros(4))
+    with pytest.raises(ValueError, match="^group 0: initial phase centroid 1.000e"):
+        nonsync_exact(params, state0, [[0, 1, 2, 3]])
+    with pytest.raises(ValueError, match="^group 0 lists an oscillator twice$"):
+        nonsync_exact(params, state0, [[0, 0, 1, 2, 3]])
+    with pytest.raises(ValueError, match="^group 1 overlaps another group$"):
+        nonsync_exact(*nonsync_example()[:2], [[0, 1], [1, 2, 3]])
+
+
+# ---------------------------------------------------------------------------
+# The index rule
+# ---------------------------------------------------------------------------
+
+def _index_readers():
+    """(name, valid index list, the argument's name, call) for every reader
+    of an index list; each call returns a value that compares with ==."""
+    from kuramoto_lock import ClusterReport, TrajectoryRecord, arrangement_check, diameters
+    from kuramoto_lock.certify import (
+        check_partial_locking, check_partial_locking_initial, corollary_initial_budget,
+    )
+
+    x = [0.0, 1.0, 2.0, 10.0]
+    p = SystemParams(0.01, 1.0, [0.0, 0.01, -0.01, 0.02])
+    theta0 = [0.0, 0.1, -0.1, 0.5]
+    rest = (0.0, 0.0, 0.7, 1.0, 2.0)
+    ns_params, ns_state, _ = nonsync_example()
+    tail = TrajectoryRecord(np.arange(3) * 0.1, np.outer(np.arange(1, 4), x), np.zeros((3, 4)))
+
+    def cluster(idx):
+        return ClusterReport(idx, (0, 0, 0), 0.0, 0.75)
+
+    return [
+        ("diameter", [0, 1, 2], "subset", lambda idx: diameter(x, idx)),
+        ("diameters", [0, 1, 2], "subset", lambda idx: diameters(PhaseState(0.0, x, x), idx)),
+        ("nonsync_exact", [0, 1], "group 0",
+         lambda idx: nonsync_exact(ns_params, ns_state, [idx, [2, 3]]).theta(1.0).tolist()),
+        ("check_partial_locking A", [0, 1, 2], "subset_a",
+         lambda idx: check_partial_locking(p, idx, range(4), *rest, 0.02).to_json_dict()),
+        ("check_partial_locking B", [0, 1, 2, 3], "subset_b",
+         lambda idx: check_partial_locking(p, [0, 1, 2], idx, *rest, 0.02).to_json_dict()),
+        ("corollary_initial_budget", [0, 1, 2], "subset_a",
+         lambda idx: corollary_initial_budget(p, idx, 0.1, 1.0, 2.0)),
+        ("check_partial_locking_initial A", [0, 1, 2], "subset_a",
+         lambda idx: check_partial_locking_initial(p, theta0, idx, range(4), *rest).to_json_dict()),
+        ("check_partial_locking_initial B", [0, 1, 2, 3], "subset_b",
+         lambda idx: check_partial_locking_initial(p, theta0, [0, 1, 2], idx, *rest).to_json_dict()),
+        ("arrangement_check", [0, 1, 2], "cluster indices",
+         lambda idx: dataclasses.asdict(arrangement_check(tail, p, cluster(idx), 0.1, 0.7))),
+        ("ClusterReport.translated", [0, 1, 2], "cluster indices",
+         lambda idx: cluster(idx).translated(x).tolist()),
+    ]
+
+
+_BAD_ENTRIES = [2.7, True, np.True_, "1", -1, 4, 10**400, math.nan, [0], None]
+# None as the whole value is left out: it is diameter's "no subset".
+_BAD_VALUES = [np.array([True, False, True, True]), "012", b"\x00", [], 3, {0: 0, 1: 1}]
+
+
+@pytest.mark.parametrize("reader", _index_readers(), ids=lambda r: r[0])
+def test_every_index_reader_reads_indices_by_one_rule(reader):
+    """Each index reader gives the same result for every valid form of an
+    index list, and raises ValueError naming its argument for any other."""
+    _, valid, name, call = reader
+    want = call(list(valid))
+    for form in (tuple(valid), range(len(valid)), np.array(valid, dtype=np.int64),
+                 [np.uint16(i) for i in valid], [float(i) for i in valid]):
+        assert call(form) == want, form
+    for bad in [valid[:-1] + [entry] for entry in _BAD_ENTRIES] + _BAD_VALUES:
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            call(bad)
+
+
+def test_index_rule_keeps_order_and_repeats():
+    from kuramoto_lock.model import _indices, _integer
+
+    assert _indices((3, 0, 3), 4, "x").tolist() == [3, 0, 3]
+    assert _indices(np.array([2, 1], dtype=np.uint8), 4, "x").dtype == np.dtype(int)
+    assert all(_integer(v) for v in (0, np.int8(-1), 2.0, np.float32(3.0), 10**400))
+    assert not any(_integer(v) for v in (True, np.True_, 2.5, math.inf, math.nan, "1", None))
