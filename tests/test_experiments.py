@@ -724,7 +724,6 @@ def _scenario_message(**fields):
     [
         ({"seed": -1}, "campaign seed must be a non-negative integer, got -1"),
         ({"seed": 2.5}, "campaign seed must be a non-negative integer, got 2.5"),
-        ({"seed": True}, "campaign seed must be a non-negative integer, got True"),
         ({"kappa": 0.0}, "campaign kappa must be > 0 to certify, got 0.0"),
         ({"kappa": -1.0}, None),
         ({"t_end": -1.0}, None),
@@ -754,6 +753,8 @@ def _scenario_message(**fields):
         pytest.param({"eta": 10**400}, f"invalid campaign config: eta must be finite, got {10**400!r}",
                      id="eta-401-digits"),
         ({"eta": None}, "invalid campaign config: eta must be real, got None"),
+        pytest.param({"seed": True}, "campaign seed must be a non-negative integer, got True",
+                     id="seed-bool"),
     ],
 )
 def test_campaign_config_rejects_bad_fields(fields, expected):
