@@ -11,7 +11,6 @@ decimals appear only in reports.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -50,9 +49,7 @@ __all__ = [
     "XYZ_COEFFICIENT",
 ]
 
-# Coefficient under the square root of the simple-criterion objective; the
-# commonly quoted 3.068 is an alias for 1/XYZ_COEFFICIENT and is accepted
-# with a warning.
+# Coefficient under the square root of the simple-criterion objective.
 XYZ_COEFFICIENT = 0.3259
 
 
@@ -414,17 +411,17 @@ def _xi_tilde(x: float, y: float, z: float, eta: float) -> float:
     )
 
 
-def _xyz_objective(x: float, y: float, z: float, eta: float, coeff: float) -> float:
-    return _zeta_tilde(x, y, z, eta) + math.sqrt(_xi_tilde(x, y, z, eta) / coeff)
+def _xyz_objective(x: float, y: float, z: float, eta: float) -> float:
+    return _zeta_tilde(x, y, z, eta) + math.sqrt(_xi_tilde(x, y, z, eta) / XYZ_COEFFICIENT)
 
 
-def _minimize_eta(x: float, y: float, z: float, coeff: float) -> tuple[float, float]:
+def _minimize_eta(x: float, y: float, z: float) -> tuple[float, float]:
     """Log grid over [1e-3, 50] (200 points) then golden-section refinement
     on the bracketing interval around the best grid point."""
     # Python floats: np.geomspace's power kernel rounds differently at
     # different x86-64 SIMD levels, and eta enters the run record.
     grid = [1e-3 * (50.0 / 1e-3) ** (k / 199) for k in range(200)]
-    values = [_xyz_objective(x, y, z, e, coeff) for e in grid]
+    values = [_xyz_objective(x, y, z, e) for e in grid]
     k = int(np.argmin(values))
     lo = grid[max(0, k - 1)]
     hi = grid[min(len(grid) - 1, k + 1)]
@@ -432,71 +429,49 @@ def _minimize_eta(x: float, y: float, z: float, coeff: float) -> tuple[float, fl
     a, b = lo, hi
     c = b - inv_gr * (b - a)
     d = a + inv_gr * (b - a)
-    fc = _xyz_objective(x, y, z, c, coeff)
-    fd = _xyz_objective(x, y, z, d, coeff)
+    fc = _xyz_objective(x, y, z, c)
+    fd = _xyz_objective(x, y, z, d)
     for _ in range(120):
         if b - a <= 1e-12 * max(1.0, b):
             break
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv_gr * (b - a)
-            fc = _xyz_objective(x, y, z, c, coeff)
+            fc = _xyz_objective(x, y, z, c)
         else:
             a, c, fc = c, d, fd
             d = a + inv_gr * (b - a)
-            fd = _xyz_objective(x, y, z, d, coeff)
+            fd = _xyz_objective(x, y, z, d)
     eta = 0.5 * (a + b)
-    best = _xyz_objective(x, y, z, eta, coeff)
+    best = _xyz_objective(x, y, z, eta)
     if values[k] < best:
         eta, best = grid[k], values[k]
     return eta, best
 
 
-def check_simple(
-    params: SystemParams,
-    r0: float,
-    d_omega0: float,
-    xyz_constant: Optional[float] = None,
-) -> CertificateReport:
+def check_simple(params: SystemParams, r0: float, d_omega0: float) -> CertificateReport:
     """One-line sufficient certificate from the three dimensionless ratios.
 
     Computes x = D(nu)/(kappa*R0^2), y = m*kappa/R0^2, z = D(omega0)/(kappa*R0^2),
     minimizes the selection objective over the layer multiplier eta, and on
     success derives (eta, delta, lam, ell) and delegates to
     :func:`check_framework`.
-
-    ``xyz_constant`` overrides the multiplier under the square root
-    (default 1/0.3259); the literal 3.068 is accepted as an alias with a
-    warning since the derivation only supports 1/0.3259.
     """
     _require(params.kappa > 0.0, "check_simple requires kappa > 0")
     _require(d_omega0 >= 0.0, "d_omega0 must be >= 0")
-    if xyz_constant is None:
-        coeff = XYZ_COEFFICIENT
-    else:
-        coeff = 1.0 / xyz_constant
-        if not math.isclose(xyz_constant, 1.0 / XYZ_COEFFICIENT, rel_tol=1e-3):
-            raise ValueError("xyz_constant must be close to 1/0.3259")
-        if not math.isclose(xyz_constant, 1.0 / XYZ_COEFFICIENT, rel_tol=1e-9):
-            warnings.warn(
-                "xyz_constant differs from 1/0.3259; using it as given, but the "
-                "selection guarantees only hold for 1/0.3259",
-                stacklevel=2,
-            )
+
+    def refused(conditions, details) -> CertificateReport:
+        return CertificateReport("simple", False, conditions, details=details)
+
     r0_cond = _initial_order(r0)
     if not r0_cond.satisfied:
-        return CertificateReport(
-            which="simple",
-            passed=False,
-            conditions=(r0_cond,),
-            details={"reason": "initial order parameter is not positive"},
-        )
+        return refused((r0_cond,), {"reason": "initial order parameter is not positive"})
     r0 = min(r0, 1.0)
     r0sq = r0 * r0
     x = params.nu_diameter / (params.kappa * r0sq)
     y = params.m * params.kappa / r0sq
     z = d_omega0 / (params.kappa * r0sq)
-    eta, infimum = _minimize_eta(x, y, z, coeff)
+    eta, infimum = _minimize_eta(x, y, z)
     crit = _cond_le("xyz_criterion", infimum, 1.0, strict=True)
     details = {
         "x": x,
@@ -504,15 +479,10 @@ def check_simple(
         "z": z,
         "eta": eta,
         "infimum": infimum,
-        "coefficient": coeff,
+        "coefficient": XYZ_COEFFICIENT,
     }
     if not crit.satisfied:
-        return CertificateReport(
-            which="simple",
-            passed=False,
-            conditions=(r0_cond, crit),
-            details=details,
-        )
+        return refused((r0_cond, crit), details)
     zt = _zeta_tilde(x, y, z, eta)
     xt = _xi_tilde(x, y, z, eta)
     delta_hi = 1.0 - zt
@@ -523,20 +493,12 @@ def check_simple(
     if delta < delta_lo:
         delta = 0.5 * (delta_lo + delta_hi)
     if not (0.0 < delta < 1.0):
-        return CertificateReport(
-            which="simple",
-            passed=False,
-            conditions=(r0_cond, crit),
-            details={**details, "reason": "no admissible retention fraction"},
-        )
+        return refused((r0_cond, crit), {**details, "reason": "no admissible retention fraction"})
     dr0 = delta * r0
     lam = select_lambda(dr0)
     if not (0.5 < lam <= 1.0):
-        return CertificateReport(
-            which="simple",
-            passed=False,
-            conditions=(r0_cond, crit),
-            details={**details, "reason": "degenerate cluster-fraction selection"},
+        return refused(
+            (r0_cond, crit), {**details, "reason": "degenerate cluster-fraction selection"}
         )
     free = FreeParams(eta=eta, delta=delta, lam=lam, ell=select_ell(dr0))
     framework = check_framework(params, r0, d_omega0, free)
@@ -782,10 +744,10 @@ def lemma_numeric_suite(grid_size: int = 1000) -> LemmaNumericReport:
         slack3 = min(slack3, lhs3 - 0.729 * d * d)
         ratio3 = min(ratio3, lhs3 / (d * d))
     bp = 0.94
-    lam_gap = abs(select_lambda(bp) - (2.5 * bp - 1.5))
-    ell_gap = abs(select_ell(bp) - 2.0 * math.acos(0.6))
-    lam_lo, lam_hi = 0.5 + (35.0 / 94.0) * bp, 2.5 * bp - 1.5
-    ell_lo, ell_hi = 2.0 * math.acos(1.0 - (20.0 / 47.0) * bp), 2.0 * math.acos(0.6)
+    lam_lo, lam_hi = select_lambda(bp), 2.5 * bp - 1.5
+    ell_lo, ell_hi = select_ell(bp), 2.0 * math.acos(0.6)
+    lam_gap = abs(lam_lo - lam_hi)
+    ell_gap = abs(ell_lo - ell_hi)
     gate_lo = lam_lo + (1.0 - lam_lo) * math.cos(0.5 * ell_lo)
     gate_hi = lam_hi + (1.0 - lam_hi) * math.cos(0.5 * ell_hi)
     gate_gap = abs(gate_lo - gate_hi)

@@ -40,6 +40,7 @@ from .experiments import (
     run_scenario,
     save_run_record,
     _real_field,
+    _write_json,
 )
 from .selftest import run_selftest
 
@@ -374,9 +375,7 @@ def collide(config_path, out_dir, as_json, seed, overrides) -> int:
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "census.json", "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        _write_json(out / "census.json", payload, indent=2)
     if as_json:
         click.echo(json.dumps(payload))
     else:

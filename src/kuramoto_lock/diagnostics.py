@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .model import (
-    TWO_PI, PhaseState, SystemParams, _indices, centroid, centroid_phase, diameter,
+    TWO_PI, PhaseState, SystemParams, _indices, _integer, centroid, centroid_phase, diameter,
     order_parameter,
 )
 from .integrate import TrajectoryRecord, _snapshot_grid
@@ -79,6 +79,7 @@ def order_state(theta) -> OrderState:
 
 def diameters(state: PhaseState, subset=None) -> tuple[float, float]:
     """Phase and frequency diameters, optionally over a subset of indices."""
+    subset = None if subset is None else _indices(subset, state.n, "subset")
     return diameter(state.theta, subset), diameter(state.omega, subset)
 
 
@@ -171,9 +172,22 @@ class ClusterReport:
 
     def translated(self, theta) -> np.ndarray:
         th = np.asarray(theta, dtype=float)
-        idx = _indices(self.indices, th.size, "cluster indices")
-        k = np.asarray(self.translations, dtype=float)
-        return th[idx] - TWO_PI * k
+        idx, shift = _members(self, th.size)
+        return th[idx] - shift
+
+
+def _members(cluster: ClusterReport, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The member indices of ``cluster`` (:func:`model._indices`) and their
+    shifts 2*pi*k_i, from exactly one integer translation k_i per index."""
+    idx = _indices(cluster.indices, n, "cluster indices")
+    given = cluster.translations
+    try:
+        ks = None if isinstance(given, (str, bytes, dict)) else list(given)
+    except TypeError:
+        ks = None
+    if ks is None or len(ks) != idx.size or not all(_integer(k) for k in ks):
+        raise ValueError(f"translations must be one integer per index, got {given!r}")
+    return idx, TWO_PI * np.array(ks, dtype=float)
 
 
 def find_majority_cluster(theta, lam: float, ell: float) -> Optional[ClusterReport]:
@@ -314,9 +328,8 @@ def arrangement_check(
     and the upper bound c*(nu_i - nu_j)/kappa.
     """
     c = arrangement_constant(lam, phi1)
-    idx = _indices(cluster.indices, params.n, "cluster indices")
-    ks = np.asarray(cluster.translations, dtype=float)
-    shifted = record_tail.theta[:, idx] - TWO_PI * ks[None, :]
+    idx, shift = _members(cluster, params.n)
+    shifted = record_tail.theta[:, idx] - shift[None, :]
     mean_theta = shifted.mean(axis=0)
     nu = params.nu[idx]
     pairs = []

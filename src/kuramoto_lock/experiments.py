@@ -364,12 +364,8 @@ class DiagnosticsSeries:
     COLUMNS = ("t", "R", "phi", "Delta", "D_theta", "D_omega", "P", "E",
                "cluster_fraction", "cluster_arc")
 
-    def as_columns(self) -> tuple[np.ndarray, ...]:
-        return (self.t, self.r, self.phi, self.delta, self.d_theta,
-                self.d_omega, self.p, self.e, self.cluster_fraction, self.cluster_arc)
-
     def to_csv(self, path) -> None:
-        cols = self.as_columns()
+        cols = [getattr(self, f.name) for f in dataclasses.fields(self)]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(self.COLUMNS)
@@ -527,9 +523,12 @@ def run_instance(
 
 
 def run_scenario(config: ScenarioConfig) -> RunRecord:
-    """Generate the seeded instance and run it."""
+    """Generate the seeded instance and run it; a blow-up names the seed."""
     params, state0 = sample_instance(config)
-    return run_instance(config, params, state0)
+    try:
+        return run_instance(config, params, state0)
+    except IntegrationError as exc:
+        raise IntegrationError(f"scenario seed {config.seed}: {exc.reason}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -622,13 +621,7 @@ class SweepResult:
     records: list[RunRecord]
 
     def to_csv(self, path) -> None:
-        cols = ["value", "R_end", "Delta_end", "locked", "t_lock", "R_30",
-                "ratio_one_minus_R30"]
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=cols)
-            writer.writeheader()
-            for row in self.rows:
-                writer.writerow(row)
+        _write_table(path, self.rows)
 
 
 def figure_sweep(
@@ -913,9 +906,7 @@ def _campaign_result(
     config = _campaign_scenario(cc, params)
     record = run_instance(config, params, state0, record=trajectory)
     if outdir is not None:
-        with open(outdir / "records" / f"run_{attempt:05d}.json", "w") as fh:
-            json.dump(record.to_json_dict(), fh)
-            fh.write("\n")
+        _write_json(outdir / "records" / f"run_{attempt:05d}.json", record.to_json_dict())
         record.series.to_csv(outdir / "series" / f"run_{attempt:05d}.csv")
     locked = bool(record.lock and record.lock.locked)
     result.update(
@@ -1121,14 +1112,30 @@ def collision_census(config: ScenarioConfig) -> CensusReport:
 # Persistence
 # ---------------------------------------------------------------------------
 
+def _write_json(path, doc, indent=None) -> None:
+    """Write ``doc`` to ``path`` as JSON, then a newline: every JSON file the
+    package writes."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=indent)
+        fh.write("\n")
+
+
+def _write_table(path, rows: Sequence[dict]) -> None:
+    """Write ``rows`` to ``path`` as CSV under one header, the union of the
+    rows' keys in first-seen order; a row lacking a key leaves it empty."""
+    columns = list(dict.fromkeys(key for row in rows for key in row))
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=columns)
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 def save_run_record(record: RunRecord, outdir, name: str = "run") -> None:
     """Write ``<name>.json`` (record without the series) and
     ``<name>_series.csv`` (diagnostic columns) into ``outdir``."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / f"{name}.json", "w") as fh:
-        json.dump(record.to_json_dict(), fh, indent=2)
-        fh.write("\n")
+    _write_json(out / f"{name}.json", record.to_json_dict(), indent=2)
     record.series.to_csv(out / f"{name}_series.csv")
 
 
@@ -1136,19 +1143,6 @@ def save_campaign(report: CampaignReport, cc: CampaignConfig, outdir: Path) -> N
     """Campaign layout: config.json, summary.csv, campaign.json."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "config.json", "w") as fh:
-        json.dump(dataclasses.asdict(cc), fh, indent=2)
-        fh.write("\n")
-    with open(out / "campaign.json", "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2)
-        fh.write("\n")
-    keys: list[str] = []
-    for row in report.results:
-        for key in row:
-            if key not in keys:
-                keys.append(key)
-    with open(out / "summary.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=keys)
-        writer.writeheader()
-        for row in report.results:
-            writer.writerow(row)
+    _write_json(out / "config.json", dataclasses.asdict(cc), indent=2)
+    _write_json(out / "campaign.json", report.to_json_dict(), indent=2)
+    _write_table(out / "summary.csv", report.results)

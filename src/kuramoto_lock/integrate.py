@@ -21,6 +21,7 @@ from .model import (
     PhaseState,
     _MeanFieldWork,
     SystemParams,
+    _integer,
 )
 
 __all__ = [
@@ -61,8 +62,11 @@ class IntegratorConfig:
             raise ValueError("dt must be positive and finite")
         if not (self.t_end >= 0.0 and math.isfinite(self.t_end)):
             raise ValueError("t_end must be >= 0 and finite")
-        if self.observer_stride < 1:
-            raise ValueError("observer_stride must be >= 1")
+        if not (_integer(self.observer_stride) and self.observer_stride >= 1):
+            raise ValueError(
+                f"observer_stride must be an integer >= 1, got {self.observer_stride!r}"
+            )
+        object.__setattr__(self, "observer_stride", int(self.observer_stride))
 
 
 def _step_plan(dt: float, t_end: float) -> tuple[int, float]:
@@ -332,9 +336,9 @@ class TrajectoryRecord:
 
     def subsample(self, step: int) -> "TrajectoryRecord":
         """Every ``step``-th snapshot, always keeping the last one."""
-        if step < 1:
-            raise ValueError("step must be >= 1")
-        idx = list(range(0, self.t.size, step))
+        if not (_integer(step) and step >= 1):
+            raise ValueError(f"step must be an integer >= 1, got {step!r}")
+        idx = list(range(0, self.t.size, int(step)))
         if idx[-1] != self.t.size - 1:
             idx.append(self.t.size - 1)
         sel = np.asarray(idx, dtype=int)

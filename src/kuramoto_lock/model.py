@@ -198,7 +198,9 @@ class _MeanFieldWork:
     - ``c``, the complex centroid column ``(..., 1)``, its float view ``cs``
       ``(..., 2)`` of ``(C, S)``, and ``sc``, the reversed view ``(S, C)``
       spread over the oscillator axis;
-    - ``prod``, the pairs times ``(S, C)``, and ``out``, the coupling."""
+    - ``cos_s`` and ``sin_c``, views of the pairs' two columns, which hold
+      cos*S and sin*C once the coupling has multiplied the pairs by
+      ``(S, C)`` in place, and ``out``, the coupling."""
 
     def __init__(self, shape: tuple):
         shape = tuple(shape)
@@ -210,8 +212,7 @@ class _MeanFieldWork:
         self.c = np.empty(shape[:-1] + (1,), dtype=complex)
         self.cs = self.c.view(float)
         self.sc = self.cs.reshape(shape[:-1] + (1, 2))[..., ::-1]
-        self.prod = np.empty(shape + (2,))
-        self.cos_s, self.sin_c = self.prod[..., 0], self.prod[..., 1]
+        self.cos_s, self.sin_c = self.pairs[..., 0], self.pairs[..., 1]
         self.out = np.empty(shape)
 
 
@@ -281,7 +282,7 @@ def coupling_mean_field(
     if work is None:
         work = _MeanFieldWork(th.shape)
     _centroid(th, work)
-    np.multiply(work.pairs, work.sc, work.prod)
+    np.multiply(work.pairs, work.sc, work.pairs)
     np.subtract(work.cos_s, work.sin_c, work.out)
     np.multiply(work.out, kappa, work.out)
     return work.out
@@ -290,13 +291,10 @@ def coupling_mean_field(
 # The integrator reads the mean-field form here on every run and calls it
 # once per RK4 stage as ``form(theta, kappa, work)``, with one work per
 # stepper (see :func:`coupling_mean_field`), so a caller can wrap it (to
-# count or time calls) after import.  Every form takes ``(theta, kappa,
+# count or time calls) after import.  A form takes ``(theta, kappa,
 # work=None)``; a returned ``work.out`` is overwritten by the next call on
 # that work.
-COUPLING_FORMS: dict[str, Callable[..., np.ndarray]] = {
-    "direct": coupling_direct,
-    "mean_field": coupling_mean_field,
-}
+COUPLING_FORMS: dict[str, Callable[..., np.ndarray]] = {"mean_field": coupling_mean_field}
 
 
 def rhs_inertial(params: SystemParams, state: PhaseState) -> tuple[np.ndarray, np.ndarray]:
@@ -404,22 +402,13 @@ class ExactUncoupledTrajectory:
     def theta(self, t):
         t = np.asarray(t, dtype=float)
         m = self.params.m
-        e = np.exp(-t / m)
-        growth = t - m + m * e
-        if t.ndim == 0:
-            return self.theta0 + m * self.omega0 * (1.0 - e) + self.params.nu * growth
-        return (
-            self.theta0[None, :]
-            + m * self.omega0[None, :] * (1.0 - e)[:, None]
-            + self.params.nu[None, :] * growth[:, None]
-        )
+        e = np.exp(-t / m)[..., None]
+        growth = t[..., None] - m + m * e
+        return self.theta0 + m * self.omega0 * (1.0 - e) + self.params.nu * growth
 
     def omega(self, t):
-        t = np.asarray(t, dtype=float)
-        e = np.exp(-t / self.params.m)
-        if t.ndim == 0:
-            return self.omega0 * e + self.params.nu * (1.0 - e)
-        return self.omega0[None, :] * e[:, None] + self.params.nu[None, :] * (1.0 - e)[:, None]
+        e = np.exp(-np.asarray(t, dtype=float) / self.params.m)[..., None]
+        return self.omega0 * e + self.params.nu * (1.0 - e)
 
     def state(self, t: float) -> PhaseState:
         return PhaseState(float(t), self.theta(float(t)), self.omega(float(t)))

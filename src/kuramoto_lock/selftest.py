@@ -108,16 +108,15 @@ def run_selftest(perturb: bool = False) -> list[SelfTestRow]:
 
     refl_params = SystemParams(params.m, params.kappa, -params.nu)
     refl_state = PhaseState(0.0, -state.theta, -state.omega)
-    _, d1 = rhs_inertial(params, state)
     _, d2 = rhs_inertial(refl_params, refl_state)
-    gap = np.abs(d1 + d2).max()
+    gap = np.abs(domega + d2).max()
     rows.append(_row("reflection symmetry", gap < 1e-13, f"gap={gap:.2e}"))
 
     perm = rng.permutation(params.n)
     perm_params = SystemParams(params.m, params.kappa, params.nu[perm])
     perm_state = PhaseState(0.0, state.theta[perm], state.omega[perm])
     _, d3 = rhs_inertial(perm_params, perm_state)
-    gap = np.abs(d1[perm] - d3).max()
+    gap = np.abs(domega[perm] - d3).max()
     rows.append(_row("exchange symmetry", gap < 1e-13, f"gap={gap:.2e}"))
 
     # Shift-then-solve equals solve-then-shift.
@@ -135,8 +134,7 @@ def run_selftest(perturb: bool = False) -> list[SelfTestRow]:
 
     pd, sd = dilate_transform(p4, s4, 2.0)
     rec_dil = record_trajectory(pd, sd, IntegratorConfig(dt=0.005, t_end=2.5, observer_stride=100))
-    rec_ref = record_trajectory(p4, s4, IntegratorConfig(dt=0.01, t_end=5.0, observer_stride=100))
-    gap = float(np.abs(rec_dil.theta - rec_ref.theta).max())
+    gap = float(np.abs(rec_dil.theta - rec_orig.theta).max())
     rows.append(_row("time-dilation equivalence", gap == 0.0 or gap < 1e-12, f"gap={gap:.2e}"))
     inv_gap = abs(pd.m * pd.kappa - p4.m * p4.kappa)
     rows.append(_row("dilation invariants", inv_gap < 1e-15, f"gap={inv_gap:.2e}"))

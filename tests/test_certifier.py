@@ -238,10 +238,10 @@ def test_check_simple_named_points():
 def test_check_simple_named_points_at_quoted_eta():
     # The named points satisfy the criterion already at their quoted layer
     # multipliers; the optimizer may do better.
-    from kuramoto_lock.certify import _xyz_objective, XYZ_COEFFICIENT
+    from kuramoto_lock.certify import _xyz_objective
 
-    assert _xyz_objective(0.5, 0.015, 0.12, 1.0, XYZ_COEFFICIENT) < 1.0
-    assert _xyz_objective(0.3, 0.05, 0.76, 3.0, XYZ_COEFFICIENT) < 1.0
+    assert _xyz_objective(0.5, 0.015, 0.12, 1.0) < 1.0
+    assert _xyz_objective(0.3, 0.05, 0.76, 3.0) < 1.0
 
 
 def test_check_simple_failing_point():
@@ -258,13 +258,6 @@ def test_check_simple_zero_r0_reports_not_raises():
     report = check_simple(params, 0.0, d_om)
     assert not report.passed
     assert not report.condition("initial_order_parameter").satisfied
-
-
-def test_check_simple_alias_constant_warns():
-    params, r0, d_om = simple_instance(0.5, 0.015, 0.12)
-    with pytest.warns(UserWarning):
-        report = check_simple(params, r0, d_om, xyz_constant=3.068)
-    assert report.passed
 
 
 def test_check_simple_identical_everything_passes():

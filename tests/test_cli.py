@@ -89,7 +89,16 @@ def test_simulate_numeric_abort(tmp_path, capsys):
     # Natural frequencies near the float limit overflow in the first step.
     cfg = write(tmp_path / "c.json", {"N": 4, "D_V": 1e308, "t_end": 20, "certify": False})
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
-    assert capsys.readouterr().err.startswith("numeric abort: non-finite state at t=0.01")
+    err = capsys.readouterr().err
+    assert err.startswith("numeric abort: scenario seed 0: non-finite state at t=0.01")
+
+
+def test_collide_numeric_abort_names_seed(tmp_path, capsys):
+    cfg = write(tmp_path / "c.json", {"N": 4, "kappa": 1e308, "t_end": 0.1, "certify": False})
+    assert main(["collide", "--config", cfg, "--seed", "3", "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == (
+        "numeric abort: scenario seed 3: non-finite state at t=0.03; check dt against 1/m\n"
+    )
 
 
 def test_simulate_rejects_nan_config(tmp_path, capsys):

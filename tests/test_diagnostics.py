@@ -108,6 +108,9 @@ def test_diameters_basic():
     assert d_theta_sub == 1.0
     with pytest.raises(ValueError):
         diameters(s, subset=[])
+    # The subset is read once, so a one-pass iterator serves both diameters.
+    s = PhaseState(0, [0, 0.1, 0.2], [0, 0, 0])
+    assert diameters(s, iter([0, 1])) == diameters(s, [0, 1]) == (0.1, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +245,31 @@ def test_cluster_wraparound_translation():
     span = diameters(PhaseState(0.0, translated, np.zeros(3)))[0]
     assert abs(span - rep.arc_diameter) < 1e-12
     assert abs((6.2 - TWO_PI) - translated[0]) < 1e-15
+
+
+def test_cluster_translations_are_one_integer_per_index():
+    # Both readers of a cluster's translations take exactly one integer per
+    # member; a fraction, a one-entry tuple that would broadcast, or a short
+    # tuple is refused naming translations.  Integral floats and numpy
+    # integers shift as the ints they equal.
+    theta = np.array([6.2, 0.05, 0.1, 3.0])
+    p = SystemParams(0.2, 1.0, np.zeros(4))
+    tail = TrajectoryRecord(np.arange(3) * 0.1, np.tile(theta, (3, 1)), np.zeros((3, 4)))
+
+    def readers(translations):
+        cluster = ClusterReport((0, 1, 2), translations, 0.1, 0.75)
+        return (lambda: cluster.translated(theta).tolist(),
+                lambda: dataclasses.asdict(arrangement_check(tail, p, cluster, 0.1, 0.7)))
+
+    want = [read() for read in readers((1, 0, 0))]
+    assert want[0][0] == 6.2 - TWO_PI
+    for same in ([1, 0, 0], (1.0, 0.0, 0.0), np.array([1, 0, 0]), (np.int64(1), 0, np.uint8(0))):
+        assert [read() for read in readers(same)] == want
+    for bad in (0.5, (1,), (1, 0), (1, 0, 0, 0), (0.5, 0, 0), (True, 0, 0), ("1", 0, 0),
+                (1, 0, math.nan), "100", None, {0: 1, 1: 0, 2: 0}):
+        for read in readers(bad):
+            with pytest.raises(ValueError, match="^translations must be one integer per index, got "):
+                read()
 
 
 def test_cluster_matches_brute_force(rng):

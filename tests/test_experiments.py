@@ -678,6 +678,17 @@ def test_figure_sweep_blowup_names_value():
         figure_sweep("Dv_over_kappa", [0.5, 1e308], small_config(n=4, t_end=5.0))
 
 
+def test_scenario_blowup_names_seed():
+    # One scenario names its seed, as campaigns and sweeps name theirs; a
+    # census runs one scenario too.
+    config = ScenarioConfig(n=4, kappa=1e308, t_end=0.1, certify=False, seed=3)
+    want = "^scenario seed 3: non-finite state at t=0.03; check dt against 1/m$"
+    for call in (run_scenario, collision_census):
+        with pytest.raises(IntegrationError, match=want) as info:
+            call(config)
+        assert info.value.row is None
+
+
 def test_figure_sweep_rejects_bad_axis():
     with pytest.raises(ConfigError):
         figure_sweep("bogus", [1.0], small_config())

@@ -34,7 +34,7 @@ from kuramoto_lock.integrate import (
     _stepper,
     collision_events_from_record,
 )
-from kuramoto_lock.model import COUPLING_FORMS, coupling_mean_field
+from kuramoto_lock.model import COUPLING_FORMS, coupling_direct, coupling_mean_field
 
 # The package re-exports the ``integrate`` function under the module's name.
 integrate_module = importlib.import_module("kuramoto_lock.integrate")
@@ -43,6 +43,10 @@ TWO_PI = 2.0 * np.pi
 
 # The bisection's fixed time tolerance, as the README states it.
 _REFINE_TOL = 1e-12
+
+# Both coupling forms, which the stepper tests pass in directly: the
+# integrator steps the mean-field form alone.
+_FORMS = {"direct": coupling_direct, "mean_field": coupling_mean_field}
 
 
 def random_instance(rng, n=5, m=1.0, kappa=1.0, d_v=0.8, d_om=1.0):
@@ -121,6 +125,29 @@ def test_config_validation():
     # Every run steps the mean-field coupling; there is no option to choose.
     with pytest.raises(TypeError):
         IntegratorConfig(coupling="direct")
+    assert list(COUPLING_FORMS) == ["mean_field"]
+
+
+def test_integrator_counts_follow_the_integer_rule():
+    # The observer stride and a record's subsample step are counts, read by
+    # the integer rule: a fraction or a bool is refused naming the field, and
+    # an integral float or a numpy integer runs as the int it equals.
+    for bad in (2.5, True, np.True_, 0, -1, "2", None, math.nan):
+        with pytest.raises(ValueError, match="^observer_stride must be an integer >= 1, got "):
+            IntegratorConfig(observer_stride=bad)
+    params, state0 = random_instance(np.random.default_rng(0), n=3)
+    want = record_trajectory(params, state0, IntegratorConfig(t_end=0.5, observer_stride=5))
+    for same in (5.0, np.int64(5), np.float32(5.0)):
+        cfg = IntegratorConfig(t_end=0.5, observer_stride=same)
+        assert type(cfg.observer_stride) is int and cfg.observer_stride == 5
+        got = record_trajectory(params, state0, cfg)
+        assert all(np.array_equal(getattr(got, f), getattr(want, f)) for f in ("t", "theta", "omega"))
+    dense = record_trajectory(params, state0, IntegratorConfig(t_end=0.5))
+    for bad in (2.5, True, 0, "2", None):
+        with pytest.raises(ValueError, match="^step must be an integer >= 1, got "):
+            dense.subsample(bad)
+    for same in (5.0, np.int64(5)):
+        assert np.array_equal(dense.subsample(same).t, want.t)
 
 
 def test_nonsync_oracle_error():
@@ -766,11 +793,11 @@ def test_pair_points_inside_the_margin_do_not_verify(monkeypatch):
     assert probed(default_width) < near
 
 
-@pytest.mark.parametrize("coupling", sorted(COUPLING_FORMS))
+@pytest.mark.parametrize("coupling", sorted(_FORMS))
 def test_phases_only_step_matches_full_step(rng, coupling):
     # The refinement probes take the phase half of the step with a supplied
     # stage-1 acceleration; their phases must be the full step's, bit for bit.
-    coup = COUPLING_FORMS[coupling]
+    coup = _FORMS[coupling]
     n = 150
     params, state = random_instance(rng, n=n)
     y = np.stack((state.theta, state.omega))
@@ -804,14 +831,14 @@ def _oracle_step(params, coup, y, h):
     return np.stack(_reference_rk4_step(params, coup, y[0], y[1], h))
 
 
-@pytest.mark.parametrize("coupling", sorted(COUPLING_FORMS))
+@pytest.mark.parametrize("coupling", sorted(_FORMS))
 @pytest.mark.parametrize("inertial", [True, False], ids=["m>0", "m=0"])
 def test_stacked_step_matches_reference_steppers(rng, coupling, inertial):
     # One stacked stepper for both models equals the two-array reference
     # steppers bit for bit: one state and a batch; shared parameters,
     # coefficient rows at the state's full shape and as (B, 1) columns; per-row
     # step sizes holding zeros; and a 200-step march on one stepper.
-    coup = COUPLING_FORMS[coupling]
+    coup = _FORMS[coupling]
     n, b = 30, 6
     d = 2 if inertial else 1
     instances = [random_instance(rng, n=n, m=float(rng.uniform(0.2, 2.0)) if inertial else 0.0)

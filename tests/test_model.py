@@ -225,7 +225,7 @@ def test_coupling_forms_row_wise_match_one_dimensional(n, b, kappa, seed):
     # One work reused across calls, as a stepper reuses its own, gives every
     # call the bits of a fresh call, and its centroid is centroid()'s.
     theta = np.random.default_rng(seed).uniform(-50.0, 50.0, (b, n))
-    for form in COUPLING_FORMS.values():
+    for form in (coupling_direct, coupling_mean_field):
         batch = form(theta, kappa)
         assert batch.shape == (b, n)
         row_work = _MeanFieldWork((n,))
