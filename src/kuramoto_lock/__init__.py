@@ -36,7 +36,6 @@ from .diagnostics import (  # noqa: F401
     energy_value,
     energy_dissipation_residual,
     find_majority_cluster,
-    cluster_from_condensation,
     arrangement_check,
     detect_locking,
 )

@@ -713,9 +713,6 @@ class LemmaNumericReport:
     breakpoint_gate_gap: float
     all_ok: bool
 
-    def to_json_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
 
 def lemma_numeric_suite(grid_size: int = 1000) -> LemmaNumericReport:
     """Check the selection inequalities on a dense delta*R0 grid over (0, 1]."""

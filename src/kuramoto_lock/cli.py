@@ -390,10 +390,9 @@ def collide(config_path, out_dir, as_json, seed, overrides) -> int:
 
 @cli.command()
 @click.option("--json", "as_json", is_flag=True, default=False)
-@click.option("--perturb", is_flag=True, default=False, hidden=True)
-def selftest(as_json, perturb) -> int:
+def selftest(as_json) -> int:
     """Run the embedded invariant suite; exit 0 iff everything passes."""
-    rows = run_selftest(perturb=perturb)
+    rows = run_selftest()
     ok = all(row.ok for row in rows)
     if as_json:
         click.echo(

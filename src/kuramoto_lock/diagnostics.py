@@ -35,7 +35,6 @@ __all__ = [
     "energy_value",
     "energy_dissipation_residual",
     "find_majority_cluster",
-    "cluster_from_condensation",
     "arrangement_check",
     "arrangement_constant",
     "default_lock_tolerances",
@@ -51,13 +50,12 @@ _FALLBACK_GRID = 64
 class OrderState:
     """Amplitude order parameter ``r``, centroid phase ``phi`` (``None`` when
     the centroid is too small to define one), and mean-square deviation
-    ``delta``.  ``delta_fallback`` marks the reporting-only grid fallback used
-    when ``phi`` is undefined."""
+    ``delta``: about ``phi``, or, when ``phi`` is ``None``, the least over a
+    grid of phases, for reporting only."""
 
     r: float
     phi: Optional[float]
     delta: float
-    delta_fallback: bool = False
 
 
 def order_state(theta) -> OrderState:
@@ -67,14 +65,13 @@ def order_state(theta) -> OrderState:
     cs = centroid(th)
     r = float(order_parameter(cs))
     if r < R_PHASE_THRESHOLD:
-        # No usable centroid direction: report the best grid phase instead,
-        # flagged so downstream consumers can tell it apart.
+        # No usable centroid direction: report the best grid phase instead.
         grid = np.linspace(0.0, TWO_PI, _FALLBACK_GRID, endpoint=False)
         deltas = np.mean(np.sin(th[None, :] - grid[:, None]) ** 2, axis=1)
-        return OrderState(r, None, float(deltas.min()), True)
+        return OrderState(r, None, float(deltas.min()))
     phi = centroid_phase(*cs.tolist())
     delta = float(np.mean(np.sin(th - phi) ** 2))
-    return OrderState(r, phi, delta, False)
+    return OrderState(r, phi, delta)
 
 
 def diameters(state: PhaseState, subset=None) -> tuple[float, float]:
@@ -178,16 +175,18 @@ class ClusterReport:
 
 def _members(cluster: ClusterReport, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The member indices of ``cluster`` (:func:`model._indices`) and their
-    shifts 2*pi*k_i, from exactly one integer translation k_i per index."""
+    shifts 2*pi*k_i, from exactly one integer translation k_i per index, each
+    with a finite shift."""
     idx = _indices(cluster.indices, n, "cluster indices")
     given = cluster.translations
     try:
         ks = None if isinstance(given, (str, bytes, dict)) else list(given)
-    except TypeError:
-        ks = None
-    if ks is None or len(ks) != idx.size or not all(_integer(k) for k in ks):
+        shifts = [TWO_PI * float(k) for k in ks if _integer(k)]
+    except (TypeError, OverflowError):  # not iterable, or an integer too large for a float
+        ks = shifts = []
+    if len(ks) != idx.size or len(shifts) != idx.size or not all(map(math.isfinite, shifts)):
         raise ValueError(f"translations must be one integer per index, got {given!r}")
-    return idx, TWO_PI * np.array(ks, dtype=float)
+    return idx, np.array(shifts)
 
 
 def find_majority_cluster(theta, lam: float, ell: float) -> Optional[ClusterReport]:
@@ -236,48 +235,6 @@ def find_majority_cluster(theta, lam: float, ell: float) -> Optional[ClusterRepo
         tuple(ks[by_index].tolist()),
         float(arcs[s]),
         count / n,
-    )
-
-
-def cluster_from_condensation(
-    order: OrderState, theta, lam: float, beta: float
-) -> Optional[ClusterReport]:
-    """Cluster implied by a concentrated order parameter.
-
-    If either gate
-        r >= lam + (1-lam)*cos(beta)
-    or
-        2*lam + delta/(1-cos(beta)) <= 1 + r
-    holds, the set {i : theta_i in (phi-beta, phi+beta) mod 2*pi} is returned;
-    it is guaranteed to contain at least ceil(lam*N) members.  Returns ``None``
-    when neither gate holds or when ``phi`` is undefined.
-    """
-    if not (0.0 < lam <= 1.0):
-        raise ValueError("lam must lie in (0, 1]")
-    if not (0.0 < beta < 0.5 * math.pi):
-        raise ValueError("beta must lie in (0, pi/2)")
-    if order.phi is None:
-        return None
-    gate_r = order.r >= lam + (1.0 - lam) * math.cos(beta)
-    gate_delta = 2.0 * lam + order.delta / (1.0 - math.cos(beta)) <= 1.0 + order.r
-    if not (gate_r or gate_delta):
-        return None
-    th = np.asarray(theta, dtype=float)
-    n = th.size
-    d = np.mod(th - order.phi + np.pi, TWO_PI) - np.pi
-    members = np.nonzero(np.abs(d) < beta)[0]
-    if members.size < math.ceil(lam * n):
-        raise RuntimeError(
-            "condensation gate held but the implied cluster is too small; "
-            "this indicates an inconsistent OrderState/theta pair"
-        )
-    ks = np.rint((th[members] - order.phi - d[members]) / TWO_PI).astype(int)
-    arc = float(d[members].max() - d[members].min())
-    return ClusterReport(
-        tuple(int(i) for i in members),
-        tuple(int(k) for k in ks),
-        arc,
-        members.size / n,
     )
 
 

@@ -545,10 +545,10 @@ _BATCH_ELEMENTS = 1 << 20
 def _recorded(
     jobs: Sequence[tuple[ScenarioConfig, SystemParams, PhaseState]],
     labels: Sequence[str],
-    run: Callable[[int, TrajectoryRecord], None],
-) -> None:
-    """Call ``run(k, record)`` with the trajectory ``run_instance`` would
-    record for every job ``k``.
+    run: Callable[[int, TrajectoryRecord], object],
+) -> list:
+    """``run(k, record)`` for every job ``k``, in job order, where ``record``
+    is the trajectory ``run_instance`` would record for job ``k``.
 
     Jobs that share a step plan (effective dt, t_end, stride), N and the
     model (inertial or zero-inertia, which a batch cannot mix) are integrated
@@ -557,6 +557,7 @@ def _recorded(
     the next batch is integrated, so ``run`` must not keep its record.  A
     blow-up is re-raised naming the job by its label.
     """
+    results: list = [None] * len(jobs)
     groups: dict[tuple, list[int]] = {}
     for k, (config, params, state0) in enumerate(jobs):
         key = (_integrator_config(config, params), params.m > 0.0, params.n)
@@ -572,8 +573,9 @@ def _recorded(
             except IntegrationError as exc:
                 raise IntegrationError(f"{labels[batch[exc.row]]}: {exc.reason}") from None
             for b, k in enumerate(batch):
-                run(k, record.instance(b))
+                results[k] = run(k, record.instance(b))
             del record
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -649,6 +651,8 @@ def figure_sweep(
         raise ConfigError(f"sweep value {exc}") from None
     except ValueError:
         raise ConfigError("sweep values must be positive and finite") from None
+    if not values:
+        raise ConfigError("sweep values must be nonempty")
     if not all(v > 0 for v in values):
         raise ConfigError("sweep values must be positive and finite")
     labels = [f"sweep value {value!r}" for value in values]
@@ -660,12 +664,8 @@ def figure_sweep(
             raise ConfigError(f"{labels[k]}: {exc}") from None
         seed = base_config.seed + k if fresh_samples else base_config.seed
         jobs.append((config, *_instance_from_draws(config, _unit_draws(config.n, seed))))
-    records: list = [None] * len(jobs)
-
-    def run(k, trajectory):
-        records[k] = run_instance(*jobs[k], record=trajectory)
-
-    _recorded(jobs, labels, run)
+    records = _recorded(
+        jobs, labels, lambda k, trajectory: run_instance(*jobs[k], record=trajectory))
     return SweepResult(
         axis=axis,
         values=tuple(values),
@@ -729,18 +729,6 @@ class CampaignConfig:
         _store_plain_numbers(self, {"n", "stride", "n_instances", "max_attempts_factor", "seed"})
 
 
-@dataclass(frozen=True)
-class PartialSpec:
-    """Construction data accompanying a partial-locking campaign instance."""
-
-    subset_a: tuple[int, ...]
-    subset_b: tuple[int, ...]
-    lam: float
-    ell: float
-    eta: float
-    t1: float
-
-
 def _sample_simple(cc: CampaignConfig, rng: np.random.Generator):
     """Instance inside the simple-certificate region.
 
@@ -763,7 +751,7 @@ def _sample_simple(cc: CampaignConfig, rng: np.random.Generator):
     params = SystemParams(m, cc.kappa, nu)
     state0 = PhaseState(0.0, theta0, omega0)
     report = check_simple(params, r0, diameter(omega0))
-    return params, state0, report, None
+    return params, state0, report
 
 
 def _sample_n3(cc: CampaignConfig, rng: np.random.Generator):
@@ -794,7 +782,7 @@ def _sample_n3(cc: CampaignConfig, rng: np.random.Generator):
     nu = rng.uniform(-0.5 * d_v, 0.5 * d_v, 3)
     params = SystemParams(m, kappa, nu)
     state0 = PhaseState(0.0, theta0, omega0)
-    return params, state0, check_n3(params), None
+    return params, state0, check_n3(params)
 
 
 def _sample_first_order(cc: CampaignConfig, rng: np.random.Generator):
@@ -809,7 +797,13 @@ def _sample_first_order(cc: CampaignConfig, rng: np.random.Generator):
     nu = rng.uniform(-0.5 * d_v, 0.5 * d_v, cc.n)
     params = SystemParams(0.0, cc.kappa, nu)
     state0 = PhaseState(0.0, theta0, np.zeros(cc.n))
-    return params, state0, check_first_order(params, r0), None
+    return params, state0, check_first_order(params, r0)
+
+
+def _partial_cluster(cc: CampaignConfig) -> tuple[int, ...]:
+    """The cluster of every partial-locking instance: the first ceil(lam*N)
+    oscillators."""
+    return tuple(range(math.ceil(cc.lam * cc.n)))
 
 
 def _sample_partial(cc: CampaignConfig, rng: np.random.Generator):
@@ -817,8 +811,8 @@ def _sample_partial(cc: CampaignConfig, rng: np.random.Generator):
     far side, with budgets sized so the partial-locking certificate and its
     initial-arc gate both pass."""
     n = cc.n
-    a_count = math.ceil(cc.lam * n)
-    subset_a = tuple(range(a_count))
+    subset_a = _partial_cluster(cc)
+    a_count = len(subset_a)
     subset_b = tuple(range(n))
     kappa = cc.kappa
     for _ in range(200):
@@ -837,9 +831,7 @@ def _sample_partial(cc: CampaignConfig, rng: np.random.Generator):
             diameter(omega0), cc.lam, cc.ell, cc.eta,
         )
         if report.passed:
-            t1 = report.details["t1"]
-            spec = PartialSpec(subset_a, subset_b, cc.lam, cc.ell, cc.eta, t1)
-            return params, state0, report, spec
+            return params, state0, report
     raise ConfigError("could not construct a certified partial-locking instance")
 
 
@@ -894,14 +886,14 @@ def _campaign_result(
     outdir: Optional[Path],
 ) -> dict:
     """Check one recorded campaign instance and persist its run record."""
-    params, state0, report, spec = instance
+    params, state0, report = instance
     result = {
         "index": attempt,
         "seed": cc.seed + attempt,
         "certified": report.passed,
     }
     if cc.which == "partial":
-        result.update(_verify_partial(cc, params, report, spec, trajectory))
+        result.update(_verify_partial(cc, params, report, trajectory))
         return result
     config = _campaign_scenario(cc, params)
     record = run_instance(config, params, state0, record=trajectory)
@@ -941,7 +933,6 @@ def _verify_partial(
     cc: CampaignConfig,
     params: SystemParams,
     report: CertificateReport,
-    spec: PartialSpec,
     record: TrajectoryRecord,
 ) -> dict:
     """Check the three predictions of a certified partial-locking instance on
@@ -951,17 +942,19 @@ def _verify_partial(
     lies at or after t1, or no lock window fits the record, the check fails,
     named as such, and its values are NaN."""
     preds = report.details["predictions"]
-    sub = record.theta[:, _indices(spec.subset_a, params.n, "subset_a")]
+    t1 = report.details["t1"]
+    subset_a = _partial_cluster(cc)
+    sub = record.theta[:, _indices(subset_a, params.n, "subset_a")]
     diam = sub.max(axis=1) - sub.min(axis=1)
-    after = record.t >= spec.t1 - 1e-12
+    after = record.t >= t1 - 1e-12
     reasons = []
     if not after.any():
         persist_max = math.nan
-        reasons.append(f"no snapshot at or after t1 = {spec.t1!r}")
+        reasons.append(f"no snapshot at or after t1 = {t1!r}")
     else:
         persist_max = float(diam[after].max())
-        if not persist_max <= spec.ell + _ARC_SLACK:
-            reasons.append(f"arc {persist_max:.4f} exceeded {spec.ell}")
+        if not persist_max <= cc.ell + _ARC_SLACK:
+            reasons.append(f"arc {persist_max:.4f} exceeded {cc.ell}")
     tail_bound = preds["tail_diameter_bound"]
     fit = _lock_window(record.t, cc.window)
     if fit is None:
@@ -973,14 +966,14 @@ def _verify_partial(
         if not tail_diam <= tail_bound + _PREDICTION_SLACK:
             reasons.append(f"tail diameter {tail_diam:.4f} above bound {tail_bound:.4f}")
         cluster = ClusterReport(
-            indices=spec.subset_a,
-            translations=tuple(0 for _ in spec.subset_a),
+            indices=subset_a,
+            translations=tuple(0 for _ in subset_a),
             arc_diameter=float(diam[-1]),
-            fraction=len(spec.subset_a) / params.n,
+            fraction=len(subset_a) / params.n,
         )
         arrangement = arrangement_check(
             TrajectoryRecord(record.t[tail], record.theta[tail], record.omega[tail]),
-            params, cluster, tail_bound, spec.lam,
+            params, cluster, tail_bound, cc.lam,
         )
         if not arrangement.ok(_PREDICTION_SLACK):
             reasons.append("arrangement interval violated")
@@ -1028,22 +1021,18 @@ def certify_campaign(
             raise ConfigError(
                 f"sampler produced only {len(kept)} certified instances in {limit} attempts"
             )
-        params, state0, report, spec = _campaign_instance(cc, attempt)
+        params, state0, report = _campaign_instance(cc, attempt)
         if report.passed:
-            kept.append((attempt, (params, state0, report, spec)))
+            kept.append((attempt, (params, state0, report)))
         attempt += 1
     if outdir is not None:
         outdir = Path(outdir)
         (outdir / "records").mkdir(parents=True, exist_ok=True)
         (outdir / "series").mkdir(parents=True, exist_ok=True)
-    jobs = [(_campaign_scenario(cc, params), params, state0) for _, (params, state0, _, _) in kept]
+    jobs = [(_campaign_scenario(cc, params), params, state0) for _, (params, state0, _) in kept]
     labels = [f"campaign attempt {attempt} (seed {cc.seed + attempt})" for attempt, _ in kept]
-    results: list = [None] * len(kept)
-
-    def run(k, trajectory):
-        results[k] = _campaign_result(cc, *kept[k], trajectory, outdir)
-
-    _recorded(jobs, labels, run)
+    results = _recorded(
+        jobs, labels, lambda k, trajectory: _campaign_result(cc, *kept[k], trajectory, outdir))
     defects = [row for row in results if not row["ok"]]
     report = CampaignReport(cc.which, cc.n_instances, results, defects, not defects)
     if outdir is not None:

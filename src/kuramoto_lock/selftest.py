@@ -2,8 +2,7 @@
 
 Fast cross-checks of the identities, symmetry equivalences, and closed-form
 oracles the package is built on.  Each check returns a row; the whole suite
-runs in seconds.  ``perturb=True`` deliberately corrupts one reference
-constant, as a negative control that the harness actually fails.
+runs in seconds.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ def _random_instance(rng, n=12, m=0.8, kappa=1.3):
     return params, state
 
 
-def run_selftest(perturb: bool = False) -> list[SelfTestRow]:
+def run_selftest() -> list[SelfTestRow]:
     rng = np.random.default_rng(20240817)
     rows: list[SelfTestRow] = []
 
@@ -171,11 +170,10 @@ def run_selftest(perturb: bool = False) -> list[SelfTestRow]:
             "lam=1",
         )
     )
-    expected_n3 = 0.123003 + (1e-3 if perturb else 0.0)
     rows.append(
         _row(
             "three-oscillator threshold",
-            abs(n3_threshold() - expected_n3) < 5e-7,
+            abs(n3_threshold() - 0.123003) < 5e-7,
             f"value={n3_threshold():.6f}",
         )
     )

@@ -163,7 +163,7 @@ def test_05_quasi_monotonicity():
     kept = 0
     attempt = 0
     while kept < 20:
-        params, state0, cert, _ = _campaign_instance(cc, attempt)
+        params, state0, cert = _campaign_instance(cc, attempt)
         attempt += 1
         if not cert.passed:
             continue

@@ -298,6 +298,29 @@ def test_sweep_fresh_samples_boolean(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
+def test_dotted_overrides_set_nested_values(tmp_path, capsys):
+    # A dotted --set path sets a key inside an object of the config, and
+    # creates the object when the config holds none; either sweep equals the
+    # one whose config holds the values.
+    want = tmp_path / "want"
+    doc = {**_SWEEP_M, "base": {**_SWEEP_M["base"], "N": 6}}
+    assert main(["sweep", "--config", write(tmp_path / "want.json", doc), "--out", str(want)]) == 0
+    capsys.readouterr()
+    cases = [
+        ("inside", _SWEEP_M, ["base.N=6"], ["base.N = 6"]),
+        ("created", {"axis": "m_kappa", "values": [0.5]},
+         ["base.N=6", "base.t_end=1.0", "base.certify=false"],
+         ["base.N = 6", "base.t_end = 1.0", "base.certify = False"]),
+    ]
+    for name, doc, sets, applied in cases:
+        out = tmp_path / name
+        argv = ["sweep", "--config", write(tmp_path / f"{name}.json", doc), "--out", str(out)]
+        assert main(argv + [arg for item in sets for arg in ("--set", item)]) == 0
+        assert capsys.readouterr().err.splitlines() == [f"override applied: {a}" for a in applied]
+        for file in ("summary.csv", "series_0.5.csv"):
+            assert (out / file).read_bytes() == (want / file).read_bytes()
+
+
 def test_certify_partial_empty_subset_b(tmp_path, capsys):
     doc = {
         "which": "partial",
@@ -382,6 +405,20 @@ def test_collide_command(tmp_path, capsys):
     assert (tmp_path / "census" / "census.json").exists()
 
 
+def test_collide_prints_totals_and_pairs(tmp_path, capsys):
+    # Without --json, collide prints the totals line, then one line per pair.
+    from kuramoto_lock import ScenarioConfig, collision_census
+
+    doc = {"N": 4, "m": 0.1, "kappa": 0.5, "D_V": 1.5, "D_Omega0": 0.5,
+           "seed": 2, "t_end": 20.0, "stride": 10, "certify": False}
+    assert main(["collide", "--config", write(tmp_path / "col.json", doc)]) == 0
+    census = collision_census(ScenarioConfig.from_dict(doc))
+    assert len(census.counts) > 1
+    lines = [f"collisions: {census.total} events, locked={census.locked}, tail_ok={census.tail_ok}"]
+    lines += [f"  pair {pair}: {count}" for pair, count in sorted(census.counts.items())]
+    assert capsys.readouterr().out.splitlines() == lines
+
+
 def test_collide_zero_inertia_is_input_error(tmp_path, capsys):
     cfg = write(tmp_path / "col.json", {"N": 6, "m": 0, "t_end": 5.0, "certify": False})
     assert main(["collide", "--config", cfg]) == 1
@@ -392,8 +429,12 @@ def test_selftest_passes():
     assert main(["selftest"]) == 0
 
 
-def test_selftest_perturbed_fails():
-    assert main(["selftest", "--perturb"]) != 0
+def test_selftest_perturbed_fails(monkeypatch):
+    # Negative control: a threshold off by 1e-3 fails the harness.
+    from kuramoto_lock import certify, selftest
+
+    monkeypatch.setattr(selftest, "n3_threshold", lambda: certify.n3_threshold() + 1e-3)
+    assert main(["selftest"]) != 0
 
 
 def test_selftest_json(capsys):

@@ -10,14 +10,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from kuramoto_lock import (
     IntegratorConfig,
     PhaseState,
     SystemParams,
-    cluster_from_condensation,
     detect_locking,
     diameters,
     energy_dissipation_residual,
@@ -67,7 +66,6 @@ def test_order_state_bipolar():
     o = order_state(np.array([0.0, np.pi, 0.0, np.pi]))
     assert o.r < 1e-12
     assert o.phi is None
-    assert o.delta_fallback
     assert 0.0 <= o.delta <= 1.0
 
 
@@ -272,6 +270,20 @@ def test_cluster_translations_are_one_integer_per_index():
                 read()
 
 
+def test_cluster_translation_needs_a_finite_shift():
+    # An integer too large for a float, or whose shift 2*pi*k is no finite
+    # float, is refused naming translations by both readers, not with an
+    # OverflowError or an infinite shift.
+    p = SystemParams(0.2, 1.0, np.zeros(2))
+    tail = TrajectoryRecord(np.arange(3) * 0.1, np.zeros((3, 2)), np.zeros((3, 2)))
+    for k in (10**400, -(10**400), 1e308, np.float64(-1e308)):
+        cluster = ClusterReport((0, 1), (k, 0), 0.1, 1.0)
+        with pytest.raises(ValueError, match="^translations must be one integer per index, got "):
+            cluster.translated([0.0, 1.0])
+        with pytest.raises(ValueError, match="^translations must be one integer per index, got "):
+            arrangement_check(tail, p, cluster, 0.1, 0.7)
+
+
 def test_cluster_matches_brute_force(rng):
     for _ in range(200):
         n = int(rng.integers(2, 25))
@@ -290,6 +302,36 @@ def test_cluster_matches_brute_force(rng):
             translated = rep.translated(theta)
             assert abs((translated.max() - translated.min()) - rep.arc_diameter) < 1e-12
             assert translated.max() - translated.min() <= ell + 1e-12
+
+
+def cluster_from_condensation(order, theta, lam, beta):
+    """Oracle of the paper's condensation lemma: the cluster implied by a
+    concentrated order parameter.
+
+    If either gate
+        r >= lam + (1-lam)*cos(beta)
+    or
+        2*lam + delta/(1-cos(beta)) <= 1 + r
+    holds, the set {i : theta_i in (phi-beta, phi+beta) mod 2*pi} is returned;
+    the lemma guarantees it at least ceil(lam*N) members, and a smaller set
+    fails the oracle.  Returns ``None`` when neither gate holds or when
+    ``phi`` is undefined.
+    """
+    assert 0.0 < lam <= 1.0 and 0.0 < beta < 0.5 * math.pi
+    if order.phi is None:
+        return None
+    gate_r = order.r >= lam + (1.0 - lam) * math.cos(beta)
+    gate_delta = 2.0 * lam + order.delta / (1.0 - math.cos(beta)) <= 1.0 + order.r
+    if not (gate_r or gate_delta):
+        return None
+    th = np.asarray(theta, dtype=float)
+    n = th.size
+    d = np.mod(th - order.phi + np.pi, TWO_PI) - np.pi
+    members = np.nonzero(np.abs(d) < beta)[0]
+    assert members.size >= math.ceil(lam * n), "condensation gate held but the cluster is too small"
+    ks = np.rint((th[members] - order.phi - d[members]) / TWO_PI).astype(int)
+    arc = float(d[members].max() - d[members].min())
+    return ClusterReport(tuple(members.tolist()), tuple(ks.tolist()), arc, members.size / n)
 
 
 def test_condensation_trivial_and_bipolar():
@@ -314,6 +356,24 @@ def test_condensation_engineered_gate(rng):
     assert rep is not None
     assert len(rep.indices) >= math.ceil(lam * n)
     assert rep.arc_diameter < 2 * beta
+
+
+@given(
+    st.lists(st.floats(-0.6, 0.6), min_size=2, max_size=30),
+    st.lists(st.floats(0.0, TWO_PI), max_size=6),
+    st.floats(-50.0, 50.0),
+    st.floats(0.3, 1.0),
+    st.floats(0.05, 1.5),
+)
+def test_majority_cluster_covers_condensation_cluster(offsets, stragglers, center, lam, beta):
+    # The condensation cluster lies on an open arc of length 2*beta, so the
+    # largest set on such an arc, widened by a rounding margin, holds at
+    # least as many members.
+    theta = np.array([center + o for o in offsets] + stragglers)
+    implied = cluster_from_condensation(order_state(theta), theta, lam, beta)
+    assume(implied is not None)
+    found = find_majority_cluster(theta, lam, 2.0 * beta + 1e-9)
+    assert found is not None and len(found.indices) >= len(implied.indices)
 
 
 # ---------------------------------------------------------------------------
@@ -779,7 +839,7 @@ def _campaign_records():
     for which in ("simple", "n3", "first_order"):
         cc = CampaignConfig(which, n=12, t_end=40.0, stride=50)
         for attempt in range(3):
-            params, state0, _, _ = _campaign_instance(cc, attempt)
+            params, state0, _ = _campaign_instance(cc, attempt)
             # The step plan without the dense stride of the n3 collision scan.
             scenario = dataclasses.replace(_campaign_scenario(cc, params), collisions=False)
             cfg = _integrator_config(scenario, params)

@@ -710,6 +710,28 @@ def test_figure_sweep_config_error_names_value():
         figure_sweep("Dv_over_kappa", [0.5, 1e308], small_config(kappa=2.0))
 
 
+def test_figure_sweep_needs_a_value():
+    # The CLI refuses an empty values list before it calls the library; the
+    # library refuses it too, instead of returning a sweep with no rows.
+    for values in ([], ()):
+        with pytest.raises(ConfigError, match="^sweep values must be nonempty$"):
+            figure_sweep("m_kappa", values, ScenarioConfig(n=4, t_end=1.0))
+
+
+def test_figure_sweep_domega_axis_scales_initial_frequencies():
+    # DOmega_over_kappa sets D_Omega0 = value * kappa on the shared unit
+    # draws, and each value's record is that config's scenario run.
+    base = small_config(n=6, kappa=2.0, t_end=5.0)
+    result = figure_sweep("DOmega_over_kappa", [0.25, 1.5], base)
+    for value, record in zip(result.values, result.records):
+        config = dataclasses.replace(base, d_omega0=value * base.kappa)
+        assert record.config == config
+        assert json.dumps(record.to_json_dict()) == json.dumps(run_scenario(config).to_json_dict())
+    low, high = (record.state0 for record in result.records)
+    assert np.array_equal(low.theta, high.theta)
+    assert np.array_equal(6.0 * low.omega, high.omega)  # D_Omega0 0.5 and 3.0, one rounding
+
+
 def test_sweep_csv(tmp_path):
     base = small_config(n=6, t_end=12.0)
     result = figure_sweep("Dv_over_kappa", [0.2], base)
@@ -718,6 +740,32 @@ def test_sweep_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("value,R_end,Delta_end,locked,t_lock")
     assert len(lines) == 2
+
+
+def test_certified_three_oscillator_scenario_records_simple_and_n3():
+    from kuramoto_lock.certify import check_n3, check_simple
+
+    record = run_scenario(small_config(n=3, m=0.02, d_v=0.1, t_end=5.0, certify=True))
+    assert list(record.certificates) == ["simple", "n3"]
+    assert list(record.to_json_dict()["certificates"]) == ["simple", "n3"]
+    simple = check_simple(record.params, record.r0, record.d_omega0)
+    assert record.certificates["simple"].to_json_dict() == simple.to_json_dict()
+    n3 = record.certificates["n3"]
+    assert n3.passed and n3.to_json_dict() == check_n3(record.params).to_json_dict()
+
+
+def test_collision_run_thins_its_record_to_the_plain_run():
+    # A collision run records every step, then keeps every stride-th snapshot
+    # and the last one: at stride 7 the 800 steps to t_end = 8 end off the
+    # stride.  The series equal those of the run that records at stride 7,
+    # bit for bit.
+    plain = small_config(n=5, m=0.2, d_v=1.0, t_end=8.0, stride=7)
+    thinned = run_scenario(dataclasses.replace(plain, collisions=True))
+    assert thinned.collisions
+    want = run_scenario(plain).series
+    assert list(thinned.series.t[-2:]) == [7.98, 8.0]
+    for f in dataclasses.fields(want):
+        assert getattr(thinned.series, f.name).tobytes() == getattr(want, f.name).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -872,19 +920,20 @@ def test_partial_tail_reads_the_lock_window(t_end, window):
                         window=window)
     report = certify_campaign(cc)
     assert report.all_ok
+    subset_a = experiments._partial_cluster(cc)
     for row in report.results:
-        params, state0, _, spec = experiments._campaign_instance(cc, row["index"])
+        params, state0, _ = experiments._campaign_instance(cc, row["index"])
         cfg = experiments._integrator_config(experiments._campaign_scenario(cc, params), params)
         record = record_trajectory(params, state0, cfg)
         s, length = _lock_window(record.t, window)
         former = np.flatnonzero(record.t >= record.t[-1] - window - 1e-12)
         assert (former[0], former[-1] + 1) != (s - length, s)
-        tail = record.theta[s - length:s][:, list(spec.subset_a)]
+        tail = record.theta[s - length:s][:, list(subset_a)]
         assert row["tail_diameter"] == float((tail.max(axis=1) - tail.min(axis=1)).max())
         # The tail-averaged gaps read the same snapshots.
-        cluster = ClusterReport(spec.subset_a, (0,) * len(spec.subset_a), 0.0, 0.7)
+        cluster = ClusterReport(subset_a, (0,) * len(subset_a), 0.0, 0.7)
         window_record = TrajectoryRecord(*(a[s - length:s] for a in (record.t, record.theta, record.omega)))
-        arrangement = arrangement_check(window_record, params, cluster, row["tail_bound"], spec.lam)
+        arrangement = arrangement_check(window_record, params, cluster, row["tail_bound"], cc.lam)
         assert (row["arrangement_lower_slack"], row["arrangement_upper_slack"]) == (
             arrangement.worst_lower_slack, arrangement.worst_upper_slack)
 
@@ -927,10 +976,9 @@ def test_dense_records_refine_to_the_same_events():
     want = detect_collisions(params, state0, cfg)
     assert len(want) > 5
     assert list(run_instance(config, params, state0).collisions) == want
-    seen = []
-    experiments._recorded(
+    seen = experiments._recorded(
         [(config, params, state0)] * 3, ["a", "b", "c"],
-        lambda k, record: seen.append(collision_events_from_record(params, record, cfg)),
+        lambda k, record: collision_events_from_record(params, record, cfg),
     )
     assert seen == [want] * 3
 
@@ -952,12 +1000,12 @@ def test_campaign_batched_matches_per_instance(tmp_path, monkeypatch, which):
 
     for row in report.results:
         attempt = row["index"]
-        params, state0, cert, spec = experiments._campaign_instance(cc, attempt)
+        params, state0, cert = experiments._campaign_instance(cc, attempt)
         config = experiments._campaign_scenario(cc, params)
         if which == "partial":
             cfg = experiments._integrator_config(config, params)
             alone = record_trajectory(params, state0, cfg)
-            expected = experiments._verify_partial(cc, params, cert, spec, alone)
+            expected = experiments._verify_partial(cc, params, cert, alone)
             assert json.dumps({**row, **expected}) == json.dumps(row)
             continue
         record = run_instance(config, params, state0)

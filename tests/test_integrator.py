@@ -531,7 +531,7 @@ def _census_case(seed, n=40, m=1.0, kappa=1.0):
 
 
 def _n3_case(attempt):
-    params, state0, _, _ = _campaign_instance(CampaignConfig(which="n3", seed=1111), attempt)
+    params, state0, _ = _campaign_instance(CampaignConfig(which="n3", seed=1111), attempt)
     cfg = IntegratorConfig(dt=_effective_dt(0.01, params.m), t_end=20.0)
     return _dense(params, state0, cfg)
 

@@ -395,6 +395,22 @@ def test_nonsync_integrator_keeps_zero_amplitude():
     assert r.max() < 1e-6
 
 
+def test_nonsync_exact_omega_and_state_match_integration():
+    params, state0, groups = nonsync_example()
+    exact = nonsync_exact(params, state0, groups)
+    rec = record_trajectory(params, state0, IntegratorConfig(dt=0.01, t_end=10.0, observer_stride=10))
+    assert np.array_equal(exact.omega(0.0), state0.omega)
+    assert np.abs(exact.omega(rec.t) - rec.omega).max() < 1e-6
+    for k in (0, rec.n_snapshots // 2, rec.n_snapshots - 1):
+        state = exact.state(rec.t[k])
+        assert state.t == rec.t[k]
+        assert np.abs(state.theta - rec.theta[k]).max() < 1e-6
+        assert np.abs(state.omega - rec.omega[k]).max() < 1e-6
+        # A scalar time reads the row of the same time in an array.
+        assert np.array_equal(state.omega, exact.omega(rec.t)[k])
+        assert np.array_equal(state.theta, exact.theta(rec.t)[k])
+
+
 def test_nonsync_exact_rejects_bad_input():
     params, state0, _ = nonsync_example()
     with pytest.raises(ValueError):
