@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import SystemParams, _indices, diameter
+from .model import SystemParams, _check_match, _indices, diameter
 from .diagnostics import arrangement_constant
 
 __all__ = [
@@ -63,6 +63,15 @@ def _require(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
+def _ratio(num: float, den: float) -> float:
+    """``num / den`` of a certificate quantity, whose numerator is >= 0; a
+    denominator that rounds to zero gives the limit, +inf over a positive
+    numerator and 0 over zero."""
+    if den == 0.0:
+        return math.inf if num > 0.0 else 0.0
+    return num / den
+
+
 # ---------------------------------------------------------------------------
 # Dimensionless certificate quantities
 # ---------------------------------------------------------------------------
@@ -94,7 +103,7 @@ def _xi_from_diameters(
         (d_v + 2.0 * kappa) * m
         + d_omega0 * m * u * math.exp(-u)
         + d_v / (2.0 * kappa)
-        + (d_omega0 / (2.0 * kappa)) * math.exp(-eta) / (1.0 - math.exp(-eta))
+        + _ratio((d_omega0 / (2.0 * kappa)) * math.exp(-eta), 1.0 - math.exp(-eta))
     )
 
 
@@ -355,7 +364,7 @@ def check_framework(
     )
     if r0 > 0.0:
         try:
-            b2_value = 2.0 * lam + (x / (delta * r0)) ** 2 / (1.0 - math.cos(half))
+            b2_value = 2.0 * lam + _ratio((x / (delta * r0)) ** 2, 1.0 - math.cos(half))
         except OverflowError:
             b2_value = math.inf
     else:
@@ -468,9 +477,9 @@ def check_simple(params: SystemParams, r0: float, d_omega0: float) -> Certificat
         return refused((r0_cond,), {"reason": "initial order parameter is not positive"})
     r0 = min(r0, 1.0)
     r0sq = r0 * r0
-    x = params.nu_diameter / (params.kappa * r0sq)
-    y = params.m * params.kappa / r0sq
-    z = d_omega0 / (params.kappa * r0sq)
+    x = _ratio(params.nu_diameter, params.kappa * r0sq)
+    y = _ratio(params.m * params.kappa, r0sq)
+    z = _ratio(d_omega0, params.kappa * r0sq)
     eta, infimum = _minimize_eta(x, y, z)
     crit = _cond_le("xyz_criterion", infimum, 1.0, strict=True)
     details = {
@@ -626,8 +635,7 @@ def check_partial_locking_initial(
     from t1 = eta*m on.
     """
     th = np.asarray(theta0, dtype=float)
-    if th.size != params.n:
-        raise ValueError("theta0/params size mismatch")
+    _check_match(params, th.size, "theta0")
     subset_a = _indices(subset_a, params.n, "subset_a")
     t1 = eta * params.m
     partial = check_partial_locking(

@@ -15,8 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .model import (
-    TWO_PI, PhaseState, SystemParams, _indices, _integer, centroid, centroid_phase, diameter,
-    order_parameter,
+    TWO_PI, PhaseState, SystemParams, _check_match, _indices, _integer, centroid, centroid_phase,
+    diameter, order_parameter,
 )
 from .integrate import TrajectoryRecord, _snapshot_grid
 
@@ -92,9 +92,8 @@ def potential(params: SystemParams, theta):
     exactly 0.
     """
     th = np.asarray(theta, dtype=float)
-    if th.shape[-1] != params.n:
-        raise ValueError("theta/params size mismatch")
     n = th.shape[-1]
+    _check_match(params, n, "theta")
     d = th - th[..., :1]
     half = np.sin(0.5 * d)
     n_minus_c = 2.0 * (half * half).sum(axis=-1)
@@ -114,6 +113,8 @@ def energy_value(params: SystemParams, theta, omega):
     """
     th = np.asarray(theta, dtype=float)
     om = np.asarray(omega, dtype=float)
+    _check_match(params, th.shape[-1], "theta")
+    _check_match(params, om.shape[-1], "omega")
     r = order_parameter(centroid(th))
     var = np.mean((om - om.mean(axis=-1, keepdims=True)) ** 2, axis=-1)
     value = 0.5 * params.kappa * (1.0 - r * r) + 0.5 * params.m * var
@@ -141,6 +142,7 @@ def energy_dissipation_residual(
     left out (see :func:`integrate._snapshot_grid`).  The residual is
     O(spacing^2) plus integrator error.
     """
+    _check_match(params, record.n, "record")
     if params.nu_diameter > 1e-12:
         raise ValueError("energy dissipation requires identical natural frequencies")
     s, h = _snapshot_grid(record.t)
@@ -284,6 +286,7 @@ def arrangement_check(
     theta_i - theta_j is compared against the lower bound (nu_i - nu_j)/kappa
     and the upper bound c*(nu_i - nu_j)/kappa.
     """
+    _check_match(params, record_tail.n, "record_tail")
     c = arrangement_constant(lam, phi1)
     idx, shift = _members(cluster, params.n)
     shifted = record_tail.theta[:, idx] - shift[None, :]
@@ -373,6 +376,7 @@ def detect_locking(
     4*spacing(M) of the exact value, and the two passes' window oscillations
     (``relative_phase_drift_final`` among them) agree to 8*spacing(M).
     """
+    _check_match(params, record.n, "record")
     tol = tolerances or default_lock_tolerances(params.kappa)
     fit = _lock_window(record.t, window)
     if fit is None:

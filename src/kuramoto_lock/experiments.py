@@ -27,6 +27,7 @@ from .model import (
     TWO_PI,
     PhaseState,
     SystemParams,
+    _check_match,
     _indices,
     _integer,
     centroid,
@@ -384,6 +385,7 @@ def compute_series(
     The centroid phase column is unwrapped by continuity across snapshots,
     seeded at the first snapshot.
     """
+    _check_match(params, record.n, "record")
     s = record.n_snapshots
     cs = centroid(record.theta)
     r = order_parameter(cs)
@@ -478,8 +480,15 @@ def run_instance(
 
     ``record``, when given, is the instance's trajectory as this function
     would record it (every step when ``config.collisions`` is set), for
-    example one instance of a batch; it is not integrated again.
+    example one instance of a batch; it is not integrated again.  ``config``
+    must hold the N, m and kappa of ``params``, and ``state0`` and ``record``
+    its N oscillators (:func:`model._check_match`), else ``ValueError``.
     """
+    _check_match(params, state0.n, "state0")
+    _check_match(params, config.n, "config")
+    if (config.m, config.kappa) != (params.m, params.kappa):
+        raise ValueError(f"config has m {config.m!r} and kappa {config.kappa!r} but params "
+                         f"have m {params.m!r} and kappa {params.kappa!r}")
     if config.certify and config.kappa <= 0.0:
         raise ConfigError("certification requested but kappa is zero")
     r0 = order_state(state0.theta).r
@@ -1027,8 +1036,9 @@ def certify_campaign(
         attempt += 1
     if outdir is not None:
         outdir = Path(outdir)
-        (outdir / "records").mkdir(parents=True, exist_ok=True)
-        (outdir / "series").mkdir(parents=True, exist_ok=True)
+        if cc.which != "partial":  # a partial instance writes no run record
+            (outdir / "records").mkdir(parents=True, exist_ok=True)
+            (outdir / "series").mkdir(parents=True, exist_ok=True)
     jobs = [(_campaign_scenario(cc, params), params, state0) for _, (params, state0, _) in kept]
     labels = [f"campaign attempt {attempt} (seed {cc.seed + attempt})" for attempt, _ in kept]
     results = _recorded(

@@ -21,6 +21,7 @@ from .model import (
     PhaseState,
     _MeanFieldWork,
     SystemParams,
+    _check_match,
     _integer,
 )
 
@@ -124,6 +125,10 @@ class _Rows(NamedTuple):
     m: np.ndarray
     kappa: np.ndarray
     nu: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.nu.shape[-1]
 
 
 def _rate(
@@ -293,8 +298,7 @@ def integrate(
     ``observer_stride`` steps thereafter, and at the final step.  The run is
     deterministic given its inputs.
     """
-    if params.n != state0.n:
-        raise ValueError("state/params size mismatch")
+    _check_match(params, state0.n, "state0")
     coef = _coefficients(params)
     coup = COUPLING_FORMS["mean_field"]
     y, omega_of = _model(coef, coup, state0.theta, state0.omega)
@@ -406,8 +410,9 @@ def record_trajectory(params, state0, config: IntegratorConfig) -> TrajectoryRec
         theta = np.stack([s.theta for s in states])
         omega = np.stack([s.omega for s in states])
         t0 = states[0].t
-    if coef.nu.shape != theta.shape:
-        raise ValueError("state/params size mismatch")
+    if coef.nu.shape[:-1] != theta.shape[:-1]:
+        raise ValueError("a batch needs one state per instance")
+    _check_match(coef, theta.shape[-1], "state0")
     coup = COUPLING_FORMS["mean_field"]
     return _record(coef, coup, *_model(coef, coup, theta, omega), t0, config)
 
@@ -679,6 +684,7 @@ def collision_events_from_record(
     are sorted by ``(t_star, i, j)``.  Zero inertia (m = 0) raises
     ``ValueError``: the refinement steps the inertial system.
     """
+    _check_match(params, record.n, "record")
     if params.m == 0.0:
         raise ValueError("collision refinement needs inertia m > 0")
     n_full, rem = _step_plan(config.dt, config.t_end)

@@ -155,9 +155,12 @@ class PhaseState:
         return float(self.omega.mean())
 
 
-def _check_match(params: SystemParams, n: int) -> None:
+def _check_match(params: SystemParams, n: int, what: str) -> None:
+    """The size rule of every reader of a system together with its phases, a
+    state, a record or a config: ``what`` holds ``n`` oscillators, as many
+    as ``params``, or ValueError names ``what`` and both sizes."""
     if params.n != n:
-        raise ValueError(f"state has {n} oscillators but params have {params.n}")
+        raise ValueError(f"{what} has {n} oscillators but params have {params.n}")
 
 
 @dataclass(frozen=True)
@@ -306,7 +309,7 @@ def rhs_inertial(params: SystemParams, state: PhaseState) -> tuple[np.ndarray, n
 
     Zero inertia is rejected; use :func:`rhs_first_order` for that model.
     """
-    _check_match(params, state.n)
+    _check_match(params, state.n, "state")
     if params.m <= 0.0:
         raise ValueError("rhs_inertial requires m > 0; use rhs_first_order for m = 0")
     coup = coupling_direct(state.theta, params.kappa)
@@ -319,7 +322,7 @@ def rhs_first_order(params: SystemParams, theta: np.ndarray) -> np.ndarray:
     ``nu_i + (kappa/N) sum_j sin(theta_j - theta_i)``, with the reference
     coupling :func:`coupling_direct`.  Inertia is ignored."""
     th = np.asarray(theta, dtype=float)
-    _check_match(params, th.size)
+    _check_match(params, th.size, "theta")
     return params.nu + coupling_direct(th, params.kappa)
 
 
@@ -337,7 +340,7 @@ def galilean_transform(
     shifted system.  With the mean shifts, phase-locked states become
     equilibria of the transformed variables.
     """
-    _check_match(params, state.n)
+    _check_match(params, state.n, "state")
     if params.m <= 0.0:
         raise ValueError("galilean_transform requires m > 0")
     m = params.m
@@ -366,7 +369,7 @@ def dilate_transform(
     """
     if not (alpha > 0.0 and np.isfinite(alpha)):
         raise ValueError("alpha must be positive and finite")
-    _check_match(params, state.n)
+    _check_match(params, state.n, "state")
     new_params = SystemParams(params.m / alpha, alpha * params.kappa, alpha * params.nu)
     new_state = PhaseState(state.t / alpha, state.theta, alpha * state.omega)
     return new_params, new_state
@@ -374,7 +377,7 @@ def dilate_transform(
 
 def mean_closed_form(params: SystemParams, state0: PhaseState) -> MeanTrajectory:
     """Exact trajectory of the phase/frequency averages from the initial state."""
-    _check_match(params, state0.n)
+    _check_match(params, state0.n, "state0")
     if params.m <= 0.0:
         raise ValueError("mean_closed_form requires m > 0")
     return MeanTrajectory(
@@ -431,7 +434,7 @@ def nonsync_exact(
     Under these conditions the total phase centroid is zero for all time and
     the returned closed form solves the model exactly.
     """
-    _check_match(params, state0.n)
+    _check_match(params, state0.n, "state0")
     if params.m <= 0.0:
         raise ValueError("nonsync_exact requires m > 0")
     n = params.n

@@ -485,3 +485,29 @@ def test_selection_breakpoint_continuity():
     lo, hi = select_lambda(0.94 - 1e-12), select_lambda(0.94 + 1e-12)
     assert abs(lo - hi) < 1e-9
     assert abs(select_ell(0.94 - 1e-12) - select_ell(0.94 + 1e-12)) < 1e-9
+
+
+def test_certificate_quotients_read_their_limit():
+    """A quotient whose denominator rounds to zero reads its limit, +inf over
+    a positive numerator and 0 over zero, instead of ZeroDivisionError: R0^2
+    underflows at R0 = 1e-200, 1 - exp(-eta) is 0 at eta = 1e-20, and
+    1 - cos(ell/2) is 0 at ell = 1e-20."""
+    from kuramoto_lock.certify import check_partial_locking_initial
+
+    rep = check_simple(SystemParams(0.0096, 1.0, [-0.16, 0.16]), 1e-200, 0.0768)
+    assert not rep.passed and rep.condition("xyz_criterion").value == math.inf
+    p3 = SystemParams(0.001, 1.0, [-0.05, 0.0, 0.05])
+    rep = check_framework(p3, 0.99, 0.04, FreeParams(eta=1e-20, delta=0.5, lam=0.7, ell=1.0))
+    assert not rep.passed and rep.condition("cluster_drift_budget").value == math.inf
+    rep = check_framework(p3, 0.99, 0.04, FreeParams(eta=2.0, delta=0.5, lam=0.7, ell=1e-20))
+    assert not rep.passed
+    assert rep.details["condensation_branches"]["deviation"]["value"] == math.inf
+    p4 = SystemParams(0.01, 1.0, [0.0, 0.01, -0.01, 0.03])
+    rest = (0.02, 0.05, 0.7, 1.0, 1e-20)
+    for rep in (check_partial_locking(p4, [0, 1, 2], range(4), *rest, 0.05),
+                check_partial_locking_initial(p4, [0.0, 0.05, -0.05, 3.0], [0, 1, 2], range(4),
+                                              *rest)):
+        assert not rep.passed and rep.condition("cluster_drift_budget").value == math.inf
+    # Over a zero numerator the limit is 0: without an initial frequency
+    # spread the layer term vanishes whatever eta.
+    assert xi(p4, 0.0, 1e-20) == xi(p4, 0.0, 1.0)

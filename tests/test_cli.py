@@ -677,6 +677,27 @@ def test_certify_rejects_each_bad_value_by_name(tmp_path, capsys, which, path, n
         assert err.startswith("error: ") and name in err and "Traceback" not in err, (value, err)
 
 
+@pytest.mark.parametrize(
+    "which, path, value, failing",
+    [("simple", ("R0",), 1e-200, "xyz_criterion"),
+     ("framework", ("free", "eta"), 1e-20, "cluster_drift_budget"),
+     ("partial", ("eta",), 1e-20, "cluster_drift_budget"),
+     ("corollary", ("eta",), 1e-20, "cluster_drift_budget"),
+     ("framework", ("free", "ell"), 1e-20, "condensation_deviation")],
+)
+def test_certify_quotients_read_their_limit(tmp_path, capsys, which, path, value, failing):
+    # A valid document whose quotient has a denominator that rounds to zero
+    # is not certified (exit 2), its failing condition reading inf.
+    doc = copy.deepcopy(_CERT_DOCS[which])
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    assert main(["certify", "--config", write(tmp_path / "c.json", doc), "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert f'"name": "{failing}", "value": Infinity' in out and not err
+
+
 @pytest.mark.parametrize("which", sorted(_CERT_DOCS))
 @pytest.mark.parametrize("where, key", [((), "D_omega0_a"), (("params",), "mass")])
 def test_certify_rejects_unknown_keys(tmp_path, capsys, which, where, key):

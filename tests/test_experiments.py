@@ -1023,6 +1023,38 @@ def test_campaign_batched_matches_per_instance(tmp_path, monkeypatch, which):
     assert _persisted(tmp_path / "split") == files
 
 
+@pytest.mark.parametrize("which", ["simple", "n3", "first_order"])
+def test_persisted_campaign_record_replays_from_its_own_file(tmp_path, which):
+    """A campaign's run record holds all that run_instance needs: its config
+    and instance, which agree, rerun to the file's bytes and its series."""
+    from kuramoto_lock import PhaseState
+    from kuramoto_lock.experiments import _write_json, run_instance
+
+    cc = CampaignConfig(which=which, n_instances=2, seed=9090, n=6, t_end=20.0, stride=10)
+    out = tmp_path / "campaign"
+    certify_campaign(cc, outdir=out)
+    paths = sorted((out / "records").glob("run_*.json"))
+    assert len(paths) == cc.n_instances
+    for path in paths:
+        doc = json.loads(path.read_text())
+        config, inst = ScenarioConfig.from_dict(doc["config"]), doc["instance"]
+        params = SystemParams(config.m, config.kappa, inst["nu"])
+        record = run_instance(config, params, PhaseState(0.0, inst["theta0"], inst["omega0"]))
+        _write_json(tmp_path / "replay.json", record.to_json_dict())
+        assert (tmp_path / "replay.json").read_bytes() == path.read_bytes()
+        record.series.to_csv(tmp_path / "replay.csv")
+        assert (tmp_path / "replay.csv").read_bytes() == (
+            out / "series" / f"{path.stem}.csv").read_bytes()
+
+
+def test_partial_campaign_outdir_holds_only_its_tables(tmp_path):
+    # A partial instance writes no run record, so no records/ or series/.
+    cc = CampaignConfig(which="partial", n_instances=1, seed=3333, n=10, t_end=5.0, stride=10)
+    certify_campaign(cc, outdir=tmp_path / "out")
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "campaign.json", "config.json", "summary.csv"]
+
+
 @pytest.mark.parametrize("which", ["simple", "partial"])
 def test_campaign_samples_each_attempt_once(monkeypatch, which):
     from kuramoto_lock import experiments

@@ -507,3 +507,111 @@ def test_index_rule_keeps_order_and_repeats():
     assert _indices(np.array([2, 1], dtype=np.uint8), 4, "x").dtype == np.dtype(int)
     assert all(_integer(v) for v in (0, np.int8(-1), 2.0, np.float32(3.0), 10**400))
     assert not any(_integer(v) for v in (True, np.True_, 2.5, math.inf, math.nan, "1", None))
+
+
+# ---------------------------------------------------------------------------
+# The size rule
+# ---------------------------------------------------------------------------
+
+def _size_readers():
+    """(name, what disagreed, its size, the params' size, call) for every
+    reader of a system together with phases, a state, a record or a config,
+    each called with a size off by one."""
+    from kuramoto_lock import (
+        ClusterReport, arrangement_check, detect_locking, energy_dissipation_residual,
+        energy_value, integrate, potential,
+    )
+    from kuramoto_lock.certify import check_partial_locking_initial
+    from kuramoto_lock.experiments import compute_series, run_instance
+    from kuramoto_lock.integrate import collision_events_from_record
+
+    p3 = SystemParams(1.0, 1.0, [0.1, 0.0, -0.1])
+    p4 = SystemParams(1.0, 1.0, [0.1, 0.0, -0.1, 0.05])
+    s3 = PhaseState(0.0, [0.0, 0.2, -0.2], [0.0, 0.1, -0.1])
+    s4 = PhaseState(0.0, [0.0, 0.2, -0.2, 0.3], [0.0, 0.1, -0.1, 0.0])
+    cfg = IntegratorConfig(dt=0.01, t_end=1.0)
+    rec3, rec4 = record_trajectory(p3, s3, cfg), record_trajectory(p4, s4, cfg)
+    config3 = ScenarioConfig(n=3, m=1.0, kappa=1.0, t_end=1.0, stride=1, certify=False)
+    cluster = ClusterReport((0, 1, 3), (0, 0, 0), 0.0, 0.75)
+    return [
+        ("integrate", "state0", 4, 3, lambda: integrate(p3, s4, cfg)),
+        ("record_trajectory", "state0", 4, 3, lambda: record_trajectory(p3, s4, cfg)),
+        ("record_trajectory batch", "state0", 3, 4,
+         lambda: record_trajectory([p4, p4], [s3, s3], cfg)),
+        ("potential", "theta", 4, 3, lambda: potential(p3, np.zeros(4))),
+        ("check_partial_locking_initial", "theta0", 3, 4,
+         lambda: check_partial_locking_initial(p4, np.zeros(3), [0, 1, 2], range(4),
+                                               0.0, 0.0, 0.7, 1.0, 2.0)),
+        ("detect_locking", "record", 4, 3, lambda: detect_locking(p3, rec4, window=0.5)),
+        ("energy_dissipation_residual", "record", 4, 3,
+         lambda: energy_dissipation_residual(SystemParams(1.0, 1.0, [0.0] * 3), rec4)),
+        ("energy_value theta", "theta", 4, 3,
+         lambda: energy_value(p3, np.zeros(4), np.zeros(3))),
+        ("energy_value omega", "omega", 4, 3,
+         lambda: energy_value(p3, np.zeros(3), np.zeros(4))),
+        ("collision_events_from_record more", "record", 4, 3,
+         lambda: collision_events_from_record(p3, rec4, cfg)),
+        ("collision_events_from_record fewer", "record", 3, 4,
+         lambda: collision_events_from_record(p4, rec3, cfg)),
+        ("arrangement_check", "record_tail", 3, 4,
+         lambda: arrangement_check(rec3, p4, cluster, 0.1, 0.7)),
+        ("compute_series", "record", 4, 3, lambda: compute_series(p3, rec4, 0.6, 1.5)),
+        ("run_instance state0", "state0", 4, 3, lambda: run_instance(config3, p3, s4)),
+        ("run_instance config", "config", 4, 3,
+         lambda: run_instance(dataclasses.replace(config3, n=4), p3, s3)),
+        ("run_instance record", "record", 4, 3,
+         lambda: run_instance(config3, p3, s3, record=rec4)),
+        ("run_instance collision record", "record", 4, 3,
+         lambda: run_instance(dataclasses.replace(config3, collisions=True), p3, s3, record=rec4)),
+    ]
+
+
+@pytest.mark.parametrize("reader", _size_readers(), ids=lambda r: r[0])
+def test_every_size_reader_checks_sizes_by_one_rule(reader):
+    """A system read together with data of another N raises ValueError
+    naming what disagreed and both sizes, never a silent answer or a bare
+    numpy error."""
+    _, what, n, params_n, call = reader
+    with pytest.raises(ValueError, match=f"^{what} has {n} oscillators but params have {params_n}$"):
+        call()
+
+
+def test_model_readers_check_sizes_by_the_same_rule():
+    p3 = SystemParams(1.0, 1.0, [0.1, 0.0, -0.1])
+    s4 = PhaseState(0.0, [0.0, 0.2, -0.2, 0.3], [0.0, 0.1, -0.1, 0.0])
+    for what, call in [
+        ("state", lambda: rhs_inertial(p3, s4)),
+        ("theta", lambda: rhs_first_order(p3, s4.theta)),
+        ("state", lambda: galilean_transform(p3, s4, 0.0, 0.0, 0.0)),
+        ("state", lambda: dilate_transform(p3, s4, 2.0)),
+        ("state0", lambda: mean_closed_form(p3, s4)),
+        ("state0", lambda: nonsync_exact(p3, s4, [[0, 1, 2, 3]])),
+    ]:
+        with pytest.raises(ValueError, match=f"^{what} has 4 oscillators but params have 3$"):
+            call()
+
+
+def test_run_instance_config_must_describe_its_instance():
+    """A run record's config carries the instance's m and kappa; a config
+    of another m or kappa would persist them and take its lock tolerance
+    from the config's kappa."""
+    from kuramoto_lock.experiments import run_instance
+
+    params = SystemParams(0.5, 2.0, [0.1, 0.0, -0.1])
+    state0 = PhaseState(0.0, [0.0, 0.2, -0.2], [0.0, 0.1, -0.1])
+    config = ScenarioConfig(n=3, m=0.5, kappa=2.0, t_end=1.0, stride=1, certify=False)
+    run_instance(config, params, state0)
+    for m, kappa in [(1.0, 1.0), (0.5, 1.0), (1.0, 2.0)]:
+        other = dataclasses.replace(config, m=m, kappa=kappa)
+        with pytest.raises(ValueError, match=(
+                f"^config has m {m!r} and kappa {kappa!r} but params have m 0.5 and kappa 2.0$")):
+            run_instance(other, params, state0)
+
+
+def test_record_trajectory_batch_needs_one_state_per_instance():
+    p3 = SystemParams(1.0, 1.0, [0.1, 0.0, -0.1])
+    s3 = PhaseState(0.0, [0.0, 0.2, -0.2], [0.0, 0.1, -0.1])
+    cfg = IntegratorConfig(dt=0.01, t_end=0.1)
+    for params, states in [([p3, p3], [s3]), ([p3], [s3, s3]), (p3, [s3])]:
+        with pytest.raises(ValueError, match="^a batch needs one state per instance$"):
+            record_trajectory(params, states, cfg)
