@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import SystemParams, _check_match, _indices, diameter
+from .model import SystemParams, _check_match, _indices, _real, diameter
 from .diagnostics import arrangement_constant
 
 __all__ = [
@@ -250,6 +250,8 @@ class FreeParams:
     ell: float
 
     def __post_init__(self):
+        for name in ("eta", "delta", "lam", "ell"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         _require(self.eta > 0.0, "eta must be positive")
         _require(0.0 < self.delta < 1.0, "delta must lie in (0, 1)")
         _check_lambda(self.lam)
@@ -421,6 +423,8 @@ def _xi_tilde(x: float, y: float, z: float, eta: float) -> float:
 
 
 def _xyz_objective(x: float, y: float, z: float, eta: float) -> float:
+    if math.inf in (x, y, z):  # then xi_tilde is inf, but inf * 0 would read NaN
+        return math.inf
     return _zeta_tilde(x, y, z, eta) + math.sqrt(_xi_tilde(x, y, z, eta) / XYZ_COEFFICIENT)
 
 

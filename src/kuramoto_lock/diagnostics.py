@@ -15,8 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .model import (
-    TWO_PI, PhaseState, SystemParams, _check_match, _indices, _integer, centroid, centroid_phase,
-    diameter, order_parameter,
+    TWO_PI, PhaseState, SystemParams, _check_match, _indices, _integer, _real, centroid,
+    centroid_phase, diameter, order_parameter,
 )
 from .integrate import TrajectoryRecord, _snapshot_grid
 
@@ -311,6 +311,12 @@ def arrangement_check(
 class LockTolerances:
     eps_omega: float
     eps_theta: float
+
+    def __post_init__(self):
+        for name in ("eps_omega", "eps_theta"):
+            if not (value := _real(getattr(self, name), name)) > 0.0:
+                raise ValueError(f"{name} must be > 0, got {value!r}")
+            object.__setattr__(self, name, value)
 
 
 def default_lock_tolerances(kappa: float) -> LockTolerances:

@@ -30,6 +30,7 @@ from .model import (
     _check_match,
     _indices,
     _integer,
+    _real,
     centroid,
     centroid_phase,
     diameter,
@@ -195,21 +196,6 @@ def _pretty(thing) -> str:
     return textwrap.indent(pprint.pformat(thing, width=72, sort_dicts=False), 16 * " ").lstrip()
 
 
-def _real(value) -> float:
-    """The number rule of every reader of outside input: a real number other
-    than a bool that converts to a finite float, returned as that float.  Any
-    other value raises TypeError, and NaN, the infinities and integers too
-    large for a float, which pass comparisons with bounds, raise ValueError."""
-    if not _SCHEMA_TYPES["number"](value) or isinstance(value, (complex, np.complexfloating)):
-        raise TypeError(f"{value!r} is not a real number")
-    try:
-        if math.isfinite(x := float(value)):
-            return x
-    except OverflowError:
-        pass
-    raise ValueError(f"{value!r} is not finite")
-
-
 def _validate_scenario(doc) -> None:
     """Reject ``doc`` as ``jsonschema.validate`` would against
     ``SCENARIO_SCHEMA``, worded as its ``best_match`` error prints; then
@@ -242,13 +228,11 @@ def _validate_scenario(doc) -> None:
 
 
 def _real_field(value, name: str) -> float:
-    """:func:`_real` of ``value``, a breach worded as a ConfigError on ``name``."""
+    """:func:`_real` of ``value``, a breach raised as a ConfigError on ``name``."""
     try:
-        return _real(value)
-    except TypeError:
-        raise ConfigError(f"{name} must be real, got {value!r}") from None
-    except ValueError:
-        raise ConfigError(f"{name} must be finite, got {value!r}") from None
+        return _real(value, name)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _store_plain_numbers(config, integer_fields) -> None:

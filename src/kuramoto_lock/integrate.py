@@ -23,6 +23,7 @@ from .model import (
     SystemParams,
     _check_match,
     _integer,
+    _real,
 )
 
 __all__ = [
@@ -59,9 +60,11 @@ class IntegratorConfig:
     observer_stride: int = 1
 
     def __post_init__(self):
-        if not (self.dt > 0.0 and math.isfinite(self.dt)):
+        object.__setattr__(self, "dt", _real(self.dt, "dt"))
+        object.__setattr__(self, "t_end", _real(self.t_end, "t_end"))
+        if not self.dt > 0.0:
             raise ValueError("dt must be positive and finite")
-        if not (self.t_end >= 0.0 and math.isfinite(self.t_end)):
+        if not self.t_end >= 0.0:
             raise ValueError("t_end must be >= 0 and finite")
         if not (_integer(self.observer_stride) and self.observer_stride >= 1):
             raise ValueError(
@@ -407,6 +410,9 @@ def record_trajectory(params, state0, config: IntegratorConfig) -> TrajectoryRec
         states = list(state0)
         if len({s.t for s in states}) > 1:
             raise ValueError("a batch must share its start time")
+        if len({s.n for s in states}) > 1:
+            for b, s in enumerate(states):
+                _check_match(coef, s.n, f"state0[{b}]")
         theta = np.stack([s.theta for s in states])
         omega = np.stack([s.omega for s in states])
         t0 = states[0].t
@@ -561,9 +567,8 @@ def _bisect(
     a narrow pair ``_NARROW_PAIR * E / slope`` about the wide pair's
     regula-falsi point.  A point that fails to verify fixes no midpoint; a
     row never verified, or never certified, probes every midpoint as plain
-    bisection does, and a batch with no certified row skips the pairs and
-    the verified-point bookkeeping.  The branch of a certified row is its
-    crossing multiple; other rows read it from a probe at ``t_star``.
+    bisection does.  The branch of a certified row is its crossing multiple;
+    other rows read it from a probe at ``t_star``.
     Returns ``(t_star, branch)``, bit for bit those of plain bisection.
     """
     t = record.t
@@ -616,19 +621,16 @@ def _bisect(
         # straddles the crossing probe a narrow pair about its regula-falsi
         # point beside their first midpoint: rows ``pr`` at times ``pair``.
         pr = act[cert.ok[act]]
-        certified = pr.size > 0
-        pair = np.empty((2, 0))
-        if certified:
-            guess = _crossing_guess(record, kb[pr], ib[pr], jb[pr], cert.branch[pr])
-            half = _WIDE_PAIR * (t_hi[pr] - t_lo[pr])
-            pair = np.clip([guess - half, guess + half], t_lo[pr], t_hi[pr])
-            g = gap_at(np.concatenate([pr, pr]), pair.ravel()).reshape(2, -1)
-            d, keep = verify(pr, pair, g)
-            pr, d, pair = pr[keep], d[:, keep], pair[:, keep]
-            slope = (d[1] - d[0]) / (pair[1] - pair[0])
-            root = pair[0] - d[0] / slope
-            half = _NARROW_PAIR * cert.eps[pr] / np.abs(slope)
-            pair = np.clip([root - half, root + half], t_lo[pr], t_hi[pr])
+        guess = _crossing_guess(record, kb[pr], ib[pr], jb[pr], cert.branch[pr])
+        half = _WIDE_PAIR * (t_hi[pr] - t_lo[pr])
+        pair = np.clip([guess - half, guess + half], t_lo[pr], t_hi[pr])
+        g = gap_at(np.concatenate([pr, pr]), pair.ravel()).reshape(2, -1)
+        d, keep = verify(pr, pair, g)
+        pr, d, pair = pr[keep], d[:, keep], pair[:, keep]
+        slope = (d[1] - d[0]) / (pair[1] - pair[0])
+        root = pair[0] - d[0] / slope
+        half = _NARROW_PAIR * cert.eps[pr] / np.abs(slope)
+        pair = np.clip([root - half, root + half], t_lo[pr], t_hi[pr])
         while act.size:
             width = hi[act] - lo[act]
             mid = 0.5 * (lo[act] + hi[act])
@@ -636,10 +638,8 @@ def _bisect(
             # left end's: positive sets lo = mid, negative sets hi = mid, and
             # an exact zero sets both.  A midpoint beyond a verified point
             # takes the side found there unprobed; only certified rows verify.
-            probe, side = slice(None), np.empty(act.size)
-            if certified:
-                before, after = mid <= a[act], mid >= b[act]
-                probe, side = ~(before | after), np.where(before, side_a[act], side_b[act])
+            before, after = mid <= a[act], mid >= b[act]
+            probe, side = ~(before | after), np.where(before, side_a[act], side_b[act])
             p_rows = act[probe]
             if p_rows.size or pr.size:
                 g = gap_at(np.concatenate([p_rows, pr, pr]), np.concatenate([mid[probe], *pair]))

@@ -8,7 +8,9 @@ All values are immutable and safe to share across threads.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -38,8 +40,29 @@ __all__ = [
 ]
 
 
+def _real(value, name: Optional[str] = None) -> float:
+    """The number rule of every document and value type: a real number other
+    than a bool whose float is finite, returned as that float.  Else ValueError
+    names ``name``; without a name, a value that is no real number raises TypeError."""
+    if not isinstance(value, numbers.Number) or isinstance(value, (bool, complex, np.complexfloating)):
+        if name is None:
+            raise TypeError(f"{value!r} is not a real number")
+        raise ValueError(f"{name} must be real, got {value!r}")
+    with contextlib.suppress(OverflowError, ValueError):  # too large, or Decimal('sNaN')
+        if math.isfinite(x := float(value)):
+            return x
+    raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def _frozen_array(values, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=float)  # always copies
+    """The array rule of every vector a value type stores, read by numpy's dtype."""
+    raw = np.asarray(values)
+    if raw.dtype.kind not in "iufO":
+        raise ValueError(f"{name} must be real, got dtype {raw.dtype}")
+    try:
+        arr = np.array(raw, dtype=float)  # always copies
+    except OverflowError:
+        raise ValueError(f"{name} must be finite") from None
     if arr.ndim != 1:
         raise ValueError(f"{name} must be a one-dimensional vector")
     if arr.size < 1:
@@ -98,12 +121,12 @@ class SystemParams:
     nu: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "m", float(self.m))
-        object.__setattr__(self, "kappa", float(self.kappa))
+        object.__setattr__(self, "m", _real(self.m, "m"))
+        object.__setattr__(self, "kappa", _real(self.kappa, "kappa"))
         object.__setattr__(self, "nu", _frozen_array(self.nu, "nu"))
-        if not (np.isfinite(self.m) and self.m >= 0.0):
+        if not self.m >= 0.0:
             raise ValueError("inertia m must be finite and >= 0")
-        if not (np.isfinite(self.kappa) and self.kappa >= 0.0):
+        if not self.kappa >= 0.0:
             raise ValueError("coupling kappa must be finite and >= 0")
 
     @property
@@ -134,11 +157,9 @@ class PhaseState:
     omega: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "t", float(self.t))
+        object.__setattr__(self, "t", _real(self.t, "t"))
         object.__setattr__(self, "theta", _frozen_array(self.theta, "theta"))
         object.__setattr__(self, "omega", _frozen_array(self.omega, "omega"))
-        if not np.isfinite(self.t):
-            raise ValueError("t must be finite")
         if self.theta.size != self.omega.size:
             raise ValueError("theta and omega must have the same length")
 
@@ -367,7 +388,7 @@ def dilate_transform(
     trajectory at time t/alpha.  The dimensionless triple
     (m*kappa, D(nu)/kappa, D(omega)/kappa) is invariant.
     """
-    if not (alpha > 0.0 and np.isfinite(alpha)):
+    if not (alpha := _real(alpha, "alpha")) > 0.0:
         raise ValueError("alpha must be positive and finite")
     _check_match(params, state.n, "state")
     new_params = SystemParams(params.m / alpha, alpha * params.kappa, alpha * params.nu)

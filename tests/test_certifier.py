@@ -511,3 +511,15 @@ def test_certificate_quotients_read_their_limit():
     # Over a zero numerator the limit is 0: without an initial frequency
     # spread the layer term vanishes whatever eta.
     assert xi(p4, 0.0, 1e-20) == xi(p4, 0.0, 1.0)
+
+
+def test_simple_criterion_reads_inf_over_a_zero_ratio():
+    """With R0^2 underflowing, y = m*kappa/R0^2 is inf; without an initial
+    frequency spread z is 0, and the objective's y*z would read NaN.  The
+    criterion reads inf, as it does with a spread, at the same eta."""
+    params = SystemParams(0.0096, 1.0, [-0.16, 0.16])
+    for d_omega0 in (0.0, 0.0768):
+        rep = check_simple(params, 1e-200, d_omega0)
+        assert not rep.passed and rep.condition("xyz_criterion").value == math.inf
+        assert rep.details["infimum"] == math.inf
+        assert rep.details["eta"] == 0.001055875990178435

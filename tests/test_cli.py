@@ -698,6 +698,14 @@ def test_certify_quotients_read_their_limit(tmp_path, capsys, which, path, value
     assert f'"name": "{failing}", "value": Infinity' in out and not err
 
 
+def test_certify_simple_without_spread_reads_inf_not_nan(tmp_path, capsys):
+    # R0^2 underflows and D_omega0 is 0: the criterion still reads inf.
+    doc = {**_CERT_DOCS["simple"], "R0": 1e-200, "D_omega0": 0.0}
+    assert main(["certify", "--config", write(tmp_path / "c.json", doc), "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert '"name": "xyz_criterion", "value": Infinity' in out and "NaN" not in out and not err
+
+
 @pytest.mark.parametrize("which", sorted(_CERT_DOCS))
 @pytest.mark.parametrize("where, key", [((), "D_omega0_a"), (("params",), "mass")])
 def test_certify_rejects_unknown_keys(tmp_path, capsys, which, where, key):

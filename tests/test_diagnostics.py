@@ -498,6 +498,22 @@ def test_locking_detects_synchronized_run():
     assert report.omega_spread_final < 1e-4
 
 
+def test_lock_tolerances_take_the_schema_bound():
+    """A tolerance that is NaN or not > 0 is refused, not read as a verdict:
+    either would report this locking run as not locked."""
+    p = SystemParams(1.0, 1.0, [0.0, 0.01, 0.02])
+    s = PhaseState(0.0, [0.0, 0.1, 0.2], [0.0, 0.0, 0.0])
+    rec = record_trajectory(p, s, IntegratorConfig(dt=0.01, t_end=30.0, observer_stride=10))
+    assert detect_locking(p, rec).locked
+    for bad in (-1, 0, 0.0, -math.inf):
+        with pytest.raises(ValueError, match="^eps_omega must be "):
+            LockTolerances(bad, 1e-3)
+        with pytest.raises(ValueError, match="^eps_theta must be "):
+            LockTolerances(1e-4, bad)
+    with pytest.raises(ValueError, match="^eps_omega must be finite, got nan$"):
+        LockTolerances(math.nan, 1e-3)
+
+
 def test_locking_requires_window_coverage():
     p = SystemParams(1.0, 1.0, [0.0, 0.0])
     t = np.arange(5) * 0.1

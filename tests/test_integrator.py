@@ -388,6 +388,47 @@ def test_collisions_identical_pair_excluded():
     assert not any((ev.i, ev.j) == (0, 1) for ev in events)
 
 
+def _census_draw(seed):
+    """One ``census_drift`` draw: N = 40, incoherent, with its step plan."""
+    config = ScenarioConfig(n=40, m=1.0, kappa=1.0, d_v=2.0, d_omega0=1.0, t_end=2.5, seed=seed)
+    return (*sample_instance(config), IntegratorConfig(dt=config.dt, t_end=config.t_end))
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_collisions_follow_reflection(seed):
+    """Negating nu, theta0 and omega0 negates every phase gap: the same
+    events, bit for bit, on negated branches."""
+    params, state0, cfg = _census_draw(seed)
+    events = detect_collisions(params, state0, cfg)
+    reflected = detect_collisions(
+        SystemParams(params.m, params.kappa, -params.nu),
+        PhaseState(state0.t, -state0.theta, -state0.omega), cfg)
+    assert len(events) > 100
+    assert reflected == [dataclasses.replace(ev, branch=-ev.branch) for ev in events]
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_collisions_follow_relabeling(seed):
+    """Permuting the oscillators permutes the events: each event's pair maps
+    back, its branch flips sign where the pair's order flips, and t_star
+    agrees to 1e-12 (the centroid sums group differently)."""
+    params, state0, cfg = _census_draw(seed)
+    perm = np.random.default_rng(seed).permutation(params.n)
+    events = detect_collisions(params, state0, cfg)
+    relabeled = detect_collisions(
+        SystemParams(params.m, params.kappa, params.nu[perm]),
+        PhaseState(state0.t, state0.theta[perm], state0.omega[perm]), cfg)
+    mapped = []
+    for ev in relabeled:
+        i, j = int(perm[ev.i]), int(perm[ev.j])
+        mapped.append((min(i, j), max(i, j), ev.t_star, ev.branch if i < j else -ev.branch))
+    mapped.sort(key=lambda e: (e[0], e[1], e[2]))
+    want = sorted(((ev.i, ev.j, ev.t_star, ev.branch) for ev in events),
+                  key=lambda e: (e[0], e[1], e[2]))
+    assert [(i, j, b) for i, j, _, b in mapped] == [(i, j, b) for i, j, _, b in want]
+    assert max(abs(a[2] - b[2]) for a, b in zip(mapped, want)) <= 1e-12
+
+
 def test_collisions_refuse_records_of_another_plan():
     # Refinement probes one step from a bracket's left snapshot, so it needs
     # the dense record of its config's step plan.  A stride-5 record of the

@@ -615,3 +615,86 @@ def test_record_trajectory_batch_needs_one_state_per_instance():
     for params, states in [([p3, p3], [s3]), ([p3], [s3, s3]), (p3, [s3])]:
         with pytest.raises(ValueError, match="^a batch needs one state per instance$"):
             record_trajectory(params, states, cfg)
+
+
+def test_record_trajectory_batch_names_the_state_of_another_size():
+    """A batch whose states differ in N names the first state that does not
+    match its instance, instead of numpy's bare error from stacking them."""
+    p3 = SystemParams(1.0, 1.0, [0.1, 0.0, -0.1])
+    s3 = PhaseState(0.0, [0.0, 0.2, -0.2], [0.0, 0.1, -0.1])
+    s4 = PhaseState(0.0, [0.0, 0.2, -0.2, 0.3], [0.0, 0.1, -0.1, 0.0])
+    cfg = IntegratorConfig(dt=0.01, t_end=0.1)
+    for params, states, row in [([p3, p3], [s3, s4], 1), ([p3, p3], [s4, s3], 0), (p3, [s3, s4], 1)]:
+        with pytest.raises(ValueError, match=rf"^state0\[{row}\] has 4 oscillators but params have 3$"):
+            record_trajectory(params, states, cfg)
+
+
+# ---------------------------------------------------------------------------
+# The number rule
+# ---------------------------------------------------------------------------
+
+def _number_fields():
+    """(field, a valid value, call) for every number a value type stores, and
+    for dilate_transform's alpha; each call returns what the value became."""
+    from kuramoto_lock import FreeParams, LockTolerances
+
+    p = SystemParams(1.0, 1.0, [0.1, 0.0])
+    s = PhaseState(1.0, [0.0, 0.2], [0.0, 0.1])
+    return [
+        ("m", 2, lambda v: SystemParams(v, 1.0, [0.0]).m),
+        ("kappa", 2, lambda v: SystemParams(1.0, v, [0.0]).kappa),
+        ("t", 2, lambda v: PhaseState(v, [0.0], [0.0]).t),
+        ("dt", 2, lambda v: IntegratorConfig(dt=v).dt),
+        ("t_end", 2, lambda v: IntegratorConfig(t_end=v).t_end),
+        ("eps_omega", 2, lambda v: LockTolerances(v, 1e-3).eps_omega),
+        ("eps_theta", 2, lambda v: LockTolerances(1e-4, v).eps_theta),
+        ("eta", 2, lambda v: FreeParams(v, 0.5, 0.7, 1.0).eta),
+        ("delta", 0.5, lambda v: FreeParams(1.0, v, 0.7, 1.0).delta),
+        ("lam", 1, lambda v: FreeParams(1.0, 0.5, v, 1.0).lam),
+        ("ell", 2, lambda v: FreeParams(1.0, 0.5, 0.7, v).ell),
+        ("alpha", 2, lambda v: dilate_transform(p, s, v)[1].t),
+    ]
+
+
+_NOT_REAL = ["1", True, np.True_, 1 + 0j, np.complex128(1), None]
+_NOT_FINITE = [math.nan, math.inf, -math.inf, 10**400]
+
+
+@pytest.mark.parametrize("field", _number_fields(), ids=lambda f: f[0])
+def test_value_types_read_every_number_by_one_rule(field):
+    """Each number field raises ValueError naming itself for a str, a bool,
+    a complex, NaN, +-inf or an integer too large for a float, and stores a
+    real number of any type as the plain float of it."""
+    from decimal import Decimal
+    from fractions import Fraction
+
+    name, valid, call = field
+    for bad in _NOT_REAL:
+        with pytest.raises(ValueError, match=f"^{name} must be real, got "):
+            call(bad)
+    for bad in _NOT_FINITE:
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+            call(bad)
+    forms = [np.float32(valid), Fraction(valid), Decimal(valid)]
+    if float(valid).is_integer():
+        forms += [int(valid), np.int64(valid)]
+    for form in forms:
+        got = call(form)
+        assert type(got) is float and got == call(float(form)), form
+
+
+@pytest.mark.parametrize("field, call", [
+    ("nu", lambda v: SystemParams(1.0, 1.0, v)),
+    ("theta", lambda v: PhaseState(0.0, v, [0.0, 0.0])),
+    ("omega", lambda v: PhaseState(0.0, [0.0, 0.0], v)),
+])
+def test_value_types_read_every_array_by_its_dtype(field, call):
+    """An array numpy reads as strings, bools or complex numbers is no vector
+    of reals, and an entry too large for a float is not finite."""
+    for bad in (["0.1", "0.2"], [True, False], np.array([True, False]), [1 + 0j, 0j]):
+        with pytest.raises(ValueError, match=f"^{field} must be real, got dtype "):
+            call(bad)
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        call([10**400, 0])
+    from fractions import Fraction
+    assert getattr(call([Fraction(1, 2), np.int8(1)]), field).tolist() == [0.5, 1.0]
