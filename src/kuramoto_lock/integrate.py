@@ -1,10 +1,10 @@
 """Fixed-step fourth-order Runge-Kutta integration with snapshot observers,
-trajectory recording, and pairwise collision detection with bisection
-refinement on the dense trajectory.
+trajectory recording, and pairwise collision detection on the dense
+trajectory, with crossing times from each step's cubic Hermite interpolant.
 
 One entry point serves both models: inertia m > 0 integrates the inertial
 system, and m = 0 the zero-inertia system, its m -> 0 limit, whose state is
-the phases alone.  Collision refinement needs m > 0."""
+the phases alone.  Collision detection needs m > 0."""
 
 from __future__ import annotations
 
@@ -135,7 +135,7 @@ class _Rows(NamedTuple):
 
 
 def _rate(
-    params, coup, theta: np.ndarray, omega: Optional[np.ndarray], out: np.ndarray, work=None
+    params, coup, theta: np.ndarray, omega: Optional[np.ndarray], out: np.ndarray, work
 ) -> np.ndarray:
     """Write the rate of a state into ``out`` and return it: the acceleration
     (nu - omega + coupling)/m of an inertial state ``(theta, omega)``, or the
@@ -168,14 +168,8 @@ def _stepper(params, coup: Callable[..., np.ndarray], shape: tuple):
     :class:`~kuramoto_lock.model._MeanFieldWork`, passed to every stage's
     coupling call) are made here, once.
 
-    Returns ``step(y, h, b1=None, phases_only=False)``, which returns the new
-    state as a fresh array.  ``h`` is a scalar or a ``(B, 1)`` column of
-    per-row step sizes.  ``b1``, when given, is the stage-1 rate at ``y``,
-    which does not depend on ``h``.  ``phases_only`` (inertial states only)
-    returns the new phases alone and skips the stage-4 phases and rate,
-    which only the new frequencies read.  Neither changes an operation on
-    the values still computed, so the new phases equal those of the full
-    step bit for bit.
+    Returns ``step(y, h)``, which returns the state one step of size ``h``
+    after ``y`` as a fresh array.
     """
     d = shape[0]
     w = np.empty((4, d + 1) + shape[1:])
@@ -187,28 +181,20 @@ def _stepper(params, coup: Callable[..., np.ndarray], shape: tuple):
     r = [w[s, d] for s in range(4)]
     work = _MeanFieldWork(shape[1:])
 
-    def step(y, h, b1=None, phases_only=False):
+    def step(y, h):
         if d == 2:
             np.copyto(om[0], y[1])  # stage 1's derivative: the frequencies, then the rate
-        if b1 is None:
-            _rate(params, coup, y[0], om[0], r[0], work)
-        else:
-            np.copyto(r[0], b1)
+        _rate(params, coup, y[0], om[0], r[0], work)
         half = 0.5 * h
         for s in (1, 2):
             np.add(y, np.multiply(half, k[s - 1], out=tmp), out=x[s])
             _rate(params, coup, th[s], om[s], r[s], work)
-        if phases_only:
-            np.add(y[1], np.multiply(h, r[2], out=tmp[1]), out=om[3])
-            y, kk, a, t = y[0], om, acc[0], tmp[0]
-        else:
-            np.add(y, np.multiply(h, k[2], out=tmp), out=x[3])
-            _rate(params, coup, th[3], om[3], r[3], work)
-            kk, a, t = k, acc, tmp
-        np.add(kk[0], np.multiply(2.0, kk[1], out=a), out=a)
-        np.add(a, np.multiply(2.0, kk[2], out=t), out=a)
-        np.add(a, kk[3], out=a)
-        return y + np.multiply(h / 6.0, a, out=a)
+        np.add(y, np.multiply(h, k[2], out=tmp), out=x[3])
+        _rate(params, coup, th[3], om[3], r[3], work)
+        np.add(k[0], np.multiply(2.0, k[1], out=acc), out=acc)
+        np.add(acc, np.multiply(2.0, k[2], out=tmp), out=acc)
+        np.add(acc, k[3], out=acc)
+        return y + np.multiply(h / 6.0, acc, out=acc)
 
     return step
 
@@ -439,25 +425,9 @@ class CollisionEvent:
             raise ValueError("collision events are stored with i < j")
 
 
-# Float64 elements in one block of the pair scan (snapshots x pairs) and in
-# one call of bisection probes (probes x N).  A round probes at most three
-# points per row, so a batch holds ``_BLOCK_ELEMENTS // (3 N)`` rows.  This
-# bounds the scratch memory of :func:`collision_events_from_record` whatever
-# N and the event count.
+# Float64 elements in one block of the pair scan (snapshots x pairs).  This
+# bounds the scan's scratch memory whatever N and the record's length.
 _BLOCK_ELEMENTS = 1 << 15
-
-# Bisection stops once a bracket is no wider than this.
-_REFINE_TOL = 1e-12
-
-# The rounding bound E on a probe's gap, in ulps of the phase magnitude.
-# Measured against 40-digit arithmetic, the error stays below E/25.
-_ROUNDING_ULPS = 24.0
-# Half-widths of the two verification pairs of a certified row: the wide
-# pair around the Hermite estimate, as a fraction of the bracket, and the
-# narrow pair around the wide pair's regula-falsi point, in units of E over
-# the slope.
-_WIDE_PAIR = 1e-6
-_NARROW_PAIR = 4.0
 
 
 def _distinguishable(params: SystemParams, theta0, omega0, i, j) -> np.ndarray:
@@ -473,192 +443,62 @@ def _distinguishable(params: SystemParams, theta0, omega0, i, j) -> np.ndarray:
     return ~same
 
 
-class _Certificate(NamedTuple):
-    """What the record alone tells about the probe gap of each bracket."""
+def _hermite(s, y0, y1, m0, m1):
+    """Value and derivative at ``s`` in [0, 1] of the cubic Hermite
+    interpolant with values ``y0``, ``y1`` and slopes ``m0``, ``m1`` at 0 and 1."""
+    u = 1.0 - s
+    p = u * u * (y0 * (1.0 + 2.0 * s) + m0 * s) + s * s * (y1 * (3.0 - 2.0 * s) - m1 * u)
+    dp = 6.0 * s * u * (y1 - y0) + m0 * u * (1.0 - 3.0 * s) + m1 * s * (3.0 * s - 2.0)
+    return p, dp
 
-    ok: np.ndarray       # strictly monotone, crossing one multiple of 2*pi
-    branch: np.ndarray   # that multiple n, as a float
-    rising: np.ndarray   # whether the gap increases
-    eps: np.ndarray      # rounding bound E on a probe's gap
+
+def _hermite_root(y0, y1, m0, m1) -> np.ndarray:
+    """A root in [0, 1] of the cubic of :func:`_hermite`, where ``y0`` and
+    ``y1`` are of opposite signs: Newton from the secant's root, four
+    iterations clipped to [0, 1].  A row whose residual then exceeds 1e-12
+    of ``|y1 - y0|`` (a grazing crossing can make the cubic non-monotone, and
+    a zero slope stops Newton) is bisected on the cubic instead, 40 halvings
+    of [0, 1]."""
+    dy = y0 - y1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = y0 / dy
+        for _ in range(4):
+            p, dp = _hermite(s, y0, y1, m0, m1)
+            s = np.clip(s - p / dp, 0.0, 1.0)
+        loose = np.flatnonzero(~(np.abs(_hermite(s, y0, y1, m0, m1)[0]) <= 1e-12 * np.abs(dy)))
+    if loose.size:
+        coef = y0[loose], y1[loose], m0[loose], m1[loose]
+        lo, hi = np.zeros(loose.size), np.ones(loose.size)
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            # The cubic's side of each midpoint, relative to its value at 0:
+            # positive sets lo = mid, negative hi = mid, a zero both.
+            side = np.sign(_hermite(mid, *coef)[0]) * np.sign(coef[0])
+            lo = np.where(side >= 0.0, mid, lo)
+            hi = np.where(side <= 0.0, mid, hi)
+        s[loose] = 0.5 * (lo + hi)
+    return s
 
 
-def _certificate(params: SystemParams, record: TrajectoryRecord, k, i, j) -> _Certificate:
-    """Monotonicity certificate of the probe gap g(h) = theta_i - theta_j
-    after the phase half of one RK4 step of size h from snapshot ``k``.
-
-    That half is exactly theta + h*omega + (h^2/6)(b1 + b2 + b3), so
-    g'(h) = dw + (h/3) sum_k db_k + (h^2/6)(db2' + db3'), where dw is the
-    pair's frequency gap.  On a bracket of width H, with m > H/2, every stage
-    acceleration is at most B = (max|nu| + max|omega| + kappa)/(m - H/2) and
-    the stage derivatives at most B2' = (B/2 + kappa*max|omega|)/m and
-    B3' = (B/2 + (H/2)B2' + kappa*(max|omega| + H*B))/m, so g' stays within
-    D = 2HB + (H^2/3)(B2' + B3') of dw.  A row is certified when
-    |dw| > 2D and H(|dw| + D) < pi/2, and the record straddles the multiple
-    of 2*pi nearest the mean of its two gaps: then the exact gap is strictly
-    monotone and stays within pi/2 of that one multiple on the bracket.
-    """
+def _crossing_times(record: TrajectoryRecord, k, i, j) -> tuple[np.ndarray, np.ndarray]:
+    """Times and branches of the crossings of the pairs ``(i, j)`` bracketed
+    by snapshots ``k`` and ``k + 1``.  The branch n is the multiple of 2*pi
+    nearest the mean of the gap theta_i - theta_j at both snapshots; the time
+    is the root of the cubic Hermite interpolant of g = theta_i - theta_j -
+    2*pi*n through both snapshots, with slopes from the recorded frequencies,
+    in s = (t - t[k]) / H for the bracket's width H (:func:`_hermite_root`)."""
     t, theta, omega = record.t, record.theta, record.omega
     h = t[k + 1] - t[k]
-    om_max = np.abs(omega[k]).max(axis=1)
-    dw = omega[k, i] - omega[k, j]
-    bounded = params.m > 0.5 * h
-    b = (np.abs(params.nu).max() + om_max + params.kappa) / np.where(
-        bounded, params.m - 0.5 * h, 1.0
-    )
-    b2 = (0.5 * b + params.kappa * om_max) / params.m
-    b3 = (0.5 * b + 0.5 * h * b2 + params.kappa * (om_max + h * b)) / params.m
-    d = 2.0 * h * b + (h * h / 3.0) * (b2 + b3)
     g0 = theta[k, i] - theta[k, j]
     g1 = theta[k + 1, i] - theta[k + 1, j]
     n = np.rint((g0 + g1) / (2.0 * TWO_PI))
-    ok = bounded & (np.abs(dw) > 2.0 * d) & (h * (np.abs(dw) + d) < 0.5 * np.pi)
-    ok &= (g0 - n * TWO_PI) * (g1 - n * TWO_PI) < 0
-    mag = np.maximum(np.abs(theta[k, i]), np.abs(theta[k, j])) + h * (om_max + h * b)
-    return _Certificate(ok, n, dw > 0, _ROUNDING_ULPS * np.spacing(mag))
-
-
-def _crossing_guess(record: TrajectoryRecord, k, i, j, n) -> np.ndarray:
-    """Estimated time at which the gap theta_i - theta_j crosses 2*pi*n
-    between snapshots ``k`` and ``k + 1``, which must straddle it: Newton on
-    the cubic Hermite interpolant of the gap through both snapshots, in
-    s = (t - t[k]) / H, from the secant's root."""
-    t, theta, omega = record.t, record.theta, record.omega
-    h = t[k + 1] - t[k]
-    y0 = theta[k, i] - theta[k, j] - n * TWO_PI
-    y1 = theta[k + 1, i] - theta[k + 1, j] - n * TWO_PI
-    m0 = h * (omega[k, i] - omega[k, j])
-    m1 = h * (omega[k + 1, i] - omega[k + 1, j])
-    dy = y0 - y1
-    s = y0 / dy
-    for _ in range(3):
-        p = y0 * (1 - s) ** 2 * (1 + 2 * s) + m0 * s * (1 - s) ** 2 + y1 * s * s * (3 - 2 * s) \
-            + m1 * s * s * (s - 1)
-        dp = 6 * s * (s - 1) * dy + m0 * (1 - s) * (1 - 3 * s) + m1 * s * (3 * s - 2)
-        s = np.clip(s - p / dp, 0.0, 1.0)
-    return t[k] + s * h
-
-
-def _bisect(
-    params: SystemParams,
-    coup,
-    record: TrajectoryRecord,
-    k: np.ndarray,
-    i: np.ndarray,
-    j: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Refine the crossings of pairs ``(i, j)`` bracketed by ``[t[k], t[k+1]]``.
-
-    Every row replays the scalar bisection: stop once ``hi - lo <=
-    _REFINE_TOL``, an exact zero of the crossing function ends the row at that
-    midpoint, and a row whose bracket no longer shrinks (two adjacent
-    doubles, past t = 8192) stops there too.  A probe re-integrates the row
-    from its bracket's left snapshot with the phase half of one RK4 step,
-    reusing the stage-1 acceleration; all probes of a round go in one batched
-    call, in batches of at most ``_BLOCK_ELEMENTS // (3 N)`` rows.
-
-    Only midpoints whose computed sign is in doubt are probed.  A row that
-    :func:`_certificate` certifies has a strictly monotone exact gap, and a
-    probe's float gap lies within E of it.  A probed point whose gap is more
-    than 2E from the crossing multiple is *verified*: every midpoint on its
-    far side from the crossing gets the decision made there, so a row probes
-    only the midpoints between the two verified points nearest the crossing.
-    Before the first round, certified rows probe a wide pair of points around
-    the Hermite estimate of the crossing; in round 1, beside their midpoint,
-    a narrow pair ``_NARROW_PAIR * E / slope`` about the wide pair's
-    regula-falsi point.  A point that fails to verify fixes no midpoint; a
-    row never verified, or never certified, probes every midpoint as plain
-    bisection does.  The branch of a certified row is its crossing multiple;
-    other rows read it from a probe at ``t_star``.
-    Returns ``(t_star, branch)``, bit for bit those of plain bisection.
-    """
-    t = record.t
-    t_star = np.empty(k.size)
-    branch = np.empty(k.size, dtype=np.int64)
-    rows = max(1, _BLOCK_ELEMENTS // (3 * record.n))
-    for start in range(0, k.size, rows):
-        batch = slice(start, start + rows)
-        kb, ib, jb = k[batch], i[batch], j[batch]
-        t_lo, t_hi = t[kb], t[kb + 1]
-        # Each row's state at its bracket's left end, then its stage-1 rate.
-        w0 = np.empty((3, kb.size, record.n))
-        w0[0], w0[1] = record.theta[kb], record.omega[kb]
-        _rate(params, coup, w0[0], w0[1], w0[2])
-        # Sign of the crossing function at the bracket's left end.
-        sgn = np.sign(np.sin(0.5 * (record.theta[kb, ib] - record.theta[kb, jb])))
-        cert = _certificate(params, record, kb, ib, jb)
-
-        def gap_at(act, tau):
-            w = np.take(w0, act, axis=1)
-            step = _stepper(params, coup, w[:2].shape)
-            th = step(w[:2], (tau - t_lo[act])[:, None], b1=w[2], phases_only=True)
-            r = np.arange(act.size)
-            return th[r, ib[act]] - th[r, jb[act]]
-
-        lo, hi = t_lo.copy(), t_hi.copy()
-        act = np.flatnonzero(hi - lo > _REFINE_TOL)
-        # The verified points nearest the crossing before (a) and after (b)
-        # it, and the crossing function's side there.  The infinite
-        # sentinels only meet comparisons, which they never pass.
-        a, b = np.full(kb.size, -np.inf), np.full(kb.size, np.inf)
-        side_a, side_b = np.zeros(kb.size), np.zeros(kb.size)
-
-        def verify(rows, pair, g):
-            """Keep the verified points of a pair probed on ``rows``; return
-            the pair's offsets from the crossing and whether both points
-            verify on either side of it."""
-            d = g - cert.branch[rows] * TWO_PI
-            verified = np.abs(d) > 2.0 * cert.eps[rows]
-            past = (d > 0) == cert.rising[rows]
-            side = np.sin(0.5 * g) * sgn[rows]
-            for tau, ok, beyond, dec in zip(pair, verified, past, side):
-                up = ok & ~beyond & (tau > a[rows])
-                a[rows[up]], side_a[rows[up]] = tau[up], dec[up]
-                up = ok & beyond & (tau < b[rows])
-                b[rows[up]], side_b[rows[up]] = tau[up], dec[up]
-            return d, verified.all(axis=0) & (past[0] != past[1])
-
-        # Certified rows probe a wide pair now.  Those whose wide pair
-        # straddles the crossing probe a narrow pair about its regula-falsi
-        # point beside their first midpoint: rows ``pr`` at times ``pair``.
-        pr = act[cert.ok[act]]
-        guess = _crossing_guess(record, kb[pr], ib[pr], jb[pr], cert.branch[pr])
-        half = _WIDE_PAIR * (t_hi[pr] - t_lo[pr])
-        pair = np.clip([guess - half, guess + half], t_lo[pr], t_hi[pr])
-        g = gap_at(np.concatenate([pr, pr]), pair.ravel()).reshape(2, -1)
-        d, keep = verify(pr, pair, g)
-        pr, d, pair = pr[keep], d[:, keep], pair[:, keep]
-        slope = (d[1] - d[0]) / (pair[1] - pair[0])
-        root = pair[0] - d[0] / slope
-        half = _NARROW_PAIR * cert.eps[pr] / np.abs(slope)
-        pair = np.clip([root - half, root + half], t_lo[pr], t_hi[pr])
-        while act.size:
-            width = hi[act] - lo[act]
-            mid = 0.5 * (lo[act] + hi[act])
-            # The crossing function's side of each midpoint, relative to the
-            # left end's: positive sets lo = mid, negative sets hi = mid, and
-            # an exact zero sets both.  A midpoint beyond a verified point
-            # takes the side found there unprobed; only certified rows verify.
-            before, after = mid <= a[act], mid >= b[act]
-            probe, side = ~(before | after), np.where(before, side_a[act], side_b[act])
-            p_rows = act[probe]
-            if p_rows.size or pr.size:
-                g = gap_at(np.concatenate([p_rows, pr, pr]), np.concatenate([mid[probe], *pair]))
-                side[probe] = np.sin(0.5 * g[:p_rows.size]) * sgn[p_rows]
-            lo[act] = np.where(side >= 0.0, mid, lo[act])
-            hi[act] = np.where(side <= 0.0, mid, hi[act])
-            # A row also stops when its bracket no longer shrinks: past
-            # t = 8192 adjacent doubles lie more than 1e-12 apart.
-            new_width = hi[act] - lo[act]
-            act = act[(new_width > _REFINE_TOL) & (new_width < width)]
-            if pr.size:
-                verify(pr, pair, g[p_rows.size:].reshape(2, -1))
-                pr, pair = pr[:0], pair[:, :0]
-        t_star[batch] = ts = 0.5 * (lo + hi)
-        branch[batch] = cert.branch
-        loose = np.flatnonzero(~cert.ok)
-        if loose.size:
-            branch[start + loose] = np.rint(gap_at(loose, ts[loose]) / TWO_PI)
-    return t_star, branch
+    s = _hermite_root(
+        g0 - n * TWO_PI,
+        g1 - n * TWO_PI,
+        h * (omega[k, i] - omega[k, j]),
+        h * (omega[k + 1, i] - omega[k + 1, j]),
+    )
+    return t[k] + s * h, n.astype(np.int64)
 
 
 def collision_events_from_record(
@@ -666,23 +506,22 @@ def collision_events_from_record(
     record: TrajectoryRecord,
     config: IntegratorConfig,
 ) -> list[CollisionEvent]:
-    """Locate and refine collisions on the dense record of ``config``'s step
-    plan: one snapshot per step, spaced at ``config.dt`` by
-    :func:`_snapshot_grid`.  A strided record, or one of another plan,
-    raises ``ValueError``: one-step probes would misplace its events.
+    """Locate collisions on the dense record of ``config``'s step plan: one
+    snapshot per step, spaced at ``config.dt`` by :func:`_snapshot_grid`.  A
+    strided record, or one of another plan, raises ``ValueError``: the
+    interpolant of a bracket wider than one step would misplace its events.
 
     The crossing function sin((theta_i - theta_j)/2) vanishes exactly on the
     collision set and is smooth, so plain sign-change bracketing applies.
-    Pairs are scanned in blocks of at most ``_BLOCK_ELEMENTS`` gap values;
-    every bracketed crossing of the record is then bisected in one batched
-    sweep (batches of at most ``_BLOCK_ELEMENTS // (3 N)`` rows) whose probes
-    re-integrate the phase half of the bracketing step down to a time
-    uncertainty of 1e-12 (``_REFINE_TOL``); times and branches equal plain
-    bisection's bit for bit (see :func:`_bisect`).  A snapshot where the
-    crossing function is exactly zero is an event at that snapshot.  Double
-    roots inside one step are a known blind spot of the bracketing.  Events
-    are sorted by ``(t_star, i, j)``.  Zero inertia (m = 0) raises
-    ``ValueError``: the refinement steps the inertial system.
+    Pairs are scanned in blocks of at most ``_BLOCK_ELEMENTS`` gap values.
+    Each bracketed crossing's time is then the root of the cubic Hermite
+    interpolant of the pair's gap over its step, read from the record alone
+    (dense-output event location; see :func:`_crossing_times`), and its
+    branch the multiple of 2*pi that the gap crosses there.  A snapshot where
+    the crossing function is exactly zero is an event at that snapshot.
+    Double roots inside one step are a known blind spot of the bracketing.
+    Events are sorted by ``(t_star, i, j)``.  Zero inertia (m = 0) raises
+    ``ValueError``.
     """
     _check_match(params, record.n, "record")
     if params.m == 0.0:
@@ -694,7 +533,6 @@ def collision_events_from_record(
             f"collision refinement needs the dense record of its step plan (dt={config.dt!r}, "
             f"t_end={config.t_end!r}): {size} snapshots, one per step"
         )
-    coup = COUPLING_FORMS["mean_field"]
     t, theta = record.t, record.theta
     iu, ju = np.triu_indices(record.n, 1)
     keep = _distinguishable(params, theta[0], record.omega[0], iu, ju)
@@ -714,10 +552,10 @@ def collision_events_from_record(
         k, p = np.divmod(np.flatnonzero(g == 0.0), g.shape[1])
         zero_p.append(p + start)
         zero_k.append(k)
-    del g, sg  # the refinement below does not hold the last scan block
+    del g, sg  # the solve below does not hold the last scan block
     cp, ck = np.concatenate(cross_p), np.concatenate(cross_k)
     zp, zk = np.concatenate(zero_p), np.concatenate(zero_k)
-    t_cross, b_cross = _bisect(params, coup, record, ck, iu[cp], ju[cp])
+    t_cross, b_cross = _crossing_times(record, ck, iu[cp], ju[cp])
     b_zero = np.rint((theta[zk, iu[zp]] - theta[zk, ju[zp]]) / TWO_PI).astype(np.int64)
 
     # Within a pair, crossings come in time order and before exact zeros, as

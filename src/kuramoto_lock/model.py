@@ -55,14 +55,17 @@ def _real(value, name: Optional[str] = None) -> float:
 
 
 def _frozen_array(values, name: str) -> np.ndarray:
-    """The array rule of every vector a value type stores, read by numpy's dtype."""
-    raw = np.asarray(values)
+    """The array rule of every vector a value type stores, read by numpy's
+    dtype; an object array reads each entry by the number rule (:func:`_real`)."""
+    try:
+        raw = np.asarray(values)
+    except ValueError:  # a ragged nesting
+        raise ValueError(f"{name} must be a one-dimensional vector") from None
     if raw.dtype.kind not in "iufO":
         raise ValueError(f"{name} must be real, got dtype {raw.dtype}")
-    try:
-        arr = np.array(raw, dtype=float)  # always copies
-    except OverflowError:
-        raise ValueError(f"{name} must be finite") from None
+    if raw.dtype.kind == "O":
+        raw = np.array([_real(v, name) for v in raw.flat]).reshape(raw.shape)
+    arr = np.array(raw, dtype=float)  # always copies
     if arr.ndim != 1:
         raise ValueError(f"{name} must be a one-dimensional vector")
     if arr.size < 1:

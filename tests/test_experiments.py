@@ -3,6 +3,7 @@ collision censuses, and persistence."""
 
 import dataclasses
 import gc
+import importlib.util
 import json
 import math
 import numbers
@@ -610,6 +611,26 @@ def test_outputs_are_byte_identical_at_every_simd_level():
         assert native["sha256"] == golden["sha256"]
     else:
         warnings.warn(f"golden digest not compared: it was computed on {golden}, this is {host}")
+
+
+def test_collision_events_match_golden_summary():
+    # The collision events of the canonical outputs, compared where digests
+    # cannot be (another numpy version or machine): pairs, branches and
+    # order exactly, t_star within 1e-12 of ``golden/events.json``.
+    spec = importlib.util.spec_from_file_location("canonical", _GOLDEN / "canonical.py")
+    canonical = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(canonical)
+    got = canonical.events()
+    want = json.loads((_GOLDEN / "events.json").read_text())
+    assert got.keys() == want.keys() and got["campaign_n3"].keys() == want["campaign_n3"].keys()
+    lists = [(name, got[name], want[name]) for name in ("scenario_collisions", "census")]
+    lists += [(f"campaign_n3 {run}", got["campaign_n3"][run], events)
+              for run, events in want["campaign_n3"].items()]
+    assert sum(len(events) for _, _, events in lists) > 50
+    for name, a, b in lists:
+        assert [row[:3] for row in a] == [row[:3] for row in b], name
+        shift = max((abs(float.fromhex(x[3]) - float.fromhex(y[3])) for x, y in zip(a, b)), default=0.0)
+        assert shift <= 1e-12, name
 
 
 def test_large_spread_regime_fails_to_lock():

@@ -2,12 +2,15 @@
 bounds, collision detection, and determinism."""
 
 import dataclasses
+import functools
 import importlib
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from kuramoto_lock import (
     IntegrationError,
@@ -30,7 +33,6 @@ from kuramoto_lock.experiments import (
 )
 from kuramoto_lock.integrate import (
     CollisionEvent,
-    _certificate,
     _stepper,
     collision_events_from_record,
 )
@@ -40,9 +42,6 @@ from kuramoto_lock.model import COUPLING_FORMS, coupling_direct, coupling_mean_f
 integrate_module = importlib.import_module("kuramoto_lock.integrate")
 
 TWO_PI = 2.0 * np.pi
-
-# The bisection's fixed time tolerance, as the README states it.
-_REFINE_TOL = 1e-12
 
 # Both coupling forms, which the stepper tests pass in directly: the
 # integrator steps the mean-field form alone.
@@ -65,10 +64,9 @@ def _reference_accel(params, coup, theta, omega):
     return (params.nu - omega + coup(theta, params.kappa)) / params.m
 
 
-def _reference_rk4_step(params, coup, theta, omega, h, *, b1=None, phases_only=False):
-    """``(theta_new, omega_new)``; with ``phases_only``, ``(theta_new, None)``."""
-    if b1 is None:
-        b1 = _reference_accel(params, coup, theta, omega)
+def _reference_rk4_step(params, coup, theta, omega, h):
+    """``(theta_new, omega_new)``."""
+    b1 = _reference_accel(params, coup, theta, omega)
     th2 = theta + (0.5 * h) * omega
     om2 = omega + (0.5 * h) * b1
     b2 = _reference_accel(params, coup, th2, om2)
@@ -77,8 +75,6 @@ def _reference_rk4_step(params, coup, theta, omega, h, *, b1=None, phases_only=F
     b3 = _reference_accel(params, coup, th3, om3)
     om4 = omega + h * b3
     theta_new = theta + (h / 6.0) * (omega + 2.0 * om2 + 2.0 * om3 + om4)
-    if phases_only:
-        return theta_new, None
     b4 = _reference_accel(params, coup, theta + h * om3, om4)
     return theta_new, omega + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
 
@@ -96,15 +92,9 @@ def _reference_rk4_step_first_order(params, coup, theta, h):
     return theta + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _stage1_rate(params, coup, y):
-    """Stage-1 rate of the stacked state ``y``, as the bisection computes it."""
-    omega = y[1] if len(y) == 2 else None
-    return integrate_module._rate(params, coup, y[0], omega, np.empty_like(y[0]))
-
-
-def _rk4_step(params, coup, y, h, **kwargs):
+def _rk4_step(params, coup, y, h):
     """One step of a stepper built for ``y`` alone."""
-    return _stepper(params, coup, y.shape)(y, h, **kwargs)
+    return _stepper(params, coup, y.shape)(y, h)
 
 
 def test_zero_coupling_zero_data_is_constant():
@@ -430,8 +420,8 @@ def test_collisions_follow_relabeling(seed):
 
 
 def test_collisions_refuse_records_of_another_plan():
-    # Refinement probes one step from a bracket's left snapshot, so it needs
-    # the dense record of its config's step plan.  A stride-5 record of the
+    # A crossing's time interpolates the gap over one step of the plan, so
+    # collision detection needs the dense record of its config's step plan.  A stride-5 record of the
     # same run used to give the same 17 events with six t_star off by up to
     # 4e-8; it, a record at another dt and one of another t_end now raise.
     rng = np.random.default_rng(5)
@@ -464,7 +454,6 @@ def test_collisions_accept_dense_records_of_short_plans(t_end):
 
 def test_integrator_config_is_the_step_plan():
     assert [f.name for f in dataclasses.fields(IntegratorConfig)] == ["dt", "t_end", "observer_stride"]
-    assert integrate_module._REFINE_TOL == _REFINE_TOL
 
 
 def test_snapshot_grid_at_a_given_spacing():
@@ -479,7 +468,7 @@ def test_snapshot_grid_at_a_given_spacing():
 
 
 def test_collisions_need_inertia(rng):
-    # Refinement steps the inertial system, which divides by m.
+    # Collision detection serves the inertial model alone.
     params, state0 = random_instance(rng, n=8, m=0.0, d_v=2.0)
     cfg = IntegratorConfig(dt=0.01, t_end=3.0)
     record = record_trajectory(params, state0, cfg)
@@ -490,7 +479,8 @@ def test_collisions_need_inertia(rng):
 
 
 # ---------------------------------------------------------------------------
-# Collisions: batched bisection against the pair-by-pair reference scan
+# Collisions: the batched cubic solve against a pair-by-pair reference scan
+# and against a fine reference run
 # ---------------------------------------------------------------------------
 
 def _reference_indistinguishable(params, state0, i, j):
@@ -500,38 +490,58 @@ def _reference_indistinguishable(params, state0, i, j):
     return min(d, TWO_PI - d) <= 1e-12
 
 
-def _reference_refine_crossing(params, coup, record, k, i, j, refine_tol):
-    t_lo = float(record.t[k])
-    t_hi = float(record.t[k + 1])
-    th0 = record.theta[k]
-    om0 = record.omega[k]
-    g_lo = math.sin(0.5 * (record.theta[k, i] - record.theta[k, j]))
+def _reference_hermite_root(y0, y1, m0, m1):
+    """One bracket's cubic solve in numpy float scalars: Newton from the
+    secant's root, four iterations clipped to [0, 1], then, where the
+    residual still exceeds 1e-12 of |y1 - y0|, 40 bisection halvings of the
+    cubic on [0, 1]."""
 
-    def gap_at(tau):
-        th, _ = _reference_rk4_step(params, coup, th0, om0, tau - t_lo)
-        return th[i] - th[j]
+    def cubic(s):
+        u = 1.0 - s
+        return u * u * (y0 * (1.0 + 2.0 * s) + m0 * s) + s * s * (y1 * (3.0 - 2.0 * s) - m1 * u)
 
-    lo, hi = t_lo, t_hi
-    mids = []
-    while hi - lo > refine_tol:
+    def slope(s):
+        u = 1.0 - s
+        return 6.0 * s * u * (y1 - y0) + m0 * u * (1.0 - 3.0 * s) + m1 * s * (3.0 * s - 2.0)
+
+    y0, y1, m0, m1 = (np.float64(v) for v in (y0, y1, m0, m1))
+    dy = y0 - y1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = y0 / dy
+        for _ in range(4):
+            s = min(max(s - cubic(s) / slope(s), 0.0), 1.0)
+        if abs(cubic(s)) <= 1e-12 * abs(dy):
+            return s
+    lo, hi = 0.0, 1.0
+    for _ in range(40):
         mid = 0.5 * (lo + hi)
-        mids.append(mid)
-        g_mid = math.sin(0.5 * gap_at(mid))
-        if g_mid == 0.0:
-            lo = hi = mid
-            break
-        if (g_mid > 0) == (g_lo > 0):
+        side = np.sign(cubic(mid)) * np.sign(y0)
+        if side >= 0.0:
             lo = mid
-        else:
+        if side <= 0.0:
             hi = mid
-    t_star = 0.5 * (lo + hi)
-    return t_star, int(round(gap_at(t_star) / TWO_PI)), mids
+    return 0.5 * (lo + hi)
+
+
+def _reference_crossing(record, k, i, j):
+    """``(t_star, branch)`` of the crossing of pair ``(i, j)`` between
+    snapshots ``k`` and ``k + 1``, alone."""
+    t, theta, omega = record.t, record.theta, record.omega
+    h = t[k + 1] - t[k]
+    g0 = theta[k, i] - theta[k, j]
+    g1 = theta[k + 1, i] - theta[k + 1, j]
+    n = round((g0 + g1) / (2.0 * TWO_PI))
+    s = _reference_hermite_root(
+        g0 - n * TWO_PI,
+        g1 - n * TWO_PI,
+        h * (omega[k, i] - omega[k, j]),
+        h * (omega[k + 1, i] - omega[k + 1, j]),
+    )
+    return float(t[k] + s * h), n
 
 
 def reference_collision_events(params, record, config):
-    """The scalar scan: every pair in turn, every crossing bisected alone
-    with one-dimensional RK4 probes."""
-    coup = COUPLING_FORMS["mean_field"]
+    """The scalar scan: every pair in turn, every crossing solved alone."""
     state0 = record.state(0)
     t = record.t
     events = []
@@ -544,10 +554,7 @@ def reference_collision_events(params, record, config):
             crossings = np.nonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0)[0]
             exact = np.nonzero(g == 0.0)[0]
             for k in crossings:
-                t_star, branch, _ = _reference_refine_crossing(
-                    params, coup, record, int(k), i, j, _REFINE_TOL
-                )
-                events.append(CollisionEvent(i, j, t_star, branch))
+                events.append(CollisionEvent(i, j, *_reference_crossing(record, int(k), i, j)))
             for k in exact:
                 events.append(CollisionEvent(i, j, float(t[k]), int(round(gap[k] / TWO_PI))))
     events.sort(key=lambda ev: (ev.t_star, ev.i, ev.j))
@@ -595,9 +602,9 @@ def _single_oscillator_case():
 
 
 def _grazing_case():
-    # Oscillators 0 and 1 drift together at a frequency gap of about 2e-4,
-    # far below the certificate's bound D on the gap's slope change, and
-    # cross near t = 3.4; oscillator 2 keeps every pair coupled.
+    # Oscillators 0 and 1 drift together at a frequency gap of about 2e-4
+    # and graze across each other near t = 3.4; oscillator 2 keeps every
+    # pair coupled.
     params = SystemParams(1.0, 0.05, [0.3 + 2e-4, 0.3, -0.4])
     state0 = PhaseState(0.0, [1.0 - 5e-4, 1.0, 2.5], [0.0, 0.0, 0.0])
     return _dense(params, state0, IntegratorConfig(dt=0.01, t_end=6.0))
@@ -634,152 +641,120 @@ def test_batched_collisions_match_reference_scan(case):
         assert events == []
     if case.startswith("census"):
         assert len(events) > 100
-    if case in ("grazing", "census_stiff"):
-        # Both mix certified rows with rows the certificate leaves to plain
-        # bisection in the same batch: most grazing rows certify, and most
-        # census_stiff rows do not.
-        cert = _certificate(params, record, *_crossings(params, record))
-        assert cert.ok.any() and not cert.ok.all()
 
 
-def _crossings(params, record):
-    """Snapshot and pair ``(k, i, j)`` of every crossing the scan brackets."""
-    state0 = record.state(0)
-    rows = []
-    for i in range(record.n):
-        for j in range(i + 1, record.n):
-            if _reference_indistinguishable(params, state0, i, j):
-                continue
-            g = np.sign(np.sin(0.5 * (record.theta[:, i] - record.theta[:, j])))
-            rows += [(k, i, j) for k in np.nonzero(g[:-1] * g[1:] < 0)[0]]
-    return tuple(np.array(col, dtype=int) for col in zip(*rows))
+# The largest distance of a case's t_star from those of the same instance
+# run at dt/20 and solved the same way: the measured distance (in
+# parentheses) with a margin of 2 to 4.
+_FINE_REFERENCE_BOUND = {
+    "census_101": 1e-9,  # (2.7e-10)
+    "census_202": 5e-10,  # (1.1e-10)
+    "census_stiff": 2e-7,  # (8.1e-8)
+    "grazing": 1e-10,  # (4.4e-11)
+    "identical_pair": 1e-9,  # (2.9e-10)
+    "n3_0": 5e-8,  # (1.5e-8)
+    "n3_1": 2e-7,  # (7.3e-8)
+    "n3_2": 1e-8,  # (4.5e-9)
+    "n3_3": 2e-9,  # (6.7e-10)
+    "no_crossing": 0.0,
+    "nonsync_drift": 1e-10,  # (2.2e-11)
+    "single_oscillator": 0.0,
+}
 
 
-def _probe_gaps(params, record, cfg, k, i, j, tau):
-    """Float probe gaps of rows ``(k, i, j)`` at times ``tau`` (rows x
-    points), computed as the bisection computes them."""
-    coup = COUPLING_FORMS["mean_field"]
-    points = tau.shape[1]
-    kk, ii, jj = (np.repeat(x, points) for x in (k, i, j))
-    y = np.stack((record.theta[kk], record.omega[kk]))
-    h = (tau.ravel() - record.t[kk])[:, None]
-    th = _rk4_step(params, coup, y, h, b1=_stage1_rate(params, coup, y), phases_only=True)
-    r = np.arange(kk.size)
-    return (th[r, ii] - th[r, jj]).reshape(tau.shape)
+def _fine_reference(case):
+    """Events of a case's instance run at dt/20, in pair order: by pair,
+    then time.  The four n3 cases share their plan and run as one batch."""
+    names = tuple(f"n3_{a}" for a in range(4)) if case.startswith("n3") else (case,)
+    return _fine_events(names)[names.index(case)]
 
 
-CERTIFIED_CASES = ("census_101", "census_202", "census_stiff", "grazing")
+@functools.cache
+def _fine_events(names):
+    cases = [COLLISION_CASES[name]() for name in names]
+    fine = dataclasses.replace(cases[0][2], dt=cases[0][2].dt / 20)
+    assert all(cfg == cases[0][2] for _, _, cfg in cases)
+    records = record_trajectory([p for p, _, _ in cases], [r.state(0) for _, r, _ in cases], fine)
+    return [
+        _in_pair_order(collision_events_from_record(p, records.instance(b), fine))
+        for b, (p, _, _) in enumerate(cases)
+    ]
 
 
-@pytest.mark.parametrize("case", CERTIFIED_CASES)
-def test_certified_gap_is_monotone(case):
-    # On a certified bracket the float gap, sampled at 257 points, is
-    # monotone in the certified direction to within 2E and crosses the
-    # certified multiple of 2*pi once.
+def _in_pair_order(events):
+    return sorted(events, key=lambda ev: (ev.i, ev.j, ev.t_star))
+
+
+@pytest.mark.parametrize("case", sorted(COLLISION_CASES))
+def test_collision_times_match_fine_reference(case):
+    # The step's cubic Hermite interpolant places each crossing about as
+    # well as the trajectory itself: pair by pair, the same crossings and
+    # branches in the same order as a run at dt/20, and t_star within the
+    # case's bound.  (Across pairs, symmetric cases hold simultaneous
+    # collisions, which rounding orders.)
     params, record, cfg = COLLISION_CASES[case]()
-    k, i, j = _crossings(params, record)
-    cert = _certificate(params, record, k, i, j)
-    assert cert.ok.any()
-    ok = np.flatnonzero(cert.ok)[:200]
-    t = record.t
-    tau = t[k[ok], None] + np.linspace(0.0, 1.0, 257) * (t[k[ok] + 1] - t[k[ok]])[:, None]
-    y = _probe_gaps(params, record, cfg, k[ok], i[ok], j[ok], tau) - TWO_PI * cert.branch[ok, None]
-    slope = np.where(cert.rising[ok], 1.0, -1.0)[:, None] * np.diff(y, axis=1)
-    assert (slope >= -2.0 * cert.eps[ok, None]).all()
-    assert (np.abs(y) < 0.5 * np.pi).all()
-    assert (y[:, 0] * y[:, -1] < 0).all()
-    guess = integrate_module._crossing_guess(record, k[ok], i[ok], j[ok], cert.branch[ok])
-    assert (guess >= t[k[ok]]).all() and (guess <= t[k[ok] + 1]).all()
+    events = _in_pair_order(collision_events_from_record(params, record, cfg))
+    reference = _fine_reference(case)
+    assert [(ev.i, ev.j, ev.branch) for ev in events] == [
+        (ev.i, ev.j, ev.branch) for ev in reference
+    ]
+    worst = max((abs(a.t_star - b.t_star) for a, b in zip(events, reference)), default=0.0)
+    assert worst <= _FINE_REFERENCE_BOUND[case]
 
 
-def test_probe_rounding_within_bound():
-    # The float probe gap against the same phase-half step evaluated in
-    # 40-digit arithmetic from the same inputs: the difference stays below
-    # E/8, so E bounds the rounding with a wide margin.
-    mpmath = pytest.importorskip("mpmath")
-    mp = mpmath.mp
-    params, record, cfg = COLLISION_CASES["census_101"]()
-    k, i, j = _crossings(params, record)
-    cert = _certificate(params, record, k, i, j)
-    rows = np.flatnonzero(cert.ok)[::8][:40]
-    frac = np.array([0.0, 0.3, 0.5, 0.7, 1.0])
-    t = record.t
-    tau = t[k[rows], None] + frac * (t[k[rows] + 1] - t[k[rows]])[:, None]
-    guess = integrate_module._crossing_guess(record, k[rows], i[rows], j[rows], cert.branch[rows])
-    tau = np.hstack([tau, guess[:, None]])
-    got = _probe_gaps(params, record, cfg, k[rows], i[rows], j[rows], tau)
-
-    def exact_gap(r, tau_r):
-        with mp.workprec(140):
-            theta = [mp.mpf(float(x)) for x in record.theta[k[r]]]
-            omega = [mp.mpf(float(x)) for x in record.omega[k[r]]]
-            nu = [mp.mpf(float(x)) for x in params.nu]
-            m, kappa, n = mp.mpf(params.m), mp.mpf(params.kappa), len(theta)
-
-            def accel(th, om):
-                s, c = mp.fsum(mp.sin(x) for x in th), mp.fsum(mp.cos(x) for x in th)
-                return [
-                    (nu[q] - om[q] + kappa * (mp.cos(th[q]) * s - mp.sin(th[q]) * c) / n) / m
-                    for q in range(n)
-                ]
-
-            h = mp.mpf(float(tau_r - t[k[r]]))
-            b1 = accel(theta, omega)
-            om2 = [w + h / 2 * a for w, a in zip(omega, b1)]
-            b2 = accel([x + h / 2 * w for x, w in zip(theta, omega)], om2)
-            om3 = [w + h / 2 * a for w, a in zip(omega, b2)]
-            b3 = accel([x + h / 2 * w for x, w in zip(theta, om2)], om3)
-            new = [x + h * w + h * h / 6 * (p + q + u)
-                   for x, w, p, q, u in zip(theta, omega, b1, b2, b3)]
-            return new[i[r]] - new[j[r]]
-
-    worst = 0.0
-    for row, r in enumerate(rows):
-        for col in range(tau.shape[1]):
-            err = abs(mp.mpf(float(got[row, col])) - exact_gap(r, tau[row, col]))
-            worst = max(worst, float(err / mp.mpf(float(cert.eps[r]))))
-    assert got.size >= 100
-    assert worst <= 1.0 / 8.0
+_brackets = st.lists(
+    st.tuples(
+        st.floats(1e-9, 1.0), st.floats(1e-9, 1.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=20,
+)
 
 
-def test_refinement_probes_a_third_of_plain_bisection(monkeypatch):
-    # The coupling evaluates at most a third of the phase values that plain
-    # bisection probes: two coupling calls of N phases per probe round.
-    params, record, cfg = COLLISION_CASES["census_101"]()
-    coup = COUPLING_FORMS["mean_field"]
-    k, i, j = _crossings(params, record)
-    rounds = sum(
-        len(_reference_refine_crossing(params, coup, record, kk, ii, jj, _REFINE_TOL)[2])
-        for kk, ii, jj in zip(k.tolist(), i.tolist(), j.tolist())
-    )
-    values = 0
+@given(_brackets)
+@example([(0.5, 0.5, -2.0, 4.0, False), (0.2, 0.7, 0.0, 0.0, True), (1.0, 1.0, 3.0, 3.0, False)])
+def test_cubic_solve_finds_a_root_in_the_bracket(brackets):
+    # Values of opposite signs at both ends, with slopes of either sign and
+    # up to thousands of times the bracket's rise: monotone and
+    # non-monotone cubics.  Every row's root lies in [0, 1] and equals the
+    # scalar solve's bit for bit.  Rows Newton leaves with a residual above
+    # 1e-12 of |y1 - y0| take the bisection: the cubic changes sign across
+    # their last bracket of width 2**-40.
+    y0, y1, m0, m1 = (np.array(col) for col in zip(*((-a, b, c, d) for a, b, c, d, _ in brackets)))
+    flip = np.array([f for *_, f in brackets])
+    y0, y1 = np.where(flip, -y0, y0), np.where(flip, -y1, y1)
+    s = integrate_module._hermite_root(y0, y1, m0, m1)
+    assert ((s >= 0.0) & (s <= 1.0)).all()
+    assert s.tolist() == [_reference_hermite_root(*row) for row in zip(y0, y1, m0, m1)]
+    value = integrate_module._hermite(s, y0, y1, m0, m1)[0]
+    loose = ~(np.abs(value) <= 1e-12 * np.abs(y1 - y0))
+    lo, hi = s - 2.0**-41, s + 2.0**-41
+    at_lo = integrate_module._hermite(lo, y0, y1, m0, m1)[0] * np.sign(y0)
+    at_hi = integrate_module._hermite(hi, y0, y1, m0, m1)[0] * np.sign(y0)
+    assert ((at_lo >= 0.0) & (at_hi <= 0.0))[loose].all()
 
-    def counting(theta, kappa, work=None):
-        nonlocal values
-        values += theta.size
-        return coup(theta, kappa, work)
 
-    monkeypatch.setitem(COUPLING_FORMS, "mean_field", counting)
-    collision_events_from_record(params, record, cfg)
-    assert k.size > 100
-    assert values <= 2 * record.n * rounds / 3
+def test_cubic_solve_bisects_unconverged_rows():
+    # A cubic that falls from its first end before it rises steeply to the
+    # second: four Newton iterations leave a residual of 1e-7, so the row is
+    # bisected on the cubic, beside a monotone row Newton solves exactly.
+    y0, y1 = np.array([-0.5, -0.5]), np.array([0.5, 0.5])
+    m0, m1 = np.array([-2.0, 1.0]), np.array([4.0, 1.0])
+    s = integrate_module._hermite_root(y0, y1, m0, m1)
+    assert s[1] == 0.5
+    assert (s[0] * 2.0**41) % 2.0 == 1.0  # the midpoint of a dyadic bracket
+    assert abs(integrate_module._hermite(s, y0, y1, m0, m1)[0][0]) <= 1e-11
 
 
 @pytest.mark.parametrize(
     "case", ["census_stiff", "nonsync_drift", "n3_0", "n3_1", "n3_2", "n3_3"]
 )
 def test_refinement_never_probes_more_than_plain_bisection(monkeypatch, case):
-    # Where few or no rows certify, the refinement evaluates no more phase
-    # values than plain bisection: 2N per midpoint, N per row for the
-    # stage-1 acceleration, and 2N per uncertified row for its branch.
+    # Crossing times are read off the record: the refinement evaluates the
+    # coupling at no phase value, where plain bisection would step every
+    # bracket at every midpoint.
     params, record, cfg = COLLISION_CASES[case]()
-    coup = COUPLING_FORMS["mean_field"]
-    k, i, j = _crossings(params, record)
-    mids = sum(
-        len(_reference_refine_crossing(params, coup, record, kk, ii, jj, _REFINE_TOL)[2])
-        for kk, ii, jj in zip(k.tolist(), i.tolist(), j.tolist())
-    )
-    loose = np.count_nonzero(~_certificate(params, record, k, i, j).ok)
     values = 0
 
     def counting(theta, kappa, work=None):
@@ -787,82 +762,10 @@ def test_refinement_never_probes_more_than_plain_bisection(monkeypatch, case):
         values += theta.size
         return coup(theta, kappa, work)
 
-    monkeypatch.setitem(COUPLING_FORMS, "mean_field", counting)
-    collision_events_from_record(params, record, cfg)
-    n = record.n
-    assert k.size > 0
-    assert values <= 2 * n * mids + n * k.size + 2 * n * loose
-
-
-def test_pair_points_inside_the_margin_do_not_verify(monkeypatch):
-    # A certified row whose narrow pair lands about E from the crossing,
-    # inside the 2E verification margin: those points must fix no midpoint's
-    # sign, so every plain-bisection midpoint between the wide pair is still
-    # probed.  At the default width the narrow pair verifies and some of them
-    # are skipped.  Either way t_star is the plain bisection's.
-    params, record, cfg = COLLISION_CASES["census_101"]()
     coup = COUPLING_FORMS["mean_field"]
-    k, i, j = _crossings(params, record)
-    r = np.flatnonzero(_certificate(params, record, k, i, j).ok)[:1]
-    t_ref, _, mids = _reference_refine_crossing(
-        params, coup, record, int(k[r[0]]), int(i[r[0]]), int(j[r[0]]), _REFINE_TOL
-    )
-    t_lo = record.t[k[r[0]]]
-    near = {mid - t_lo for mid in mids if abs(mid - t_ref) < 1e-7 * cfg.dt}
-    default_width = integrate_module._NARROW_PAIR
-
-    def probed(narrow_width):
-        seen = set()
-
-        def recording(params, coup, shape):
-            def step(y, h, *, b1, phases_only):
-                # Every probe is a phase half-step; take it with the reference.
-                assert phases_only
-                seen.update(np.ravel(h).tolist())
-                return _reference_rk4_step(params, coup, *y, h, b1=b1, phases_only=True)[0]
-
-            return step
-
-        monkeypatch.setattr(integrate_module, "_NARROW_PAIR", narrow_width)
-        monkeypatch.setattr(integrate_module, "_stepper", recording)
-        t_star, _ = integrate_module._bisect(params, coup, record, k[r], i[r], j[r])
-        assert t_star[0] == t_ref
-        return near & seen
-
-    assert len(near) >= 5
-    assert probed(1.0) == near
-    assert probed(default_width) < near
-
-
-@pytest.mark.parametrize("coupling", sorted(_FORMS))
-def test_phases_only_step_matches_full_step(rng, coupling):
-    # The refinement probes take the phase half of the step with a supplied
-    # stage-1 acceleration; their phases must be the full step's, bit for bit.
-    coup = _FORMS[coupling]
-    n = 150
-    params, state = random_instance(rng, n=n)
-    y = np.stack((state.theta, state.omega))
-    full = _rk4_step(params, coup, y, 0.013)
-    half = _rk4_step(params, coup, y, 0.013, b1=_stage1_rate(params, coup, y), phases_only=True)
-    assert full.shape == (2, n) and half.shape == (n,) and np.array_equal(half, full[0])
-
-    y = np.stack((rng.uniform(0, TWO_PI, (7, n)), rng.uniform(-0.5, 0.5, (7, n))))
-    h = np.array([[0.0], [0.01], [1e-13], [0.005], [0.0], [0.0099999], [3e-7]])
-    rows = integrate_module._coefficients([random_instance(rng, n=n)[0] for _ in range(7)])
-    for p in (params, rows):
-        b1 = _stage1_rate(p, coup, y)
-        full = _rk4_step(p, coup, y, h)[0]
-        assert np.array_equal(_rk4_step(p, coup, y, h, b1=b1, phases_only=True), full)
-
-    # As in the bisection: stage-1 accelerations of a whole batch, indexed by
-    # the active rows, are those of the active rows alone.
-    b1 = _stage1_rate(params, coup, y)
-    act = np.array([1, 4, 5])
-    assert np.array_equal(b1[act], _stage1_rate(params, coup, y[:, act]))
-    assert np.array_equal(
-        _rk4_step(params, coup, y[:, act], h[act], b1=b1[act], phases_only=True),
-        _rk4_step(params, coup, y, h)[0][act],
-    )
+    monkeypatch.setitem(COUPLING_FORMS, "mean_field", counting)
+    assert collision_events_from_record(params, record, cfg)
+    assert values == 0
 
 
 def _oracle_step(params, coup, y, h):
@@ -877,8 +780,8 @@ def _oracle_step(params, coup, y, h):
 def test_stacked_step_matches_reference_steppers(rng, coupling, inertial):
     # One stacked stepper for both models equals the two-array reference
     # steppers bit for bit: one state and a batch; shared parameters,
-    # coefficient rows at the state's full shape and as (B, 1) columns; per-row
-    # step sizes holding zeros; and a 200-step march on one stepper.
+    # coefficient rows at the state's full shape and as (B, 1) columns; and a
+    # 200-step march on one stepper.
     coup = _FORMS[coupling]
     n, b = 30, 6
     d = 2 if inertial else 1
@@ -892,24 +795,11 @@ def test_stacked_step_matches_reference_steppers(rng, coupling, inertial):
     assert single.m.shape == single.kappa.shape == (n,)
     one = np.stack((state.theta, state.omega))[:d]
     batch = np.stack((rng.uniform(0, TWO_PI, (b, n)), rng.uniform(-0.5, 0.5, (b, n))))[:d]
-    h = np.array([[0.0], [0.01], [1e-13], [0.0], [0.0099999], [3e-7]])
     cases = [(params, one, 0.013), (single, one, 0.013), (params, batch, 0.01),
-             (params, batch, h), (rows, batch, h), (columns, batch, h), (rows, batch, 0.01)]
+             (rows, batch, 0.0099999), (columns, batch, 3e-7), (rows, batch, 0.0)]
     for p, y, step in cases:
         got = _rk4_step(p, coup, y, step)
         assert got.shape == y.shape and np.array_equal(got, _oracle_step(p, coup, y, step))
-        if inertial:
-            want = _reference_rk4_step(p, coup, y[0], y[1], step)[0]
-            half = _rk4_step(p, coup, y, step, b1=_stage1_rate(p, coup, y), phases_only=True)
-            assert np.array_equal(half, want)
-
-    # Stage-1 rates of a whole batch, indexed by the active rows, give the
-    # step of those rows alone.
-    act = np.array([0, 2, 5])
-    b1 = _stage1_rate(params, coup, batch)[act]
-    got = _rk4_step(params, coup, batch[:, act], h[act], b1=b1, phases_only=inertial)
-    alone = _oracle_step(params, coup, batch[:, act], h[act])
-    assert np.array_equal(got, alone[0] if inertial else alone)
 
     y = col = want = batch
     step, col_step = _stepper(rows, coup, batch.shape), _stepper(columns, coup, batch.shape)
@@ -1053,8 +943,8 @@ def test_stepper_built_once_per_run(rng, monkeypatch):
 
 @pytest.mark.parametrize("t0", [0.0, 5000.0, 20000.0])
 def test_collision_refinement_stops_at_float_spacing(t0):
-    # Past t = 8192 adjacent doubles lie further apart than refine_tol = 1e-12;
-    # the bisection must still stop, at the closest representable time.
+    # Past t = 8192 adjacent doubles lie further apart than 1e-12; the
+    # crossing time is still the exact one to within a few of them.
     params = SystemParams(1.0, 0.0, [1.0, 0.0])
     state0 = PhaseState(t0, [-0.0051, 0.0], [1.0, 0.0])
     events = detect_collisions(params, state0, IntegratorConfig(dt=0.01, t_end=0.02))
@@ -1063,8 +953,7 @@ def test_collision_refinement_stops_at_float_spacing(t0):
 
 
 def test_small_blocks_match_reference_scan(monkeypatch):
-    # One pair per scan block and two rows per bisection batch: every block
-    # and batch boundary is crossed many times.
+    # One pair per scan block: every block boundary is crossed many times.
     params, record, cfg = _census_case(303)
     reference = _bits(reference_collision_events(params, record, cfg))
     monkeypatch.setattr(integrate_module, "_BLOCK_ELEMENTS", 2 * record.n + 1)
@@ -1072,6 +961,8 @@ def test_small_blocks_match_reference_scan(monkeypatch):
 
 
 def test_refinement_coupling_calls_bounded_per_batch(monkeypatch):
+    # A collision run makes the four coupling calls per step of its record
+    # and no more: the refinement reads the record alone.
     params, record, cfg = _census_case(404)
     calls = 0
     coupling = COUPLING_FORMS["mean_field"]
@@ -1082,45 +973,29 @@ def test_refinement_coupling_calls_bounded_per_batch(monkeypatch):
         return coupling(theta, kappa, work)
 
     monkeypatch.setitem(COUPLING_FORMS, "mean_field", counting)
-    events = collision_events_from_record(params, record, cfg)
-    # Batches as ``_bisect`` forms them: up to three probes per row.
-    rows = max(1, integrate_module._BLOCK_ELEMENTS // (3 * record.n))
-    batches = -(-len(events) // rows)
-    rounds = math.ceil(math.log2(cfg.dt / _REFINE_TOL)) + 2
-    # A loop over events would make about 2 * rounds calls per event; a
-    # batch makes one stage-1 call plus two per probe round.
+    events = detect_collisions(params, record.state(0), cfg)
     assert len(events) > 100
-    assert calls <= (2 * rounds + 1) * batches
+    assert calls == 4 * (record.n_snapshots - 1)
 
 
 def test_refinement_probe_memory_bounded(monkeypatch):
-    # A round probes up to three points per row, so a batch holds a third of
-    # _BLOCK_ELEMENTS // N rows: with the mean-field coupling's (probes, N)
-    # phasor temporaries, the whole refinement peaks below one phase-half
-    # step over _BLOCK_ELEMENTS // N rows.
-    config = ScenarioConfig(
-        n=40, m=1.0, kappa=1.0, d_v=2.0, d_omega0=1.0, t_end=2.5, window=2.0, seed=101
-    )
-    params, record, cfg = _dense(*sample_instance(config), IntegratorConfig(dt=0.01, t_end=2.5))
-    coup = COUPLING_FORMS["mean_field"]
-    rows = 100
-    monkeypatch.setattr(integrate_module, "_BLOCK_ELEMENTS", rows * record.n)
-    y0 = np.stack((record.theta[:rows], record.omega[:rows]))
-    b1 = _stage1_rate(params, coup, y0)
-    h = np.full((rows, 1), 0.5 * cfg.dt)
+    # The pair scan holds a few blocks of _BLOCK_ELEMENTS gap values at a
+    # time, never the whole snapshots x pairs array, and the crossing solve
+    # a few arrays of one float per crossing: the whole collision pass
+    # peaks within 8 blocks and 2 KiB per event (the events themselves).
+    params, record, cfg = _census_case(101)
+    block = 100 * record.n
+    monkeypatch.setattr(integrate_module, "_BLOCK_ELEMENTS", block)
     tracemalloc.start()
     try:
-        base = tracemalloc.get_traced_memory()[0]
-        _rk4_step(params, coup, y0, h, b1=b1, phases_only=True)
-        one_step = tracemalloc.get_traced_memory()[1] - base
-        tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         events = collision_events_from_record(params, record, cfg)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert len(events) > rows
-    assert peak <= one_step
+    pairs = record.n * (record.n - 1) // 2
+    assert len(events) > 100 and record.n_snapshots * pairs > 40 * block
+    assert peak <= 8 * 8 * block + 2048 * len(events)
 
 
 def test_first_order_observer_cadence():

@@ -197,14 +197,19 @@ def test_centroid_rule_matches_complex_form(rng):
 def test_runs_match_complex_form(monkeypatch, doc):
     # A run stepped with the complex form follows the trajectory that runs
     # had before the centroid rule.  The rule moves it by rounding only:
-    # equal lock verdicts, t_lock and collision events (t_star bits and order
-    # included), series columns within 1e-11 and final states within 1e-14.
+    # equal lock verdicts and t_lock, collision events with equal (i, j,
+    # branch) in equal order and t_star within 1e-12 (the crossing solve
+    # reads the record, rounding differences included), series columns within
+    # 1e-11 and final states within 1e-14.
     config = ScenarioConfig.from_dict(doc)
     new = run_scenario(config)
     monkeypatch.setitem(COUPLING_FORMS, "mean_field", coupling_complex)
     old = run_scenario(config)
     assert (new.lock.locked, new.lock.t_lock) == (old.lock.locked, old.lock.t_lock)
-    assert new.collisions == old.collisions
+    assert (new.collisions is None) == (old.collisions is None)
+    events = list(zip(new.collisions or (), old.collisions or (), strict=True))
+    assert all((a.i, a.j, a.branch) == (b.i, b.j, b.branch) for a, b in events)
+    assert max((abs(a.t_star - b.t_star) for a, b in events), default=0.0) <= 1e-12
     for field in dataclasses.fields(new.series):
         a, b = getattr(new.series, field.name), getattr(old.series, field.name)
         assert np.array_equal(np.isnan(a), np.isnan(b))
@@ -220,7 +225,7 @@ def test_runs_match_complex_form(monkeypatch, doc):
     st.integers(0, 2**32 - 1),
 )
 def test_coupling_forms_row_wise_match_one_dimensional(n, b, kappa, seed):
-    # The batched RK4 probes rely on every row of a (B, N) call being the
+    # Batched records rely on every row of a (B, N) call being the
     # one-dimensional call, bit for bit.
     # One work reused across calls, as a stepper reuses its own, gives every
     # call the bits of a fresh call, and its centroid is centroid()'s.
@@ -690,11 +695,21 @@ def test_value_types_read_every_number_by_one_rule(field):
 ])
 def test_value_types_read_every_array_by_its_dtype(field, call):
     """An array numpy reads as strings, bools or complex numbers is no vector
-    of reals, and an entry too large for a float is not finite."""
+    of reals.  An array numpy reads as objects is read entry by entry by the
+    number rule: a str or a bool among its entries is no real number, and an
+    entry too large for a float is not finite.  A ragged vector names the
+    field too."""
+    from fractions import Fraction
+
     for bad in (["0.1", "0.2"], [True, False], np.array([True, False]), [1 + 0j, 0j]):
         with pytest.raises(ValueError, match=f"^{field} must be real, got dtype "):
             call(bad)
-    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+    for bad, entry in (([Fraction(1), "1"], "'1'"), ([Fraction(1), True], "True")):
+        with pytest.raises(ValueError, match=f"^{field} must be real, got {entry}$"):
+            call(bad)
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {10**400}$"):
         call([10**400, 0])
-    from fractions import Fraction
+    for bad in ([1.0, [2.0]], [[1.0], [2.0]]):
+        with pytest.raises(ValueError, match=f"^{field} must be a one-dimensional vector$"):
+            call(bad)
     assert getattr(call([Fraction(1, 2), np.int8(1)]), field).tolist() == [0.5, 1.0]
