@@ -84,6 +84,8 @@ def potential(params: SystemParams, theta):
     """Interaction potential
     ``-sum_k nu_k theta_k + (kappa/2) sum_kl (1 - cos(theta_k - theta_l))``
     of one configuration ``(N,)`` (a float) or of every row of ``(..., N)``.
+    Its pair term is N times that of the potential driving the model, so
+    dP/dtheta_i = -nu_i - N*c_i for the coupling term c_i.
 
     The pair sum is N^2 - |sum_k exp(i theta_k)|^2, evaluated in O(N) without
     cancellation: with d_k = theta_k - theta_0, C = sum_k cos d_k and

@@ -277,8 +277,6 @@ class ScenarioConfig:
         _validate_scenario(self.to_dict())
         # The schema's integers include 5.0.
         _store_plain_numbers(self, _INTEGER_FIELDS)
-        if self.collisions and self.m == 0.0:
-            raise ConfigError("collision detection needs inertia m > 0")
 
     def to_dict(self) -> dict:
         return {key: getattr(self, attr) for attr, key in _FIELD_TO_KEY.items()}

@@ -4,7 +4,7 @@ trajectory, with crossing times from each step's cubic Hermite interpolant.
 
 One entry point serves both models: inertia m > 0 integrates the inertial
 system, and m = 0 the zero-inertia system, its m -> 0 limit, whose state is
-the phases alone.  Collision detection needs m > 0."""
+the phases alone."""
 
 from __future__ import annotations
 
@@ -433,8 +433,11 @@ _BLOCK_ELEMENTS = 1 << 15
 def _distinguishable(params: SystemParams, theta0, omega0, i, j) -> np.ndarray:
     """Mask over the pairs ``(i[k], j[k])``: False where both oscillators
     share nu and the initial frequency and start at the same phase mod 2*pi,
-    so that they stay together for all time."""
+    so that they stay together for all time.  At zero inertia nu stands in
+    for the recorded frequencies, which follow from nu and the phases and
+    differ by rounding for phases 2*pi*k apart."""
     d = (theta0[i] - theta0[j]) % TWO_PI
+    omega0 = omega0 if params.m > 0.0 else params.nu
     same = (
         (params.nu[i] == params.nu[j])
         & (omega0[i] == omega0[j])
@@ -520,12 +523,9 @@ def collision_events_from_record(
     branch the multiple of 2*pi that the gap crosses there.  A snapshot where
     the crossing function is exactly zero is an event at that snapshot.
     Double roots inside one step are a known blind spot of the bracketing.
-    Events are sorted by ``(t_star, i, j)``.  Zero inertia (m = 0) raises
-    ``ValueError``.
+    Events are sorted by ``(t_star, i, j)``.
     """
     _check_match(params, record.n, "record")
-    if params.m == 0.0:
-        raise ValueError("collision refinement needs inertia m > 0")
     n_full, rem = _step_plan(config.dt, config.t_end)
     size = n_full + 1 + (rem > 0.0)
     if record.n_snapshots != size or (n_full and _snapshot_grid(record.t, config.dt)[0] <= n_full):
@@ -579,8 +579,7 @@ def detect_collisions(
     params: SystemParams, state0: PhaseState, config: IntegratorConfig
 ) -> list[CollisionEvent]:
     """Integrate densely (one snapshot per step) and report every refined
-    collision event; indistinguishable pairs are excluded.  Zero inertia
-    raises ``ValueError``, as in :func:`collision_events_from_record`."""
+    collision event; indistinguishable pairs are excluded."""
     dense = dataclasses.replace(config, observer_stride=1)
     record = record_trajectory(params, state0, dense)
     return collision_events_from_record(params, record, config)

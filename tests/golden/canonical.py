@@ -13,8 +13,9 @@ SIMD level, but nothing promises them across numpy versions or architectures.
 
 ``events.json`` beside this file holds the collision events of the outputs
 that have them (``scenario_collisions``, ``campaign_n3`` per instance, and
-``census``) as ``[i, j, branch, t_star.hex()]`` lists, which a test compares
-on any host: pairs, branches and order exactly, times to 1e-12.
+``census``), and of the census's zero-inertia twin ``census_first_order``
+(events only, no digest), as ``[i, j, branch, t_star.hex()]`` lists, which a
+test compares on any host: pairs, branches and order exactly, times to 1e-12.
 
 Print the digests as JSON, or rewrite ``canonical.json`` and ``events.json``
 (only for a change that means to move an output, and say which moved)::
@@ -67,6 +68,7 @@ CAMPAIGNS = (
     CampaignConfig(which="partial", n_instances=4, n=10, t_end=30.0, stride=10, seed=3333),
 )
 CENSUS = ScenarioConfig(n=12, m=0.1, kappa=2.0, d_v=2.0, t_end=5.0, seed=5)
+CENSUS_FIRST_ORDER = dataclasses.replace(CENSUS, m=0.0)
 
 
 def host() -> dict:
@@ -146,6 +148,9 @@ def events() -> dict:
         "scenario_collisions": rows(map(dataclasses.asdict, scenario)),
         "campaign_n3": runs,
         "census": rows(map(dataclasses.asdict, collision_census(CENSUS).events)),
+        "census_first_order": rows(
+            map(dataclasses.asdict, collision_census(CENSUS_FIRST_ORDER).events)
+        ),
     }
 
 

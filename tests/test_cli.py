@@ -419,10 +419,12 @@ def test_collide_prints_totals_and_pairs(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == lines
 
 
-def test_collide_zero_inertia_is_input_error(tmp_path, capsys):
-    cfg = write(tmp_path / "col.json", {"N": 6, "m": 0, "t_end": 5.0, "certify": False})
-    assert main(["collide", "--config", cfg]) == 1
-    assert "error:" in capsys.readouterr().err
+def test_collide_zero_inertia_exits_zero(tmp_path, capsys):
+    # A locked zero-inertia census: collisions, none in the lock tail.
+    doc = {"N": 10, "m": 0, "kappa": 2.0, "D_V": 0.5, "t_end": 60.0}
+    assert main(["collide", "--config", write(tmp_path / "col.json", doc), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["locked"] is True and payload["tail_ok"] is True and payload["total"] > 0
 
 
 def test_selftest_passes():

@@ -77,13 +77,26 @@ def test_scenario_schema_is_valid():
     validator_for(SCENARIO_SCHEMA).check_schema(SCENARIO_SCHEMA)
 
 
-def test_zero_inertia_collisions_rejected():
-    with pytest.raises(ConfigError, match="m > 0"):
-        ScenarioConfig(m=0.0, collisions=True)
-    with pytest.raises(ConfigError, match="m > 0"):
-        ScenarioConfig.from_dict({"N": 4, "m": 0, "collisions": True})
-    with pytest.raises(ConfigError, match="m > 0"):
-        collision_census(small_config(m=0.0))
+@pytest.mark.parametrize("seed", range(3))
+def test_zero_inertia_census_is_tail_free(seed):
+    # The zero-inertia model runs the same collision scan as the inertial
+    # one, and m*kappa = 0 puts it under the no-late-collision rule: a
+    # locked run collides early, then never in its lock tail.
+    census = collision_census(
+        ScenarioConfig(n=10, m=0.0, kappa=2.0, d_v=0.5, t_end=60.0, seed=seed)
+    )
+    assert census.m_kappa == 0.0 and census.locked and census.tail_start is not None
+    assert census.total > 0 and census.tail_ok and census.tail_violations == ()
+    assert ScenarioConfig.from_dict({"N": 4, "m": 0, "collisions": True}).collisions
+
+
+@pytest.mark.parametrize("kappa, eps_omega", [(0.5, 1e-4), (1.0, 1e-4), (3.0, 1e-4 * 3.0)])
+def test_default_lock_tolerances_follow_the_stated_rule(kappa, eps_omega):
+    # README's rule: eps_omega = 1e-4 * max(1, kappa) unless given, and
+    # eps_theta = 1e-3.
+    tol = ScenarioConfig(kappa=kappa).lock_tolerances()
+    assert (tol.eps_omega, tol.eps_theta) == (eps_omega, 1e-3)
+    assert ScenarioConfig(kappa=kappa, eps_omega=2e-3).lock_tolerances().eps_omega == 2e-3
 
 
 def test_config_roundtrip():
@@ -623,7 +636,8 @@ def test_collision_events_match_golden_summary():
     got = canonical.events()
     want = json.loads((_GOLDEN / "events.json").read_text())
     assert got.keys() == want.keys() and got["campaign_n3"].keys() == want["campaign_n3"].keys()
-    lists = [(name, got[name], want[name]) for name in ("scenario_collisions", "census")]
+    names = ("scenario_collisions", "census", "census_first_order")
+    lists = [(name, got[name], want[name]) for name in names]
     lists += [(f"campaign_n3 {run}", got["campaign_n3"][run], events)
               for run, events in want["campaign_n3"].items()]
     assert sum(len(events) for _, _, events in lists) > 50

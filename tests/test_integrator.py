@@ -467,15 +467,44 @@ def test_snapshot_grid_at_a_given_spacing():
             grid(t, h)
 
 
-def test_collisions_need_inertia(rng):
-    # Collision detection serves the inertial model alone.
-    params, state0 = random_instance(rng, n=8, m=0.0, d_v=2.0)
-    cfg = IntegratorConfig(dt=0.01, t_end=3.0)
-    record = record_trajectory(params, state0, cfg)
-    with pytest.raises(ValueError, match="m > 0"):
-        collision_events_from_record(params, record, cfg)
-    with pytest.raises(ValueError, match="m > 0"):
-        detect_collisions(params, state0, cfg)
+def test_zero_inertia_events_are_the_small_inertia_limit():
+    # One collision scan serves both models.  As m -> 0, with the initial
+    # frequencies on the zero-inertia velocities (the slow manifold to
+    # leading order), an inertial run's events tend to the m = 0 run's: the
+    # same (i, j, branch) list in the same order, t_star within 10*m
+    # (measured 6.7e-3 and 6.7e-4), falling at least 5x per decade.  At
+    # m = 1e-2 the lists differ by one event.
+    params, state0 = sample_instance(ScenarioConfig(n=12, m=0.0, d_v=2.0, seed=3))
+    limit = detect_collisions(params, state0, IntegratorConfig(dt=0.01, t_end=8.0))
+    start = PhaseState(0.0, state0.theta, rhs_first_order(params, state0.theta))
+    assert len(limit) > 40
+    shifts = []
+    for m in (1e-3, 1e-4):
+        cfg = IntegratorConfig(dt=_effective_dt(0.01, m), t_end=8.0)
+        events = detect_collisions(SystemParams(m, params.kappa, params.nu), start, cfg)
+        assert [(ev.i, ev.j, ev.branch) for ev in events] == [
+            (ev.i, ev.j, ev.branch) for ev in limit
+        ]
+        shifts.append(max(abs(a.t_star - b.t_star) for a, b in zip(events, limit)))
+        assert shifts[-1] <= 10 * m
+    assert shifts[1] * 5 <= shifts[0]
+
+
+def test_zero_inertia_pair_two_pi_k_apart_never_collides():
+    # Two oscillators with one nu that start 2*pi*k apart move together for
+    # all time.  At zero inertia their recorded velocities differ by
+    # rounding, so the scan compares nu, from which the velocities follow:
+    # the pair yields no event, while the others collide.
+    params = SystemParams(0.0, 1.0, [0.3, 0.3, -0.4, 0.1])
+    cfg = IntegratorConfig(dt=0.01, t_end=20.0)
+    rounded = 0
+    for k in (-1, 1, 2, 3):
+        state0 = PhaseState(0.0, [0.2, 0.2 + k * TWO_PI, 1.5, -2.0], np.zeros(4))
+        record = record_trajectory(params, state0, cfg)
+        rounded += record.omega[0, 0] != record.omega[0, 1]
+        events = collision_events_from_record(params, record, cfg)
+        assert events and all((ev.i, ev.j) != (0, 1) for ev in events), k
+    assert rounded  # the velocities do differ for some k
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +513,9 @@ def test_collisions_need_inertia(rng):
 # ---------------------------------------------------------------------------
 
 def _reference_indistinguishable(params, state0, i, j):
-    if params.nu[i] != params.nu[j] or state0.omega[i] != state0.omega[j]:
+    # At zero inertia the frequencies follow from nu and the phases.
+    omega = state0.omega if params.m > 0.0 else params.nu
+    if params.nu[i] != params.nu[j] or omega[i] != omega[j]:
         return False
     d = (state0.theta[i] - state0.theta[j]) % TWO_PI
     return min(d, TWO_PI - d) <= 1e-12
@@ -578,6 +609,12 @@ def _census_case(seed, n=40, m=1.0, kappa=1.0):
     return _dense(params, state0, IntegratorConfig(dt=0.01, t_end=2.5))
 
 
+def _zero_inertia_case(seed):
+    config = ScenarioConfig(n=20, m=0.0, d_v=2.0, t_end=10.0, seed=seed)
+    params, state0 = sample_instance(config)
+    return _dense(params, state0, IntegratorConfig(dt=0.01, t_end=10.0))
+
+
 def _n3_case(attempt):
     params, state0, _ = _campaign_instance(CampaignConfig(which="n3", seed=1111), attempt)
     cfg = IntegratorConfig(dt=_effective_dt(0.01, params.m), t_end=20.0)
@@ -626,6 +663,7 @@ COLLISION_CASES = {
     "identical_pair": _identical_pair_case,
     "single_oscillator": _single_oscillator_case,
     "no_crossing": _no_crossing_case,
+    **{f"zero_inertia_{s}": (lambda s=s: _zero_inertia_case(s)) for s in range(4)},
 }
 
 
@@ -659,13 +697,20 @@ _FINE_REFERENCE_BOUND = {
     "no_crossing": 0.0,
     "nonsync_drift": 1e-10,  # (2.2e-11)
     "single_oscillator": 0.0,
+    "zero_inertia_0": 1e-9,  # (2.3e-10)
+    "zero_inertia_1": 5e-10,  # (1.1e-10)
+    "zero_inertia_2": 1e-9,  # (2.4e-10)
+    "zero_inertia_3": 2e-9,  # (6.3e-10)
 }
 
 
 def _fine_reference(case):
     """Events of a case's instance run at dt/20, in pair order: by pair,
-    then time.  The four n3 cases share their plan and run as one batch."""
-    names = tuple(f"n3_{a}" for a in range(4)) if case.startswith("n3") else (case,)
+    then time.  The four n3 cases share their plan and run as one batch, as
+    do the four zero-inertia cases."""
+    family = case.rpartition("_")[0]
+    batched = family in ("n3", "zero_inertia")
+    names = tuple(f"{family}_{a}" for a in range(4)) if batched else (case,)
     return _fine_events(names)[names.index(case)]
 
 
@@ -748,7 +793,7 @@ def test_cubic_solve_bisects_unconverged_rows():
 
 
 @pytest.mark.parametrize(
-    "case", ["census_stiff", "nonsync_drift", "n3_0", "n3_1", "n3_2", "n3_3"]
+    "case", ["census_stiff", "nonsync_drift", "n3_0", "n3_1", "n3_2", "n3_3", "zero_inertia_0"]
 )
 def test_refinement_never_probes_more_than_plain_bisection(monkeypatch, case):
     # Crossing times are read off the record: the refinement evaluates the
