@@ -169,7 +169,8 @@ def _stepper(params, coup: Callable[..., np.ndarray], shape: tuple):
     coupling call) are made here, once.
 
     Returns ``step(y, h)``, which returns the state one step of size ``h``
-    after ``y`` as a fresh array.
+    after ``y`` as a fresh array; its attribute ``derivative``, the view
+    ``w[0, 1:]``, then holds the derivative of ``y`` until the next step.
     """
     d = shape[0]
     w = np.empty((4, d + 1) + shape[1:])
@@ -196,6 +197,7 @@ def _stepper(params, coup: Callable[..., np.ndarray], shape: tuple):
         np.add(acc, k[3], out=acc)
         return y + np.multiply(h / 6.0, acc, out=acc)
 
+    step.derivative = k[0]
     return step
 
 
@@ -205,13 +207,15 @@ def _march(
     y: np.ndarray,
     t0: float,
     config: IntegratorConfig,
-    observe: Callable[[float, np.ndarray], None],
+    observe: Callable[[float, np.ndarray, Optional[np.ndarray]], None],
 ) -> tuple[float, np.ndarray]:
     """Advance the stacked state ``y`` over the step plan of ``config`` with
     one :func:`_stepper` and return the final ``(t, y)``.
 
-    ``observe(t, y)`` is called before step 0, before every
-    ``observer_stride``-th step thereafter, and after the last step.  The
+    ``observe(t, y, dy)`` is called before step 0, before every
+    ``observer_stride``-th step thereafter, and after the last step.  ``dy``
+    is the derivative of ``y`` that the step from it computed (``dy[0]``
+    holds the frequencies of either model), None after the last step.  The
     state is checked for finiteness before each of these calls.  A failed
     check replays the steps since the last finite check one at a time,
     checking each, so :class:`IntegrationError` names the first non-finite
@@ -236,23 +240,25 @@ def _march(
             _check_finite(y, t0 + k * dt if k <= n_full else t_end)
         good = (k, y)
 
+    def advance(k, y, h, t):
+        # The step goes first, so that the observer gets its derivative at y.
+        y_next = step(y, h)
+        if k % stride == 0:
+            check(k, y)
+            observe(t, y, step.derivative)
+        return y_next
+
     # Blow-up is detected by the explicit finiteness check; silence the
     # transient inf/nan arithmetic warnings it would otherwise emit.
     with np.errstate(invalid="ignore", over="ignore"):
         for k in range(n_full):
-            if k % stride == 0:
-                check(k, y)
-                observe(t0 + k * dt, y)
-            y = step(y, dt)
+            y = advance(k, y, dt, t0 + k * dt)
         t_last = t0 + n_full * dt
         if rem > 0.0:
-            if n_full % stride == 0:
-                check(n_full, y)
-                observe(t_last, y)
-            y = step(y, rem)
+            y = advance(n_full, y, rem, t_last)
             t_last = t_end
         check(n_full + (rem > 0.0), y)
-    observe(t_last, y)
+    observe(t_last, y, None)
     return t_last, y
 
 
@@ -292,9 +298,9 @@ def integrate(
     coup = COUPLING_FORMS["mean_field"]
     y, omega_of = _model(coef, coup, state0.theta, state0.omega)
 
-    def observe(t, y):
+    def observe(t, y, dy):
         if observer is not None:
-            observer(t, PhaseState(t, y[0], omega_of(y)))
+            observer(t, PhaseState(t, y[0], omega_of(y) if dy is None else dy[0]))
 
     t, y = _march(coef, coup, y, state0.t, config, observe)
     return PhaseState(t, y[0], omega_of(y))
@@ -331,10 +337,7 @@ class TrajectoryRecord:
         """Every ``step``-th snapshot, always keeping the last one."""
         if not (_integer(step) and step >= 1):
             raise ValueError(f"step must be an integer >= 1, got {step!r}")
-        idx = list(range(0, self.t.size, int(step)))
-        if idx[-1] != self.t.size - 1:
-            idx.append(self.t.size - 1)
-        sel = np.asarray(idx, dtype=int)
+        sel = np.unique(np.append(np.arange(0, self.t.size, int(step)), self.t.size - 1))
         return TrajectoryRecord(self.t[sel], self.theta[sel], self.omega[sel])
 
 
@@ -359,19 +362,19 @@ def _coefficients(params):
 
 def _record(params, coup, y, omega_of, t0: float, config: IntegratorConfig) -> TrajectoryRecord:
     """Run :func:`_march` into a record allocated up front: ``(S, N)``
-    arrays, or ``(B, S, N)`` for a batch.  ``omega_of(y)`` gives the
-    frequency rows of a snapshot."""
+    arrays, or ``(B, S, N)`` for a batch.  A snapshot's frequency rows are
+    its derivative's first row, and ``omega_of(y)`` at the last snapshot."""
     s = _n_snapshots(config)
     t = np.empty(s)
     theta = np.empty(y[0].shape[:-1] + (s, y[0].shape[-1]))
     omega = np.empty_like(theta)
     k = 0
 
-    def observe(tk, yk):
+    def observe(tk, yk, dy):
         nonlocal k
         t[k] = tk
         theta[..., k, :] = yk[0]
-        omega[..., k, :] = omega_of(yk)
+        omega[..., k, :] = omega_of(yk) if dy is None else dy[0]
         k += 1
 
     _march(params, coup, y, t0, config, observe)
@@ -429,6 +432,10 @@ class CollisionEvent:
 # bounds the scan's scratch memory whatever N and the record's length.
 _BLOCK_ELEMENTS = 1 << 15
 
+# Steps per chunk of the pair scan's skip rule (see :func:`_live_cells`).  It
+# sets the scan's speed only: every value gives the same events.
+_CHUNK_STEPS = 32
+
 
 def _distinguishable(params: SystemParams, theta0, omega0, i, j) -> np.ndarray:
     """Mask over the pairs ``(i[k], j[k])``: False where both oscillators
@@ -438,12 +445,67 @@ def _distinguishable(params: SystemParams, theta0, omega0, i, j) -> np.ndarray:
     differ by rounding for phases 2*pi*k apart."""
     d = (theta0[i] - theta0[j]) % TWO_PI
     omega0 = omega0 if params.m > 0.0 else params.nu
-    same = (
-        (params.nu[i] == params.nu[j])
-        & (omega0[i] == omega0[j])
-        & (np.minimum(d, TWO_PI - d) <= 1e-12)
-    )
-    return ~same
+    same = (params.nu[i] == params.nu[j]) & (omega0[i] == omega0[j])
+    return ~(same & (np.minimum(d, TWO_PI - d) <= 1e-12))
+
+
+def _chunks(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each chunk's first snapshot, and each oscillator's least and greatest
+    phase over each chunk, (N, chunks), of the phases ``theta`` (S, N).  A
+    chunk spans ``_CHUNK_STEPS`` steps and shares its last snapshot with the
+    next chunk's first, so every bracket lies in exactly one chunk."""
+    s = theta.shape[0]
+    starts = np.arange(0, max(s - 1, 1), _CHUNK_STEPS)
+    ends = np.minimum(starts + _CHUNK_STEPS, s - 1)
+    low = np.minimum(np.minimum.reduceat(theta, starts), theta[ends])
+    high = np.maximum(np.maximum.reduceat(theta, starts), theta[ends])
+    return starts, np.ascontiguousarray(low.T), np.ascontiguousarray(high.T)
+
+
+def _live_cells(low, high, i, j) -> np.ndarray:
+    """The pair scan's skip rule, a (pairs, chunks) mask over the pairs
+    ``(i[p], j[p])`` and the chunk bounds of :func:`_chunks`: False where
+    sin((theta_i - theta_j)/2) keeps one nonzero sign over the chunk.
+    Rounding is monotone, so each computed gap of the chunk lies in [lo, hi]
+    = [fl(low_i - high_j), fl(high_i - low_j)]; the cell is skipped when that
+    lies inside (2*pi*n + d, 2*pi*(n + 1) - d), n = floor(lo/2*pi), with a
+    margin d far above the rounding of 2*pi*n and of the sine."""
+    lo = low[i] - high[j]
+    hi = high[i] - low[j]
+    n = np.floor(lo / TWO_PI)
+    d = 1e-9 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+    return ~((lo > n * TWO_PI + d) & (hi < (n + 1.0) * TWO_PI - d))
+
+
+def _scan(theta: np.ndarray, iu: np.ndarray, ju: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Pairs and first snapshots of the brackets where sin((theta_i -
+    theta_j)/2) changes sign, then pairs and snapshots where it is exactly
+    zero, each in (pair, snapshot) order, from the live cells of
+    :func:`_live_cells`.  A block of pairs' cells, and a tile of live cells'
+    gaps, hold at most ``_BLOCK_ELEMENTS`` values."""
+    last = theta.shape[0] - 1
+    starts, low, high = _chunks(theta)
+    span = np.arange(_CHUNK_STEPS + 1)  # a chunk's snapshots, from its first
+    width = max(1, _BLOCK_ELEMENTS // starts.size)
+    tile = max(1, _BLOCK_ELEMENTS // span.size)
+    cross_p, cross_k, zero_p, zero_k = found = [], [], [], []
+    for first in range(0, iu.size, width):
+        p, c = np.nonzero(_live_cells(low, high, iu[first:first + width], ju[first:first + width]))
+        p += first
+        for a in range(0, p.size, tile):
+            cp, k = p[a:a + tile, None], starts[c[a:a + tile], None] + span
+            rows = np.minimum(k, last)  # a short last chunk repeats the last snapshot
+            g = np.sin(0.5 * (theta[rows, iu[cp]] - theta[rows, ju[cp]]))
+            sg = np.sign(g)
+            r, b = np.nonzero(sg[:, :-1] * sg[:, 1:] < 0)
+            cross_p.append(cp[r, 0])
+            cross_k.append(k[r, b])
+            # A chunk's last snapshot is the next chunk's first, which owns
+            # its zero; the record's last snapshot belongs to the last chunk.
+            r, b = np.nonzero((g == 0.0) & (((k < last) & (span < _CHUNK_STEPS)) | (k == last)))
+            zero_p.append(cp[r, 0])
+            zero_k.append(k[r, b])
+    return tuple(np.concatenate(f) if f else np.zeros(0, dtype=np.intp) for f in found)
 
 
 def _hermite(s, y0, y1, m0, m1):
@@ -516,14 +578,16 @@ def collision_events_from_record(
 
     The crossing function sin((theta_i - theta_j)/2) vanishes exactly on the
     collision set and is smooth, so plain sign-change bracketing applies.
-    Pairs are scanned in blocks of at most ``_BLOCK_ELEMENTS`` gap values.
-    Each bracketed crossing's time is then the root of the cubic Hermite
-    interpolant of the pair's gap over its step, read from the record alone
-    (dense-output event location; see :func:`_crossing_times`), and its
-    branch the multiple of 2*pi that the gap crosses there.  A snapshot where
-    the crossing function is exactly zero is an event at that snapshot.
-    Double roots inside one step are a known blind spot of the bracketing.
-    Events are sorted by ``(t_star, i, j)``.
+    The scan (:func:`_scan`) evaluates it only on the cells that the skip
+    rule of :func:`_live_cells` leaves live, and finds the events of a scan
+    of every pair at every snapshot.  Each bracketed crossing's time is the
+    root of the cubic Hermite interpolant of the pair's gap over its step,
+    read from the record alone (dense-output event location; see
+    :func:`_crossing_times`), and its branch the multiple of 2*pi that the
+    gap crosses there.  A snapshot where the crossing function is exactly
+    zero is an event at that snapshot.  Double roots inside one step are a
+    known blind spot of the bracketing.  Events are sorted by
+    ``(t_star, i, j)``.
     """
     _check_match(params, record.n, "record")
     n_full, rem = _step_plan(config.dt, config.t_end)
@@ -537,24 +601,7 @@ def collision_events_from_record(
     iu, ju = np.triu_indices(record.n, 1)
     keep = _distinguishable(params, theta[0], record.omega[0], iu, ju)
     iu, ju = iu[keep], ju[keep]
-    if iu.size == 0:
-        return []
-    width = max(1, _BLOCK_ELEMENTS // record.n_snapshots)
-    cross_p, cross_k, zero_p, zero_k = [], [], [], []
-    for start in range(0, iu.size, width):
-        g = np.sin(0.5 * (theta[:, iu[start:start + width]] - theta[:, ju[start:start + width]]))
-        sg = np.sign(g)
-        # Flat indices of the (snapshot, pair) block, in the row-major order
-        # of a two-dimensional nonzero.
-        k, p = np.divmod(np.flatnonzero(sg[:-1] * sg[1:] < 0), g.shape[1])
-        cross_p.append(p + start)
-        cross_k.append(k)
-        k, p = np.divmod(np.flatnonzero(g == 0.0), g.shape[1])
-        zero_p.append(p + start)
-        zero_k.append(k)
-    del g, sg  # the solve below does not hold the last scan block
-    cp, ck = np.concatenate(cross_p), np.concatenate(cross_k)
-    zp, zk = np.concatenate(zero_p), np.concatenate(zero_k)
+    cp, ck, zp, zk = _scan(theta, iu, ju)
     t_cross, b_cross = _crossing_times(record, ck, iu[cp], ju[cp])
     b_zero = np.rint((theta[zk, iu[zp]] - theta[zk, ju[zp]]) / TWO_PI).astype(np.int64)
 

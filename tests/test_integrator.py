@@ -945,7 +945,7 @@ def test_march_checks_finiteness_like_every_step(rng, name, stride):
         assert fail_step % stride != 0 and fail_step < n_full
     seen = []
 
-    def observe(t, yk):
+    def observe(t, yk, dy):
         assert np.isfinite(yk).all()
         seen.append(t)
 
@@ -1041,6 +1041,142 @@ def test_refinement_probe_memory_bounded(monkeypatch):
     pairs = record.n * (record.n - 1) // 2
     assert len(events) > 100 and record.n_snapshots * pairs > 40 * block
     assert peak <= 8 * 8 * block + 2048 * len(events)
+
+
+def test_zero_inertia_record_reuses_the_step_rate(monkeypatch):
+    # A zero-inertia record's frequency rows are the phase velocities, which
+    # the step from each snapshot computes as its stage-1 rate: a dense record
+    # makes four coupling calls per step and one for its last snapshot, not a
+    # fifth per step, and every row equals a coupling call of its own bit for
+    # bit, at stride 1 and 7.
+    calls = 0
+    coupling = COUPLING_FORMS["mean_field"]
+
+    def counting(theta, kappa, work=None):
+        nonlocal calls
+        calls += 1
+        return coupling(theta, kappa, work)
+
+    monkeypatch.setitem(COUPLING_FORMS, "mean_field", counting)
+    cfg = IntegratorConfig(dt=0.01, t_end=10.0)
+    steps = 1000
+    for m in (0.0, 1.0):
+        params, state0 = sample_instance(ScenarioConfig(n=10, m=m, seed=3))
+        calls = 0
+        assert detect_collisions(params, state0, cfg)
+        assert calls <= 4 * steps + (m == 0.0)
+    monkeypatch.setitem(COUPLING_FORMS, "mean_field", coupling)
+    params, state0 = sample_instance(ScenarioConfig(n=10, m=0.0, seed=4))
+    strided = IntegratorConfig(dt=0.01, t_end=1.005, observer_stride=7)
+    record = record_trajectory(params, state0, strided)
+    for theta, omega in zip(record.theta, record.omega):
+        assert np.array_equal(omega, params.nu + coupling(theta, params.kappa))
+
+
+class _CountingNumpy:
+    """numpy, with a count of the values passed to ``sin``."""
+
+    def __init__(self):
+        self.sin_values = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def sin(self, x, *args, **kwargs):
+        self.sin_values += np.size(x)
+        return np.sin(x, *args, **kwargs)
+
+
+def test_collision_scan_evaluates_few_cells_of_a_census(monkeypatch):
+    # The skip rule leaves about 4 % of a census's (snapshot, pair) cells
+    # live; the scan evaluates sin on those alone.  A fallback to the full
+    # scan evaluates every cell.
+    params, record, cfg = COLLISION_CASES["census_101"]()
+    counting = _CountingNumpy()
+    monkeypatch.setattr(integrate_module, "np", counting)
+    events = collision_events_from_record(params, record, cfg)
+    cells = record.n_snapshots * record.n * (record.n - 1) // 2
+    assert len(events) > 100
+    assert 0 < counting.sin_values <= 0.10 * cells
+
+
+_CHUNK_DEFAULT = integrate_module._CHUNK_STEPS
+
+
+@pytest.mark.parametrize("case", sorted(COLLISION_CASES))
+def test_collision_scan_chunk_length_invariance(monkeypatch, case):
+    # The chunk length sets the scan's speed only: one step per chunk, a few,
+    # the default, and one chunk for the whole record give the same events
+    # as the unpruned reference scan, bit for bit.
+    params, record, cfg = COLLISION_CASES[case]()
+    reference = _bits(reference_collision_events(params, record, cfg))
+    for steps in (1, 2, 7, _CHUNK_DEFAULT, record.n_snapshots):
+        monkeypatch.setattr(integrate_module, "_CHUNK_STEPS", steps)
+        assert _bits(collision_events_from_record(params, record, cfg)) == reference, steps
+
+
+@pytest.mark.parametrize("case", ["census_101", "n3_0", "zero_inertia_0"])
+def test_collision_scan_skips_only_cells_without_a_sign_change(case):
+    # Soundness of the skip rule: in the unpruned sin scan, no cell that the
+    # rule skips holds a sign change between its chunk's snapshots or an
+    # exact zero on one of them.  The rule skips most cells of these cases.
+    params, record, cfg = COLLISION_CASES[case]()
+    iu, ju = np.triu_indices(record.n, 1)
+    sign = np.sign(np.sin(0.5 * (record.theta[:, iu] - record.theta[:, ju])))
+    starts, low, high = integrate_module._chunks(record.theta)
+    live = integrate_module._live_cells(low, high, iu, ju)
+    assert live.shape == (iu.size, starts.size) and live.mean() < 0.5
+    last = record.n_snapshots - 1
+    for c, start in enumerate(starts):
+        seg = sign[start:min(start + _CHUNK_DEFAULT, last) + 1]
+        found = (seg[:-1] * seg[1:] < 0).any(axis=0) | (seg == 0.0).any(axis=0)
+        assert not (found & ~live[:, c]).any(), start
+
+
+# Gaps of a hand-built record, as offsets from a multiple of fl(2*pi): at
+# the float spacing of 2*pi*n and a little above, both signs, and values
+# well inside an arc, repeated so that some chunks stay inside one arc.
+_GAP_OFFSETS = [0.0, 1e-15, -1e-15, 4e-13, -4e-13, 1e-9, -1e-9, 2e-9, -2e-9] + [0.5, -2.0, 3.0] * 4
+
+
+@st.composite
+def _adversarial_records(draw):
+    n = draw(st.integers(2, 4))
+    s = draw(st.integers(1, 40))
+    scale = draw(st.sampled_from([1.0, 1e2, 1e4]))
+    base = np.cumsum(draw(st.lists(st.floats(-0.3, 0.3), min_size=s, max_size=s)))
+    theta = np.empty((s, n))
+    theta[:, 0] = draw(st.floats(-scale, scale)) + base
+    for j in range(1, n):
+        winding = draw(st.integers(-3, 3))
+        offsets = draw(st.lists(st.sampled_from(_GAP_OFFSETS), min_size=s, max_size=s))
+        theta[:, j] = theta[:, 0] - (winding * TWO_PI + np.array(offsets))
+        if draw(st.booleans()):  # the other gap direction
+            theta[:, [0, j]] = theta[:, [j, 0]]
+    omega = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=s * n, max_size=s * n)))
+    steps = draw(st.sampled_from([1, 2, 3, 5, 7]))
+    return theta, omega.reshape(s, n), steps
+
+
+@given(_adversarial_records())
+@example((np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, -1.0], [0.0, 0.0]]),
+          np.ones((5, 2)), 2))
+def test_pruned_collision_scan_matches_reference_on_adversarial_records(data):
+    # Hand-built dense records whose gaps sit within 1e-15 to 2e-9 of
+    # fl(2*pi)*n on either side, or exactly on it, with phases up to 1e4 in
+    # size, both gap directions, and exact zeros on snapshots two chunks
+    # share (the example's zeros lie at snapshots 0, 2 and 4, with two steps
+    # per chunk).  The pruned scan equals the unpruned reference bit for bit.
+    theta, omega, steps = data
+    s, n = theta.shape
+    t = np.arange(s) * 0.125
+    params = SystemParams(1.0, 1.0, np.arange(n, dtype=float))
+    record = integrate_module.TrajectoryRecord(t, theta, omega)
+    cfg = IntegratorConfig(dt=0.125, t_end=(s - 1) * 0.125)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(integrate_module, "_CHUNK_STEPS", steps)
+        events = collision_events_from_record(params, record, cfg)
+    assert _bits(events) == _bits(reference_collision_events(params, record, cfg))
 
 
 def test_first_order_observer_cadence():
