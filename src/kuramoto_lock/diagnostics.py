@@ -18,7 +18,7 @@ from .model import (
     TWO_PI, PhaseState, SystemParams, _check_match, _indices, _integer, _real, centroid,
     centroid_phase, diameter, order_parameter,
 )
-from .integrate import TrajectoryRecord, _snapshot_grid
+from .integrate import TrajectoryRecord, _check_single, _snapshot_grid
 
 __all__ = [
     "R_PHASE_THRESHOLD",
@@ -145,6 +145,7 @@ def energy_dissipation_residual(
     O(spacing^2) plus integrator error.
     """
     _check_match(params, record.n, "record")
+    _check_single(record)
     if params.nu_diameter > 1e-12:
         raise ValueError("energy dissipation requires identical natural frequencies")
     s, h = _snapshot_grid(record.t)
@@ -289,6 +290,7 @@ def arrangement_check(
     and the upper bound c*(nu_i - nu_j)/kappa.
     """
     _check_match(params, record_tail.n, "record_tail")
+    _check_single(record_tail, "record_tail")
     c = arrangement_constant(lam, phi1)
     idx, shift = _members(cluster, params.n)
     shifted = record_tail.theta[:, idx] - shift[None, :]
@@ -385,6 +387,7 @@ def detect_locking(
     (``relative_phase_drift_final`` among them) agree to 8*spacing(M).
     """
     _check_match(params, record.n, "record")
+    _check_single(record)
     tol = tolerances or default_lock_tolerances(params.kappa)
     fit = _lock_window(record.t, window)
     if fit is None:

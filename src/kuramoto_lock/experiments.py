@@ -43,6 +43,7 @@ from .integrate import (
     CollisionEvent,
     collision_events_from_record,
     record_trajectory,
+    _check_single,
     _n_snapshots,
 )
 from .diagnostics import (
@@ -365,6 +366,7 @@ def compute_series(
     seeded at the first snapshot.
     """
     _check_match(params, record.n, "record")
+    _check_single(record)
     s = record.n_snapshots
     cs = centroid(record.theta)
     r = order_parameter(cs)

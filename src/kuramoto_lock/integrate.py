@@ -169,8 +169,9 @@ def _stepper(params, coup: Callable[..., np.ndarray], shape: tuple):
     coupling call) are made here, once.
 
     Returns ``step(y, h)``, which returns the state one step of size ``h``
-    after ``y`` as a fresh array; its attribute ``derivative``, the view
-    ``w[0, 1:]``, then holds the derivative of ``y`` until the next step.
+    after ``y`` as a fresh array; its view ``frequencies``, ``w[0, 1]``, then
+    holds y's omega (phase velocity at m = 0) until the next step, and
+    ``step.rate(y)`` fills stage 1 from ``y`` alone and returns that view.
     """
     d = shape[0]
     w = np.empty((4, d + 1) + shape[1:])
@@ -182,10 +183,14 @@ def _stepper(params, coup: Callable[..., np.ndarray], shape: tuple):
     r = [w[s, d] for s in range(4)]
     work = _MeanFieldWork(shape[1:])
 
-    def step(y, h):
+    def rate(y):
         if d == 2:
             np.copyto(om[0], y[1])  # stage 1's derivative: the frequencies, then the rate
         _rate(params, coup, y[0], om[0], r[0], work)
+        return w[0, 1]
+
+    def step(y, h):
+        rate(y)
         half = 0.5 * h
         for s in (1, 2):
             np.add(y, np.multiply(half, k[s - 1], out=tmp), out=x[s])
@@ -197,33 +202,41 @@ def _stepper(params, coup: Callable[..., np.ndarray], shape: tuple):
         np.add(acc, k[3], out=acc)
         return y + np.multiply(h / 6.0, acc, out=acc)
 
-    step.derivative = k[0]
+    step.frequencies, step.rate = w[0, 1], rate
     return step
 
 
 def _march(
     params,
     coup,
-    y: np.ndarray,
+    theta: np.ndarray,
+    omega: np.ndarray,
     t0: float,
     config: IntegratorConfig,
-    observe: Callable[[float, np.ndarray, Optional[np.ndarray]], None],
-) -> tuple[float, np.ndarray]:
-    """Advance the stacked state ``y`` over the step plan of ``config`` with
-    one :func:`_stepper` and return the final ``(t, y)``.
+    observe: Callable[[float, np.ndarray, np.ndarray], None],
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Run the model that the inertia selects from ``(theta, omega)`` at
+    ``t0`` over the step plan of ``config`` with one :func:`_stepper`, and
+    return the final ``(t, theta, omega)``.  Every m > 0 steps the inertial
+    state; every m = 0 steps the phases alone, ignoring ``omega``.  A batch
+    that mixes the two raises ``ValueError``.
 
-    ``observe(t, y, dy)`` is called before step 0, before every
-    ``observer_stride``-th step thereafter, and after the last step.  ``dy``
-    is the derivative of ``y`` that the step from it computed (``dy[0]``
-    holds the frequencies of either model), None after the last step.  The
-    state is checked for finiteness before each of these calls.  A failed
-    check replays the steps since the last finite check one at a time,
-    checking each, so :class:`IntegrationError` names the first non-finite
-    step's time and row, as a check after every step would: NaN and inf
-    never turn finite again under the step's operations.
+    ``observe(t, theta, omega)`` gets a finished snapshot, as views valid
+    until it returns, before step 0, before every ``observer_stride``-th
+    step thereafter, and after the last step: the frequencies are the
+    stepper's ``frequencies`` from the step's stage 1, and after the last
+    step omega, or at m = 0 ``step.rate`` of the final phases.  The state is
+    checked for finiteness before each call.  A failed check replays the
+    steps since the last finite check one at a time, checking each, so
+    :class:`IntegrationError` names the first non-finite step's time and
+    row, as a check after every step would: NaN and inf never turn finite
+    again under the step's operations.
     """
-    dt = config.dt
-    stride = config.observer_stride
+    inertial = params.m > 0.0
+    if inertial.any() != inertial.all():
+        raise ValueError("a batch cannot mix inertial (m > 0) and zero-inertia (m = 0) instances")
+    y = np.stack((theta, omega)) if inertial.all() else theta[None]
+    dt, stride = config.dt, config.observer_stride
     n_full, rem = _step_plan(dt, config.t_end)
     step = _stepper(params, coup, y.shape)
     t_end = t0 + config.t_end
@@ -241,11 +254,11 @@ def _march(
         good = (k, y)
 
     def advance(k, y, h, t):
-        # The step goes first, so that the observer gets its derivative at y.
+        # The step goes first, so that the observer gets its frequencies at y.
         y_next = step(y, h)
         if k % stride == 0:
             check(k, y)
-            observe(t, y, step.derivative)
+            observe(t, y[0], step.frequencies)
         return y_next
 
     # Blow-up is detected by the explicit finiteness check; silence the
@@ -258,25 +271,9 @@ def _march(
             y = advance(n_full, y, rem, t_last)
             t_last = t_end
         check(n_full + (rem > 0.0), y)
-    observe(t_last, y, None)
-    return t_last, y
-
-
-def _model(coef, coup, theta: np.ndarray, omega: np.ndarray):
-    """Stacked state ``y`` and ``omega_of`` of the model that the inertia
-    selects, for :func:`_march` and :func:`_record`.  Every m > 0 steps the
-    inertial state ``y = (theta, omega)``; every m = 0 steps the zero-inertia
-    phases ``y = (theta,)`` alone, ignores ``omega``, and gives the phase
-    velocities as frequency rows.  A batch that mixes the two raises
-    ``ValueError``."""
-    inertial = coef.m > 0.0
-    if inertial.all():
-        y, omega_of = np.stack((theta, omega)), lambda y: y[1]
-    elif inertial.any():
-        raise ValueError("a batch cannot mix inertial (m > 0) and zero-inertia (m = 0) instances")
-    else:
-        y, omega_of = theta[None], lambda y: coef.nu + coup(y[0], coef.kappa)
-    return y, omega_of
+    omega = y[1] if inertial.all() else step.rate(y)
+    observe(t_last, y[0], omega)
+    return t_last, y[0], omega
 
 
 def integrate(
@@ -294,16 +291,13 @@ def integrate(
     deterministic given its inputs.
     """
     _check_match(params, state0.n, "state0")
-    coef = _coefficients(params)
-    coup = COUPLING_FORMS["mean_field"]
-    y, omega_of = _model(coef, coup, state0.theta, state0.omega)
 
-    def observe(t, y, dy):
+    def observe(t, theta, omega):
         if observer is not None:
-            observer(t, PhaseState(t, y[0], omega_of(y) if dy is None else dy[0]))
+            observer(t, PhaseState(t, theta, omega))
 
-    t, y = _march(coef, coup, y, state0.t, config, observe)
-    return PhaseState(t, y[0], omega_of(y))
+    coef, coup = _coefficients(params), COUPLING_FORMS["mean_field"]
+    return PhaseState(*_march(coef, coup, state0.theta, state0.omega, state0.t, config, observe))
 
 
 @dataclass(frozen=True)
@@ -328,17 +322,29 @@ class TrajectoryRecord:
 
     def instance(self, b: int) -> "TrajectoryRecord":
         """Record of instance ``b`` of a batch, as a view."""
+        if self.theta.ndim != 3:
+            raise ValueError("instance() needs a batch record, theta of shape (B, S, N)")
         return TrajectoryRecord(self.t, self.theta[b], self.omega[b])
 
     def state(self, k: int) -> PhaseState:
+        """Snapshot ``k`` of a single-instance record."""
+        _check_single(self)
         return PhaseState(float(self.t[k]), self.theta[k], self.omega[k])
 
     def subsample(self, step: int) -> "TrajectoryRecord":
-        """Every ``step``-th snapshot, always keeping the last one."""
+        """Every ``step``-th snapshot of a single or batch record, and the last."""
         if not (_integer(step) and step >= 1):
             raise ValueError(f"step must be an integer >= 1, got {step!r}")
         sel = np.unique(np.append(np.arange(0, self.t.size, int(step)), self.t.size - 1))
-        return TrajectoryRecord(self.t[sel], self.theta[sel], self.omega[sel])
+        return TrajectoryRecord(self.t[sel], self.theta[..., sel, :], self.omega[..., sel, :])
+
+
+def _check_single(record: TrajectoryRecord, what: str = "record") -> None:
+    """The shape rule of every reader of one instance's record: ``(S, N)``
+    arrays, or ValueError says how many instances the batch ``what`` holds."""
+    if record.theta.ndim != 2:
+        raise ValueError(f"{what} holds a batch of {record.theta.shape[0]} instances; "
+                         f"pass {what}.instance(b), of shape (S, N)")
 
 
 def _coefficients(params):
@@ -358,27 +364,6 @@ def _coefficients(params):
         np.repeat([[p.kappa] for p in params], nu.shape[1], axis=1),
         nu,
     )
-
-
-def _record(params, coup, y, omega_of, t0: float, config: IntegratorConfig) -> TrajectoryRecord:
-    """Run :func:`_march` into a record allocated up front: ``(S, N)``
-    arrays, or ``(B, S, N)`` for a batch.  A snapshot's frequency rows are
-    its derivative's first row, and ``omega_of(y)`` at the last snapshot."""
-    s = _n_snapshots(config)
-    t = np.empty(s)
-    theta = np.empty(y[0].shape[:-1] + (s, y[0].shape[-1]))
-    omega = np.empty_like(theta)
-    k = 0
-
-    def observe(tk, yk, dy):
-        nonlocal k
-        t[k] = tk
-        theta[..., k, :] = yk[0]
-        omega[..., k, :] = omega_of(yk) if dy is None else dy[0]
-        k += 1
-
-    _march(params, coup, y, t0, config, observe)
-    return TrajectoryRecord(t, theta, omega)
 
 
 def record_trajectory(params, state0, config: IntegratorConfig) -> TrajectoryRecord:
@@ -408,8 +393,16 @@ def record_trajectory(params, state0, config: IntegratorConfig) -> TrajectoryRec
     if coef.nu.shape[:-1] != theta.shape[:-1]:
         raise ValueError("a batch needs one state per instance")
     _check_match(coef, theta.shape[-1], "state0")
-    coup = COUPLING_FORMS["mean_field"]
-    return _record(coef, coup, *_model(coef, coup, theta, omega), t0, config)
+    t = np.empty(_n_snapshots(config))
+    rec_theta = np.empty(theta.shape[:-1] + (t.size, theta.shape[-1]))
+    rec_omega, slots = np.empty_like(rec_theta), iter(range(t.size))
+
+    def observe(tk, theta_k, omega_k):
+        k = next(slots)
+        t[k], rec_theta[..., k, :], rec_omega[..., k, :] = tk, theta_k, omega_k
+
+    _march(coef, COUPLING_FORMS["mean_field"], theta, omega, t0, config, observe)
+    return TrajectoryRecord(t, rec_theta, rec_omega)
 
 
 @dataclass(frozen=True)
@@ -590,6 +583,7 @@ def collision_events_from_record(
     ``(t_star, i, j)``.
     """
     _check_match(params, record.n, "record")
+    _check_single(record)
     n_full, rem = _step_plan(config.dt, config.t_end)
     size = n_full + 1 + (rem > 0.0)
     if record.n_snapshots != size or (n_full and _snapshot_grid(record.t, config.dt)[0] <= n_full):

@@ -261,6 +261,32 @@ def test_batched_records_match_single_instances(rng):
                 assert x.shape == y.shape and np.array_equal(x, y)
 
 
+def test_record_methods_read_the_snapshot_axis_of_a_batch(rng):
+    # subsample thins every instance of a batch along its snapshot axis, as
+    # it thins each single record; state needs one instance's record and
+    # instance a batch's, and each refuses the other naming the shape.
+    instances = [random_instance(rng, n=4, m=0.5) for _ in range(3)]
+    cfg = IntegratorConfig(dt=0.01, t_end=0.105)
+    batch = record_trajectory([p for p, _ in instances], [s for _, s in instances], cfg)
+    single = record_trajectory(*instances[1], cfg)
+    assert batch.theta.shape == (3, 12, 4)
+    for step in (1, 2, 5, 11, 12, 50):
+        thinned = batch.subsample(step)
+        for b, (p, s) in enumerate(instances):
+            want = record_trajectory(p, s, cfg).subsample(step)
+            got = thinned.instance(b)
+            for x, y in ((got.t, want.t), (got.theta, want.theta), (got.omega, want.omega)):
+                assert x.shape == y.shape and np.array_equal(x, y)
+    state = batch.instance(1).state(5)
+    assert state.t == single.t[5] and np.array_equal(state.theta, single.theta[5])
+    with pytest.raises(ValueError, match=r"^record holds a batch of 3 instances; pass "
+                                         r"record\.instance\(b\), of shape \(S, N\)$"):
+        batch.state(1)
+    with pytest.raises(ValueError, match=r"^instance\(\) needs a batch record, theta of shape "
+                                         r"\(B, S, N\)$"):
+        single.instance(0)
+
+
 def test_batch_mixing_models_raises(rng):
     inertial, s = random_instance(rng, n=4, m=0.5)
     zero = dataclasses.replace(inertial, m=0.0)
@@ -931,7 +957,7 @@ def test_march_checks_finiteness_like_every_step(rng, name, stride):
     # Finiteness is checked only before each observed snapshot and after the
     # last step; a failed check replays the steps since the last good state,
     # so the error names the time and row of the first non-finite step, and
-    # no observer sees a non-finite state.
+    # no observer sees a non-finite snapshot, phases or frequencies.
     coef, y, cfg = _blowup_case(name, rng)
     cfg = dataclasses.replace(cfg, observer_stride=stride)
     coup = COUPLING_FORMS["mean_field"]
@@ -945,12 +971,13 @@ def test_march_checks_finiteness_like_every_step(rng, name, stride):
         assert fail_step % stride != 0 and fail_step < n_full
     seen = []
 
-    def observe(t, yk, dy):
-        assert np.isfinite(yk).all()
+    def observe(t, theta, omega):
+        assert np.isfinite(theta).all() and np.isfinite(omega).all()
         seen.append(t)
 
     with pytest.raises(IntegrationError) as info:
-        integrate_module._march(coef, coup, y, t0, cfg, observe)
+        # y[-1] is omega, or the phases again at m = 0, where it is ignored.
+        integrate_module._march(coef, coup, y[0], y[-1], t0, cfg, observe)
     assert str(info.value) == str(want) and info.value.row == want.row
     assert info.value.reason == want.reason
     assert len(seen) == (fail_step - 1) // stride + 1
@@ -1071,6 +1098,19 @@ def test_zero_inertia_record_reuses_the_step_rate(monkeypatch):
     record = record_trajectory(params, state0, strided)
     for theta, omega in zip(record.theta, record.omega):
         assert np.array_equal(omega, params.nu + coupling(theta, params.kappa))
+    # integrate takes its final frequencies from the same march: with an
+    # observer or without, one call for the last state, and the state it
+    # returns is the last one observed, bit for bit.
+    monkeypatch.setitem(COUPLING_FORMS, "mean_field", counting)
+    seen = []
+    for observer in (None, lambda t, state: seen.append(state)):
+        calls = 0
+        final = integrate(params, state0, cfg, observer)
+        assert calls == 4 * steps + 1
+    last = seen[-1]
+    assert len(seen) == steps + 1 and last.t == final.t == 10.0
+    assert np.array_equal(last.theta, final.theta) and np.array_equal(last.omega, final.omega)
+    assert np.array_equal(final.omega, record_trajectory(params, state0, cfg).omega[-1])
 
 
 class _CountingNumpy:

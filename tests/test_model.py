@@ -581,6 +581,42 @@ def test_every_size_reader_checks_sizes_by_one_rule(reader):
         call()
 
 
+def _batch_readers():
+    """(name, what it calls the record, call) for every reader of one
+    instance's record, each called with a record of a batch of three."""
+    from kuramoto_lock import (
+        ClusterReport, arrangement_check, detect_locking, energy_dissipation_residual,
+    )
+    from kuramoto_lock.experiments import compute_series
+    from kuramoto_lock.integrate import collision_events_from_record
+
+    p3 = SystemParams(1.0, 1.0, [0.0] * 3)
+    s3 = PhaseState(0.0, [0.0, 0.2, -0.2], [0.0, 0.1, -0.1])
+    cfg = IntegratorConfig(dt=0.01, t_end=1.0)
+    batch = record_trajectory([p3] * 3, [s3] * 3, cfg)
+    cluster = ClusterReport((0, 1, 2), (0, 0, 0), 0.0, 1.0)
+    return [
+        ("detect_locking", "record", lambda: detect_locking(p3, batch, window=0.5)),
+        ("collision_events_from_record", "record",
+         lambda: collision_events_from_record(p3, batch, cfg)),
+        ("energy_dissipation_residual", "record", lambda: energy_dissipation_residual(p3, batch)),
+        ("arrangement_check", "record_tail",
+         lambda: arrangement_check(batch, p3, cluster, 0.1, 0.7)),
+        ("compute_series", "record", lambda: compute_series(p3, batch, 0.6, 1.5)),
+    ]
+
+
+@pytest.mark.parametrize("reader", _batch_readers(), ids=lambda r: r[0])
+def test_every_record_reader_names_a_batch_record(reader):
+    """A batch record passed where one instance's record belongs raises
+    ValueError naming the batch and how to take one instance, never a bare
+    numpy or float error."""
+    _, what, call = reader
+    with pytest.raises(ValueError, match=rf"^{what} holds a batch of 3 instances; "
+                                         rf"pass {what}\.instance\(b\), of shape \(S, N\)$"):
+        call()
+
+
 def test_model_readers_check_sizes_by_the_same_rule():
     p3 = SystemParams(1.0, 1.0, [0.1, 0.0, -0.1])
     s4 = PhaseState(0.0, [0.0, 0.2, -0.2, 0.3], [0.0, 0.1, -0.1, 0.0])
