@@ -66,6 +66,8 @@ class IntegratorConfig:
             raise ValueError("dt must be positive and finite")
         if not self.t_end >= 0.0:
             raise ValueError("t_end must be >= 0 and finite")
+        if not math.isfinite(self.t_end / self.dt):
+            raise ValueError(f"t_end={self.t_end!r} over dt={self.dt!r} is not a finite step count")
         if not (_integer(self.observer_stride) and self.observer_stride >= 1):
             raise ValueError(
                 f"observer_stride must be an integer >= 1, got {self.observer_stride!r}"
@@ -134,22 +136,6 @@ class _Rows(NamedTuple):
         return self.nu.shape[-1]
 
 
-def _rate(
-    params, coup, theta: np.ndarray, omega: Optional[np.ndarray], out: np.ndarray, work
-) -> np.ndarray:
-    """Write the rate of a state into ``out`` and return it: the acceleration
-    (nu - omega + coupling)/m of an inertial state ``(theta, omega)``, or the
-    phase velocity nu + coupling of zero-inertia phases (``omega`` None).
-    ``work`` is passed on to the coupling."""
-    if omega is not None:
-        np.subtract(params.nu, omega, out=out)
-        out += coup(theta, params.kappa, work)
-        out /= params.m
-    else:
-        np.add(params.nu, coup(theta, params.kappa, work), out=out)
-    return out
-
-
 def _stepper(params, coup: Callable[..., np.ndarray], shape: tuple):
     """Classic RK4 of either model on stacked states of ``shape``, built once.
 
@@ -161,12 +147,14 @@ def _stepper(params, coup: Callable[..., np.ndarray], shape: tuple):
     gets exactly the arithmetic of the one-dimensional step.
 
     Stage ``s`` fills one block ``w[s]`` with its state (stage 1's is ``y``
-    itself), then its rate, so the stage derivative is the view
-    ``w[s, 1:]``: (omega, acceleration) for the inertial model, the phase
-    velocity for zero inertia.  The blocks, every view into them, the
-    scratch rows and the coupling's work arrays (one
-    :class:`~kuramoto_lock.model._MeanFieldWork`, passed to every stage's
-    coupling call) are made here, once.
+    itself), then its rate, from the model's one stage routine, so the
+    stage derivative is the view ``w[s, 1:]``: (omega, (nu - omega +
+    coupling)/m) for the inertial model, the phase velocity nu + coupling
+    for zero inertia.  The blocks, every view into them, the scratch rows,
+    the coupling's work arrays (one :class:`~kuramoto_lock.model._MeanFieldWork`,
+    passed to every stage's coupling call) and the 0-d constant 2 are made
+    here, once, and the 0-d h/2, h and h/6 once per step size, so no array
+    call of a step converts a Python scalar.
 
     Returns ``step(y, h)``, which returns the state one step of size ``h``
     after ``y`` as a fresh array; its view ``frequencies``, ``w[0, 1]``, then
@@ -179,30 +167,44 @@ def _stepper(params, coup: Callable[..., np.ndarray], shape: tuple):
     x = [w[s, :d] for s in range(4)]  # stage states; stage 1's is y
     k = [w[s, 1:] for s in range(4)]  # stage derivatives
     th = [w[s, 0] for s in range(4)]
-    om = [w[s, 1] if d == 2 else None for s in range(4)]
+    om = [w[s, 1] for s in range(4)]  # each derivative's first row
     r = [w[s, d] for s in range(4)]
+    m, kappa, nu = params.m, params.kappa, params.nu
     work = _MeanFieldWork(shape[1:])
+    two = np.array(2.0)
+    last = half = full = sixth = None  # the last step size h, and its h/2, h and h/6
+
+    if d == 2:
+        def stage(theta, s):
+            np.subtract(nu, om[s], r[s])
+            np.add(r[s], coup(theta, kappa, work), r[s])
+            np.divide(r[s], m, r[s])
+    else:
+        def stage(theta, s):
+            np.add(nu, coup(theta, kappa, work), r[s])
 
     def rate(y):
         if d == 2:
             np.copyto(om[0], y[1])  # stage 1's derivative: the frequencies, then the rate
-        _rate(params, coup, y[0], om[0], r[0], work)
-        return w[0, 1]
+        stage(y[0], 0)
+        return om[0]
 
     def step(y, h):
+        nonlocal last, half, full, sixth
+        if h != last:
+            last, half, full, sixth = h, np.array(0.5 * h), np.array(h), np.array(h / 6.0)
         rate(y)
-        half = 0.5 * h
         for s in (1, 2):
-            np.add(y, np.multiply(half, k[s - 1], out=tmp), out=x[s])
-            _rate(params, coup, th[s], om[s], r[s], work)
-        np.add(y, np.multiply(h, k[2], out=tmp), out=x[3])
-        _rate(params, coup, th[3], om[3], r[3], work)
-        np.add(k[0], np.multiply(2.0, k[1], out=acc), out=acc)
-        np.add(acc, np.multiply(2.0, k[2], out=tmp), out=acc)
-        np.add(acc, k[3], out=acc)
-        return y + np.multiply(h / 6.0, acc, out=acc)
+            np.add(y, np.multiply(half, k[s - 1], tmp), x[s])
+            stage(th[s], s)
+        np.add(y, np.multiply(full, k[2], tmp), x[3])
+        stage(th[3], 3)
+        np.add(k[0], np.multiply(two, k[1], acc), acc)
+        np.add(acc, np.multiply(two, k[2], tmp), acc)
+        np.add(acc, k[3], acc)
+        return np.add(y, np.multiply(sixth, acc, acc))
 
-    step.frequencies, step.rate = w[0, 1], rate
+    step.frequencies, step.rate = om[0], rate
     return step
 
 

@@ -223,15 +223,15 @@ class _MeanFieldWork:
     - ``z = exp(arg)``, the unit phasors, and ``pairs``, its float view
       ``(..., N, 2)`` of (cos, sin) pairs;
     - ``c``, the complex centroid column ``(..., 1)``, its float view ``cs``
-      ``(..., 2)`` of ``(C, S)``, and ``sc``, the reversed view ``(S, C)``
-      spread over the oscillator axis;
+      ``(..., 2)`` of ``(C, S)``, divided by ``n``, N as a 0-d float, and
+      ``sc``, the reversed view ``(S, C)`` spread over the oscillator axis;
     - ``cos_s`` and ``sin_c``, views of the pairs' two columns, which hold
       cos*S and sin*C once the coupling has multiplied the pairs by
       ``(S, C)`` in place, and ``out``, the coupling."""
 
     def __init__(self, shape: tuple):
         shape = tuple(shape)
-        self.n = shape[-1]
+        self.n = np.array(float(shape[-1]))
         self.arg = np.zeros(shape, dtype=complex)
         self.phase = self.arg.imag
         self.z = np.empty(shape, dtype=complex)
@@ -301,14 +301,14 @@ def coupling_mean_field(
     :func:`coupling_direct` up to rounding.  Row-wise on ``(B, N)`` input,
     like :func:`coupling_direct`.  Every integrator run steps this form.
 
-    ``work``, a :class:`_MeanFieldWork` at the shape of ``theta``, holds
-    every array the call writes, so the call makes none; the returned
-    ``work.out`` is overwritten by the next call on that work.  Without it
-    the call makes a fresh one."""
-    th = np.asarray(theta, dtype=float)
+    ``work``, a :class:`_MeanFieldWork` at the shape of the float array
+    ``theta``, holds every array the call writes, so the call makes none;
+    the returned ``work.out`` is overwritten by the next call on that work.
+    Without it the call reads ``theta`` as floats and makes a fresh work."""
     if work is None:
-        work = _MeanFieldWork(th.shape)
-    _centroid(th, work)
+        theta = np.asarray(theta, dtype=float)
+        work = _MeanFieldWork(theta.shape)
+    _centroid(theta, work)
     np.multiply(work.pairs, work.sc, work.pairs)
     np.subtract(work.cos_s, work.sin_c, work.out)
     np.multiply(work.out, kappa, work.out)

@@ -281,11 +281,16 @@ def test_sweep_documents_read_strictly(tmp_path, capsys, doc, named):
     [
         ("simulate", {"N": 4, "t_end": 1.0, "m": 10**400}, "m must be finite"),
         ("sweep", {**_SWEEP_M, "values": [0.5, 10**400]}, "sweep values must be positive and finite"),
+        ("simulate", {"N": 4, "t_end": 1.0, "dt": 1e-320}, "t_end=1.0 over dt=1e-320"),
+        ("simulate", {"N": 4, "t_end": 1.0, "m": 1e-320}, "t_end=1.0 over dt=2.5e-320"),
+        ("simulate", {"N": 4, "t_end": 1e308, "dt": 1e-3}, "t_end=1e+308 over dt=0.001"),
     ],
-    ids=["simulate", "sweep"],
+    ids=["simulate", "sweep", "step_count_tiny_dt", "step_count_tiny_m", "step_count_huge_t_end"],
 )
 def test_numbers_too_large_for_a_float_are_input_errors(tmp_path, capsys, command, doc, named):
-    # A 401-digit integer passes the schema's bounds but converts to no float.
+    # A 401-digit integer passes the schema's bounds but converts to no float,
+    # and so does the step count t_end/dt of a tiny dt (or m, which caps dt
+    # at 2.5 m) or a huge t_end.
     cfg = write(tmp_path / "c.json", doc)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err

@@ -112,6 +112,13 @@ def test_config_validation():
         IntegratorConfig(t_end=-1.0)
     with pytest.raises(ValueError):
         IntegratorConfig(observer_stride=0)
+    # A t_end/dt that overflows to inf is no step count: refused naming both
+    # values, not left to overflow in the step plan.  A zero span is none.
+    for dt, t_end in [(1e-320, 1.0), (2.5e-320, 1.0), (1e-3, 1e308)]:
+        with pytest.raises(ValueError, match="not a finite step count") as info:
+            IntegratorConfig(dt=dt, t_end=t_end)
+        assert f"t_end={t_end!r} over dt={dt!r}" in str(info.value)
+        IntegratorConfig(dt=dt, t_end=0.0)
     # Every run steps the mean-field coupling; there is no option to choose.
     with pytest.raises(TypeError):
         IntegratorConfig(coupling="direct")
@@ -877,6 +884,27 @@ def test_stacked_step_matches_reference_steppers(rng, coupling, inertial):
     for _ in range(200):
         y, col, want = step(y, 0.01), col_step(col, 0.01), _oracle_step(rows, coup, want, 0.01)
     assert np.isfinite(y).all() and np.array_equal(y, want) and np.array_equal(col, want)
+
+
+@pytest.mark.parametrize("inertial", [True, False], ids=["m>0", "m=0"])
+def test_step_constants_follow_the_step_size(rng, inertial):
+    # The stepper binds h/2, h and h/6 once per step size: one stepper
+    # marched over changing step sizes, zero included, equals the reference
+    # steppers bit for bit after every step, on one state and a batch, with
+    # shared parameters and with coefficient rows.
+    coup = COUPLING_FORMS["mean_field"]
+    n, b, d = 12, 3, 2 if inertial else 1
+    instances = [random_instance(rng, n=n, m=float(rng.uniform(0.2, 2.0)) if inertial else 0.0)
+                 for _ in range(b)]
+    params = instances[0][0]
+    one, batch = rng.uniform(-3.0, 3.0, (d, n)), rng.uniform(-3.0, 3.0, (d, b, n))
+    cases = [(params, one), (integrate_module._coefficients(params), one), (params, batch),
+             (integrate_module._coefficients([p for p, _ in instances]), batch)]
+    for p, y in cases:
+        step, want = _stepper(p, coup, y.shape), y
+        for h in (0.01, 0.0037, 0.0, 0.01):
+            y, want = step(y, h), _oracle_step(p, coup, want, h)
+            assert np.array_equal(y, want), h
 
 
 @pytest.mark.parametrize(
