@@ -44,7 +44,6 @@ from .integrate import (
     collision_events_from_record,
     record_trajectory,
     _check_single,
-    _n_snapshots,
 )
 from .diagnostics import (
     R_PHASE_THRESHOLD,
@@ -553,7 +552,7 @@ def _recorded(
         key = (_integrator_config(config, params), params.m > 0.0, params.n)
         groups.setdefault(key, []).append(k)
     for (cfg, _, n), members in groups.items():
-        rows = max(1, _BATCH_ELEMENTS // (_n_snapshots(cfg) * n))
+        rows = max(1, _BATCH_ELEMENTS // (cfg.n_snapshots * n))
         for start in range(0, len(members), rows):
             batch = members[start:start + rows]
             try:

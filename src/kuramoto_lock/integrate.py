@@ -55,6 +55,14 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
+    """A run's step plan, derived once when the config is made: ``n_full``
+    steps of ``dt``, a partial step ``rem`` (0.0 if none), ``n_steps`` in
+    all, and ``n_snapshots``, one before every ``observer_stride``-th step
+    and one after the last.  A t_end/dt under an integer by at most 1e-15 of
+    itself (1e-9 below 10**6 steps), a few times its rounding, is that many
+    full steps; a partial step up to 1e-12 * max(1, t_end) is dropped.  From
+    2**53 steps on, t0 + k*dt no longer names step k's time: refused."""
+
     dt: float = 0.01
     t_end: float = 30.0
     observer_stride: int = 1
@@ -66,28 +74,29 @@ class IntegratorConfig:
             raise ValueError("dt must be positive and finite")
         if not self.t_end >= 0.0:
             raise ValueError("t_end must be >= 0 and finite")
-        if not math.isfinite(self.t_end / self.dt):
+        q = self.t_end / self.dt
+        if not math.isfinite(q):
             raise ValueError(f"t_end={self.t_end!r} over dt={self.dt!r} is not a finite step count")
         if not (_integer(self.observer_stride) and self.observer_stride >= 1):
-            raise ValueError(
-                f"observer_stride must be an integer >= 1, got {self.observer_stride!r}"
-            )
+            raise ValueError(f"observer_stride must be an integer >= 1, got {self.observer_stride!r}")
         object.__setattr__(self, "observer_stride", int(self.observer_stride))
-
-
-def _step_plan(dt: float, t_end: float) -> tuple[int, float]:
-    """Number of full steps and the trailing partial step (0 if none)."""
-    n_full = int(math.floor(t_end / dt + 1e-9))
-    rem = t_end - n_full * dt
-    if rem <= 1e-12 * max(1.0, t_end):
-        rem = 0.0
-    return n_full, rem
+        n_full = round(q)
+        if n_full - q > max(1e-9, 1e-15 * q):  # q lies under n_full by more than its rounding
+            n_full -= 1
+        rem = self.t_end - n_full * self.dt
+        rem = rem if rem > 1e-12 * max(1.0, self.t_end) else 0.0
+        n_steps = n_full + (rem > 0.0)
+        if n_steps >= 2**53:
+            raise ValueError(f"{self!r} plans {n_steps:.3g} steps: float64 times a step "
+                             "exactly only below 2**53 steps")
+        vars(self).update(n_full=n_full, rem=rem, n_steps=n_steps,
+                          n_snapshots=-(-n_steps // self.observer_stride) + 1)
 
 
 def _snapshot_grid(t: np.ndarray, h: Optional[float] = None) -> tuple[int, float]:
     """The one rule for which snapshots at times ``t`` a reader of a record
     takes: ``(s, h)``, where the first ``s`` snapshots, every one or all but
-    a last one after a shorter final step (see :func:`_step_plan`), are
+    a last one after a shorter final step (see :class:`IntegratorConfig`), are
     equally spaced at ``h`` (the first step unless given) to 1e-9 relative
     and 1e-12 absolute.  Any other spacing, or fewer than two snapshots,
     raises ``ValueError``."""
@@ -102,14 +111,6 @@ def _snapshot_grid(t: np.ndarray, h: Optional[float] = None) -> tuple[int, float
             raise ValueError(f"snapshots must be equally spaced at {h!r}")
         s -= 1
     return s, h
-
-
-def _n_snapshots(config: IntegratorConfig) -> int:
-    """Snapshots a run records: one before every ``observer_stride``-th step
-    and one after the last step."""
-    n_full, rem = _step_plan(config.dt, config.t_end)
-    steps = n_full + (rem > 0.0)
-    return -(-steps // config.observer_stride) + 1
 
 
 def _check_finite(y: np.ndarray, t: float) -> None:
@@ -238,12 +239,13 @@ def _march(
     if inertial.any() != inertial.all():
         raise ValueError("a batch cannot mix inertial (m > 0) and zero-inertia (m = 0) instances")
     y = np.stack((theta, omega)) if inertial.all() else theta[None]
-    dt, stride = config.dt, config.observer_stride
-    n_full, rem = _step_plan(dt, config.t_end)
+    dt, stride, n_full = config.dt, config.observer_stride, config.n_full
     step = _stepper(params, coup, y.shape)
-    t_end = t0 + config.t_end
     # The last state checked finite, and how many steps it follows.
     good = (0, y)
+
+    def time(k):  # after k steps; a partial step ends at t_end
+        return t0 + k * dt if k <= n_full else t0 + config.t_end
 
     def check(k, y):
         nonlocal good
@@ -251,28 +253,22 @@ def _march(
             done, yj = good
             for j in range(done + 1, k):
                 yj = step(yj, dt)
-                _check_finite(yj, t0 + j * dt)
-            _check_finite(y, t0 + k * dt if k <= n_full else t_end)
+                _check_finite(yj, time(j))
+            _check_finite(y, time(k))
         good = (k, y)
-
-    def advance(k, y, h, t):
-        # The step goes first, so that the observer gets its frequencies at y.
-        y_next = step(y, h)
-        if k % stride == 0:
-            check(k, y)
-            observe(t, y[0], step.frequencies)
-        return y_next
 
     # Blow-up is detected by the explicit finiteness check; silence the
     # transient inf/nan arithmetic warnings it would otherwise emit.
     with np.errstate(invalid="ignore", over="ignore"):
-        for k in range(n_full):
-            y = advance(k, y, dt, t0 + k * dt)
-        t_last = t0 + n_full * dt
-        if rem > 0.0:
-            y = advance(n_full, y, rem, t_last)
-            t_last = t_end
-        check(n_full + (rem > 0.0), y)
+        for k in range(config.n_steps):
+            # The step goes first, so that the observer gets its frequencies at y.
+            y_next = step(y, dt if k < n_full else config.rem)
+            if k % stride == 0:
+                check(k, y)
+                observe(time(k), y[0], step.frequencies)
+            y = y_next
+        check(config.n_steps, y)
+    t_last = time(config.n_steps)
     omega = y[1] if inertial.all() else step.rate(y)
     observe(t_last, y[0], omega)
     return t_last, y[0], omega
@@ -377,7 +373,8 @@ def record_trajectory(params, state0, config: IntegratorConfig) -> TrajectoryRec
     start time and the model.  A batch is stepped as one ``(B, N)`` array and
     recorded with a leading instance axis; every instance's record equals its
     single-instance record bit for bit.  A blow-up raises
-    :class:`IntegrationError` naming the first non-finite row of a batch.
+    :class:`IntegrationError` naming the first non-finite row of a batch,
+    and a record numpy cannot allocate ``ValueError`` naming the plan and N.
     """
     coef = _coefficients(params)
     if isinstance(state0, PhaseState):
@@ -395,9 +392,13 @@ def record_trajectory(params, state0, config: IntegratorConfig) -> TrajectoryRec
     if coef.nu.shape[:-1] != theta.shape[:-1]:
         raise ValueError("a batch needs one state per instance")
     _check_match(coef, theta.shape[-1], "state0")
-    t = np.empty(_n_snapshots(config))
-    rec_theta = np.empty(theta.shape[:-1] + (t.size, theta.shape[-1]))
-    rec_omega, slots = np.empty_like(rec_theta), iter(range(t.size))
+    shape = theta.shape[:-1] + (config.n_snapshots, theta.shape[-1])
+    try:
+        t, rec_theta, rec_omega = np.empty(config.n_snapshots), np.empty(shape), np.empty(shape)
+    except (MemoryError, ValueError) as exc:  # numpy's refusal names no field
+        raise ValueError(f"{config!r} plans a record of shape {shape} at N={shape[-1]}, "
+                         f"which numpy cannot allocate: {exc}") from None
+    slots = iter(range(t.size))
 
     def observe(tk, theta_k, omega_k):
         k = next(slots)
@@ -586,8 +587,7 @@ def collision_events_from_record(
     """
     _check_match(params, record.n, "record")
     _check_single(record)
-    n_full, rem = _step_plan(config.dt, config.t_end)
-    size = n_full + 1 + (rem > 0.0)
+    size, n_full = config.n_steps + 1, config.n_full
     if record.n_snapshots != size or (n_full and _snapshot_grid(record.t, config.dt)[0] <= n_full):
         raise ValueError(
             f"collision refinement needs the dense record of its step plan (dt={config.dt!r}, "

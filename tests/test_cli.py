@@ -298,6 +298,27 @@ def test_numbers_too_large_for_a_float_are_input_errors(tmp_path, capsys, comman
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"N": 4, "t_end": 1e13, "dt": 1e-3, "stride": 1000000000000},
+        {"N": 4, "t_end": 1e300, "dt": 1e-3},
+    ],
+    ids=["long_stride", "huge_t_end"],
+)
+def test_plans_of_2_53_steps_are_input_errors(tmp_path, capsys, doc):
+    # Schema-valid documents whose plan float64 cannot time: refused when
+    # the run's config is made, naming t_end, dt and the stride, instead of
+    # marching for years or failing in numpy's allocation.
+    cfg = write(tmp_path / "c.json", doc)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: IntegratorConfig(dt={doc['dt']!r}, t_end={doc['t_end']!r}, "
+                          f"observer_stride={doc.get('stride', 10)}) plans ")
+    assert "2**53 steps" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_fresh_samples_boolean(tmp_path):
     cfg = write(tmp_path / "sweep.json", {**_SWEEP_M, "values": [0.5, 2], "fresh_samples": True})
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0

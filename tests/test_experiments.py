@@ -1053,7 +1053,7 @@ def test_campaign_batched_matches_per_instance(tmp_path, monkeypatch, which):
     # A budget of two instances splits the group into batches of two and one.
     params = experiments._campaign_instance(cc, report.results[0]["index"])[0]
     cfg = experiments._integrator_config(experiments._campaign_scenario(cc, params), params)
-    monkeypatch.setattr(experiments, "_BATCH_ELEMENTS", 2 * experiments._n_snapshots(cfg) * params.n)
+    monkeypatch.setattr(experiments, "_BATCH_ELEMENTS", 2 * cfg.n_snapshots * params.n)
     certify_campaign(cc, outdir=tmp_path / "split")
     assert _persisted(tmp_path / "split") == files
 
@@ -1123,7 +1123,7 @@ def test_one_batch_alive_at_a_time(monkeypatch, kind):
         run = lambda: figure_sweep("m_kappa", [0.5, 1.0, 2.0], config)
     cfg = experiments._integrator_config(config, sample_instance(config)[0])
     # One instance per batch: three batches.
-    monkeypatch.setattr(experiments, "_BATCH_ELEMENTS", experiments._n_snapshots(cfg) * config.n)
+    monkeypatch.setattr(experiments, "_BATCH_ELEMENTS", cfg.n_snapshots * config.n)
     earlier = []
     record = experiments.record_trajectory
 
@@ -1137,6 +1137,32 @@ def test_one_batch_alive_at_a_time(monkeypatch, kind):
     monkeypatch.setattr(experiments, "record_trajectory", checking)
     run()
     assert len(earlier) >= 2 * 3
+
+
+@pytest.mark.parametrize("collisions", [False, True])
+def test_batch_rows_follow_the_plan(monkeypatch, collisions):
+    # A budget of two instances' records, read from the plan's snapshot
+    # count (every step's for a collision run), splits five jobs of one plan
+    # into batches of two, two and one, each of n_snapshots snapshots.
+    from kuramoto_lock import experiments
+
+    base = small_config(n=5, t_end=2.0, collisions=collisions)
+    jobs = [(c, *sample_instance(c)) for c in (dataclasses.replace(base, seed=s) for s in range(5))]
+    cfg = experiments._integrator_config(base, jobs[0][1])
+    assert cfg.observer_stride == (1 if collisions else base.stride)
+    monkeypatch.setattr(experiments, "_BATCH_ELEMENTS", 2 * cfg.n_snapshots * base.n + 1)
+    shapes = []
+    record = experiments.record_trajectory
+
+    def recording(*args):
+        rec = record(*args)
+        shapes.append(rec.theta.shape)
+        return rec
+
+    monkeypatch.setattr(experiments, "record_trajectory", recording)
+    got = experiments._recorded(jobs, [str(s) for s in range(5)], lambda k, rec: rec.t.shape)
+    assert shapes == [(2, cfg.n_snapshots, base.n)] * 2 + [(1, cfg.n_snapshots, base.n)]
+    assert got == [(cfg.n_snapshots,)] * 5
 
 
 # ---------------------------------------------------------------------------

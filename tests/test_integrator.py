@@ -500,6 +500,83 @@ def test_snapshot_grid_at_a_given_spacing():
             grid(t, h)
 
 
+@pytest.mark.parametrize(
+    "dt, t_end, stride, batch",
+    [
+        (0.01, 0.0, 1, 0),
+        (0.01, 0.014, 1, 0),
+        (0.01, 0.125, 5, 0),
+        (0.02, 5.0, 10**9, 0),
+        (0.01, 0.5, 7, 3),
+    ],
+    ids=["no_step", "partial_step", "partial_step_strided", "stride_past_the_end", "batch"],
+)
+def test_plan_counts_are_the_record_shapes(rng, dt, t_end, stride, batch):
+    # The config's plan is what a run does: its record holds n_snapshots
+    # snapshots, and the dense record of the same plan, the one collision
+    # refinement reads, one per step: n_full steps of dt, then rem.
+    cfg = IntegratorConfig(dt=dt, t_end=t_end, observer_stride=stride)
+    dense = dataclasses.replace(cfg, observer_stride=1)
+    assert cfg.n_steps == cfg.n_full + (cfg.rem > 0.0) == dense.n_snapshots - 1
+    instances = [random_instance(rng, n=4) for _ in range(max(batch, 1))]
+    params, state0 = [list(x) for x in zip(*instances)] if batch else instances[0]
+    lead = (batch,) if batch else ()
+    for c in (cfg, dense):
+        record = record_trajectory(params, state0, c)
+        assert record.t.shape == (c.n_snapshots,)
+        assert record.theta.shape == record.omega.shape == lead + (c.n_snapshots, 4)
+    steps = np.diff(record.t)
+    assert np.allclose(steps[:cfg.n_full], dt, rtol=1e-12, atol=0.0)
+    assert np.allclose(steps[cfg.n_full:], [cfg.rem] if cfg.rem else [], rtol=1e-9, atol=0.0)
+    if batch:
+        params, record = params[0], record.instance(0)
+    collision_events_from_record(params, record, cfg)
+    if cfg.n_steps:
+        short = integrate_module.TrajectoryRecord(record.t[:-1], record.theta[:-1], record.omega[:-1])
+        with pytest.raises(ValueError, match=f"{cfg.n_steps + 1} snapshots, one per step"):
+            collision_events_from_record(params, short, cfg)
+
+
+def test_step_plan_slack_follows_the_quotient():
+    # t_end/dt reads 22799999.999999996 at dt=1e-5, t_end=228: past about
+    # 10**7 steps the quotient's rounding exceeds 1e-9, so the slack is
+    # relative.  An integral quotient gains no step, and a real partial step
+    # stays one.
+    for dt, t_end, n in [(1e-5, 228.0, 22_800_000), (1e-7, 1000.0, 10**10), (0.1, 0.3, 3),
+                         (1e-3, 1e12, 10**15), (1.0, 2.0**53 - 1, 2**53 - 1)]:
+        cfg = IntegratorConfig(dt=dt, t_end=t_end)
+        assert (cfg.n_full, cfg.rem, cfg.n_steps, cfg.n_snapshots) == (n, 0.0, n, n + 1)
+    cfg = IntegratorConfig(dt=1e-5, t_end=228.000005, observer_stride=10**6)
+    assert (cfg.n_full, cfg.n_steps, cfg.n_snapshots) == (22_800_000, 22_800_001, 24)
+    assert cfg.rem == pytest.approx(5e-6, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "dt, t_end, stride", [(1e-3, 1e13, 10**12), (1e-3, 1e300, 1), (1.0, 2.0**53, 1)]
+)
+def test_plans_float64_cannot_time_are_refused(dt, t_end, stride):
+    # From 2**53 steps on, t0 + k*dt no longer names step k's time: the
+    # config refuses the plan, naming it, before any array or step.
+    with pytest.raises(ValueError, match=r"only below 2\*\*53 steps") as info:
+        IntegratorConfig(dt=dt, t_end=t_end, observer_stride=stride)
+    assert str(info.value).startswith(
+        f"IntegratorConfig(dt={dt!r}, t_end={t_end!r}, observer_stride={stride}) plans ")
+
+
+def test_record_that_cannot_be_allocated_names_its_plan(rng):
+    # 2**53 snapshots of 200 oscillators is a plan float64 can time but a
+    # record larger than numpy's index range: an input error naming the
+    # plan and N, raised before any step, not numpy's own message.
+    params, state0 = random_instance(rng, n=200)
+    cfg = IntegratorConfig(dt=1.0, t_end=2.0**53 - 1)
+    for batch in (False, True):
+        with pytest.raises(ValueError) as info:
+            record_trajectory([params] * 2 if batch else params, [state0] * 2 if batch else state0, cfg)
+        assert str(info.value).startswith(
+            f"{cfg!r} plans a record of shape {(2,) * batch + (2**53, 200)} at N=200, "
+            "which numpy cannot allocate: ")
+
+
 def test_zero_inertia_events_are_the_small_inertia_limit():
     # One collision scan serves both models.  As m -> 0, with the initial
     # frequencies on the zero-inertia velocities (the slow manifold to
@@ -966,9 +1043,8 @@ def _blowup_case(name, rng):
 def _per_step_checked_failure(coef, coup, y, t0, cfg):
     """The error of a march that checks every step of the reference steppers,
     and how many steps it took."""
-    n_full, rem = integrate_module._step_plan(cfg.dt, cfg.t_end)
-    plan = [(cfg.dt, t0 + (k + 1) * cfg.dt) for k in range(n_full)]
-    plan += [(rem, t0 + cfg.t_end)] if rem > 0.0 else []
+    plan = [(cfg.dt, t0 + (k + 1) * cfg.dt) for k in range(cfg.n_full)]
+    plan += [(cfg.rem, t0 + cfg.t_end)] if cfg.rem > 0.0 else []
     with np.errstate(invalid="ignore", over="ignore"):
         for k, (h, t) in enumerate(plan, 1):
             y = _oracle_step(coef, coup, y, h)
@@ -991,7 +1067,7 @@ def test_march_checks_finiteness_like_every_step(rng, name, stride):
     coup = COUPLING_FORMS["mean_field"]
     t0 = 3.0
     want, fail_step = _per_step_checked_failure(coef, coup, y, t0, cfg)
-    n_full, rem = integrate_module._step_plan(cfg.dt, cfg.t_end)
+    n_full, rem = cfg.n_full, cfg.rem
     assert want.row > 0
     if name.startswith("partial"):
         assert rem > 0.0 and fail_step == n_full + 1
